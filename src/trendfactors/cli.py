@@ -103,7 +103,6 @@ def _config_from_args(args) -> PipelineConfig:
         reorder=not args.no_reorder,
         horizons=tuple(args.horizons) if getattr(args, "horizons", None) else (1, 2, 3, 4),
         window_start=getattr(args, "window_start", None),
-        seed=args.seed,
     )
 
 
@@ -122,7 +121,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="use signed instead of absolute autocorrelations")
     parser.add_argument("--no-reorder", action="store_true",
                         help="skip p-value reordering before white-noise testing")
-    parser.add_argument("--seed", type=int, default=0, help="seed for reproducible output")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
 
 
@@ -168,7 +166,7 @@ def cmd_decompose(args) -> int:
             "k0": config.k0, "j0": config.j0, "c0": config.c0, "l": config.l,
             "m": config.m, "alpha": config.alpha, "epsilon": config.epsilon,
             "K_override": config.K_override, "absolute_acf": config.absolute_acf,
-            "reorder": config.reorder, "seed": config.seed,
+            "reorder": config.reorder,
         },
         "diagnostics": {
             "M1_eigenvalues": diag.get("M1_eigenvalues"),

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import ArgumentError, DegenerateSeriesError
 from .pipeline import PipelineConfig, decompose
@@ -218,10 +219,6 @@ class DmResult(NamedTuple):
     bandwidth: int
 
 
-def _ndtr(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def dm_test(loss_a, loss_b, bandwidth: int | None = None) -> DmResult:
     """Equal-predictive-ability test on two aligned loss series.
 
@@ -254,9 +251,9 @@ def dm_test(loss_a, loss_b, bandwidth: int | None = None) -> DmResult:
         if abs(dbar) <= 1e-13 * max(1.0, scale):
             return DmResult(0.0, 0.0, 0.5, True, bandwidth)
         stat = math.inf if dbar > 0 else -math.inf
-        return DmResult(stat, 0.0, _ndtr(stat), True, bandwidth)
+        return DmResult(stat, 0.0, float(ndtr(stat)), True, bandwidth)
     stat = dbar / math.sqrt(lrv / n)
-    return DmResult(stat, lrv, _ndtr(stat), False, bandwidth)
+    return DmResult(stat, lrv, float(ndtr(stat)), False, bandwidth)
 
 
 def _ar1_delta_forecast(series: np.ndarray, h_max: int) -> np.ndarray:

@@ -22,11 +22,11 @@ from .stationary import (
     projected_S,
     recover_z2,
 )
-from .tsstats import as_panel, sym_eigen
-from .unitroot import R1Params, acf_profile, build_M1, probe_lags, scan_r1, split_spaces
-from .whitenoise import _drop_count, estimate_r2_small, lb_order, ljung_box_pvalues
+from .tsstats import EigenDecomposition, as_panel, sym_eigen
+from .unitroot import R1Params, first_stage, scan_r1, split_spaces
+from .whitenoise import FactorCounts, count_factors
 
-__all__ = ["PipelineConfig", "Decomposition", "decompose"]
+__all__ = ["PipelineConfig", "Decomposition", "decompose", "second_stage", "recover_factors"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class PipelineConfig:
     tau: float = 10.0
     horizons: tuple[int, ...] = (1, 2, 3, 4)
     window_start: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.k0 < 0:
@@ -112,45 +111,51 @@ class Decomposition:
         return self.A1.shape[0]
 
 
-def _stage2(x2: np.ndarray, config: PipelineConfig) -> tuple[StationaryFactorFit, dict]:
-    """Second-stage estimation on the stationary panel (width >= 1)."""
-    n, d = x2.shape
+def second_stage(
+    x2: np.ndarray, config: PipelineConfig, reorders
+) -> tuple[EigenDecomposition, FactorCounts]:
+    """Eigendecomposition of ``M2`` and the factor counts of its components.
+
+    Counts are returned for each reorder variant in ``reorders``; panels no
+    wider than ``small_p_threshold`` use the bottom-up Ljung-Box scan.
+    """
     eig2 = sym_eigen(build_M2(x2, config.j0))
-    xi = x2 @ eig2.vectors
-    diagnostics: dict = {"M2_eigenvalues": eig2.values}
-    if d <= config.small_p_threshold:
-        r2, v = estimate_r2_small(xi, config.m, config.alpha)
-        order = np.arange(d)
-        pvalues, _ = ljung_box_pvalues(xi, config.m)
-    else:
-        ordered = lb_order(xi, config.m, config.reorder)
-        order = ordered.order
-        pvalues = ordered.pvalues
-        kept = ordered.ordered()
-        truncated = 0
-        if d >= n:
-            keep = int(np.floor(config.epsilon * n))
-            if keep < 1:
-                raise ArgumentError(f"epsilon={config.epsilon} keeps no components at n={n}")
-            truncated = max(0, d - keep)
-            kept = kept[:, : min(keep, d)]
-        r2 = _drop_count(kept, config.m, config.alpha)
-        v = d - r2
-        diagnostics["truncated_components"] = truncated
-    diagnostics["component_order"] = order
-    diagnostics["lb_pvalues"] = pvalues
-    u1 = eig2.vectors[:, order[:r2]]
-    v1 = eig2.vectors[:, order[r2:]]
+    counts = count_factors(
+        x2 @ eig2.vectors,
+        config.m,
+        config.alpha,
+        reorders,
+        config.epsilon,
+        bottom_up=x2.shape[1] <= config.small_p_threshold,
+    )
+    return eig2, counts
+
+
+def recover_factors(
+    x2: np.ndarray, w: np.ndarray, order: np.ndarray, r2: int, config: PipelineConfig
+) -> StationaryFactorFit:
+    """Projected-PCA recovery of the stationary factors at a given count.
+
+    ``w`` is the ``M2`` eigenbasis; the first ``r2`` of its columns in the
+    testing ``order`` span the factor directions and the rest the white
+    noise.  When the recovery is ill conditioned the factors are read off
+    by direct projection instead (``v2_fallback``).
+    """
+    d = x2.shape[1]
+    v = d - r2
+    u1 = w[:, order[:r2]]
+    v1 = w[:, order[r2:]]
     s_matrix = projected_S(x2, v1)
     eig_s = sym_eigen(s_matrix)
     if config.K_override is not None:
-        k_hat = min(config.K_override, d - r2)
+        k_hat = min(config.K_override, v)
     elif d <= config.small_p_threshold or v <= 1:
         # prominent noise is a diverging-eigenvalue phenomenon; the ratio rule
         # only runs in the wide regime, and only on the nonzero spectrum
         k_hat = 0
     else:
         k_hat = estimate_K(eig_s.values, max_k=min(config.max_k, v - 1), tau=config.tau)
+    fallback = False
     try:
         v2 = estimate_V2(s_matrix, u1, r2, k_hat)
     except IllConditionedError:
@@ -158,24 +163,23 @@ def _stage2(x2: np.ndarray, config: PipelineConfig) -> tuple[StationaryFactorFit
         # make the projected-PCA inversion singular; fall back to the direct
         # projection recovery so the decomposition still completes
         v2 = u1
-        diagnostics["v2_fallback"] = True
+        fallback = True
         warnings.warn(
             "projected PCA recovery is ill conditioned; using the direct "
             "factor projection instead",
             stacklevel=2,
         )
-    z2 = recover_z2(v2, u1, x2)
-    fit = StationaryFactorFit(
+    return StationaryFactorFit(
         r2_hat=r2,
         v_hat=v,
         K_hat=k_hat,
         U1=u1,
         V1=v1,
         V2=v2,
-        z2=z2,
+        z2=recover_z2(v2, u1, x2),
         S_eigenvalues=eig_s.values,
+        v2_fallback=fallback,
     )
-    return fit, diagnostics
 
 
 def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition:
@@ -187,14 +191,7 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
     eigenvalues are detected or pinned via ``K_override``).
     """
     pan = as_panel(panel)
-    lags = probe_lags(config.r1_params)
-    if lags[-1] > pan.n - 2:
-        raise ArgumentError(
-            f"largest probed lag {lags[-1]} exceeds n-2={pan.n - 2}; shrink l or m"
-        )
-    eig1 = sym_eigen(build_M1(pan, config.k0))
-    transformed = pan.data @ eig1.vectors
-    rho = acf_profile(transformed, lags)
+    eig1, rho = first_stage(pan, config.k0, config.r1_params)
     r1 = scan_r1(rho, config.c0, config.absolute_acf)
     split = split_spaces(pan, eig1, r1)
     diagnostics: dict = {
@@ -218,8 +215,16 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
             z2=np.zeros((pan.n, 0)),
             diagnostics=diagnostics,
         )
-    fit, stage2_diag = _stage2(split.x2, config)
-    diagnostics.update(stage2_diag)
+    eig2, counts = second_stage(split.x2, config, (config.reorder,))
+    order = counts.order[config.reorder]
+    fit = recover_factors(split.x2, eig2.vectors, order, counts.r2[config.reorder], config)
+    diagnostics["M2_eigenvalues"] = eig2.values
+    if d > config.small_p_threshold:
+        diagnostics["truncated_components"] = counts.truncated
+    diagnostics["component_order"] = order
+    diagnostics["lb_pvalues"] = counts.pvalues[order]
+    if fit.v2_fallback:
+        diagnostics["v2_fallback"] = True
     diagnostics["S_eigenvalues"] = fit.S_eigenvalues
     return Decomposition(
         r1_hat=r1,

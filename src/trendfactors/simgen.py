@@ -18,17 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ArgumentError
-from .pipeline import PipelineConfig
-from .stationary import build_M2, estimate_K, estimate_V2, projected_S, recover_z2
-from .tsstats import TimeSeriesPanel, sym_eigen
-from .unitroot import acf_profile, build_M1, probe_lags, scan_r1
-from .whitenoise import (
-    _abs_corr_tensor,
-    _bonferroni_threshold,
-    estimate_r2_small,
-    ljung_box_pvalues,
-)
+from .errors import ArgumentError, TrendFactorsError
+from .pipeline import PipelineConfig, recover_factors, second_stage
+from .tsstats import TimeSeriesPanel
+from .unitroot import first_stage, scan_r1
 
 __all__ = [
     "DgpSpec",
@@ -360,52 +353,9 @@ class MonteCarloResult:
         return out
 
 
-def _stage2_counts(
-    x2: np.ndarray, config: PipelineConfig, reorder_variants: set[bool]
-) -> tuple[dict, np.ndarray, dict]:
-    """Factor/noise counts per reordering variant, sharing all heavy pieces.
-
-    Returns ``(counts, W, extras)`` where ``counts[reorder] = (r2, v)``, ``W``
-    is the eigenvector matrix of the second-stage statistic, and ``extras``
-    carries the component order per variant for downstream loading selection.
-    """
-    n, d = x2.shape
-    eig2 = sym_eigen(build_M2(x2, config.j0))
-    w = eig2.vectors
-    xi = x2 @ w
-    counts: dict = {}
-    orders: dict = {}
-    if d <= config.small_p_threshold:
-        r2, v = estimate_r2_small(xi, config.m, config.alpha)
-        for reorder in reorder_variants:
-            counts[reorder] = (r2, v)
-            orders[reorder] = np.arange(d)
-        return counts, w, {"orders": orders, "M2_eigenvalues": eig2.values}
-    pvalues, degenerate = ljung_box_pvalues(xi, config.m)
-    tensor, _ = _abs_corr_tensor(xi, config.m)
-    sqrt_n = np.sqrt(n)
-    for reorder in reorder_variants:
-        if reorder:
-            order = np.lexsort((np.arange(d), pvalues, degenerate.astype(int)))
-        else:
-            order = np.arange(d)
-        kept = order
-        if d >= n:
-            keep = int(np.floor(config.epsilon * n))
-            if keep < 1:
-                raise ArgumentError(f"epsilon={config.epsilon} keeps no components at n={n}")
-            kept = order[: min(keep, d)]
-        sub = tensor[np.ix_(range(config.m), kept, kept)]
-        r2 = len(kept)
-        for j in range(len(kept)):
-            d_cur = len(kept) - j
-            stat = sqrt_n * sub[:, j:, j:].max(initial=0.0)
-            if stat <= _bonferroni_threshold(d_cur, config.m, config.alpha):
-                r2 = j
-                break
-        counts[reorder] = (r2, d - r2)
-        orders[reorder] = order
-    return counts, w, {"orders": orders, "M2_eigenvalues": eig2.values}
+def _span_distance(h1: np.ndarray, h2: np.ndarray) -> float:
+    # an empty basis on either side leaves no span to compare
+    return metric_Dbar(h1, h2) if min(h1.shape[1], h2.shape[1]) else np.nan
 
 
 def _replication(
@@ -415,30 +365,25 @@ def _replication(
     config: PipelineConfig,
     variants: list[str],
 ) -> tuple[dict, dict]:
-    """Counts for every requested variant plus metrics for the first one."""
-    y = panel.data
-    eig1 = sym_eigen(build_M1(panel, config.k0))
-    rho = acf_profile(y @ eig1.vectors, probe_lags(config.r1_params))
-    need_abs = {_parse_variant(v)[0] for v in variants}
-    r1_by_abs = {a: scan_r1(rho, config.c0, a) for a in need_abs}
+    """Counts for every requested variant plus metrics for the first one.
 
-    stage2_by_r1: dict = {}
-    for absolute in need_abs:
-        r1 = r1_by_abs[absolute]
-        if r1 in stage2_by_r1 or r1 >= spec.p:
-            continue
-        x2 = y @ eig1.vectors[:, r1:]
-        reorders = {_parse_variant(v)[1] for v in variants}
-        stage2_by_r1[r1] = _stage2_counts(x2, config, reorders)
+    Every variant runs the stages of :func:`trendfactors.pipeline.decompose`
+    (variant ``a*`` is ``absolute_acf``, ``w*`` is ``reorder``); the stage-1
+    eigendecomposition and each distinct stationary panel are shared.
+    """
+    y = panel.data
+    eig1, rho = first_stage(panel, config.k0, config.r1_params)
+    r1_by_abs = {a: scan_r1(rho, config.c0, a) for a in {_parse_variant(v)[0] for v in variants}}
+    reorders = sorted({_parse_variant(v)[1] for v in variants}, reverse=True)
+    eig2_by_r1, counts_by_r1 = {}, {}
+    for r1 in set(r1_by_abs.values()) - {spec.p}:
+        eig2_by_r1[r1], counts_by_r1[r1] = second_stage(y @ eig1.vectors[:, r1:], config, reorders)
 
     indicators = {}
     for name in variants:
         absolute, reorder = _parse_variant(name)
         r1 = r1_by_abs[absolute]
-        if r1 >= spec.p:
-            r2, v = 0, 0
-        else:
-            r2, v = stage2_by_r1[r1][0][reorder]
+        r2 = counts_by_r1[r1].r2[reorder] if r1 < spec.p else 0
         indicators[name] = {
             "r1": float(r1 == spec.r1),
             "r2": float(r2 == spec.r2),
@@ -450,40 +395,25 @@ def _replication(
     r1 = r1_by_abs[absolute]
     a1_hat = eig1.vectors[:, :r1]
     a2_hat = eig1.vectors[:, r1:]
-    metrics = {
-        "Dbar_A1": metric_Dbar(a1_hat, truth.A1) if r1 >= 1 else np.nan,
-        "Dbar_A2": metric_Dbar(a2_hat, truth.A2) if r1 <= spec.p - 1 else np.nan,
-    }
     norm = "small" if spec.example == 1 else "large"
-    metrics["rmse_trend"] = rmse_factors(
-        (y @ a1_hat) @ a1_hat.T, truth.trend_paths(), norm
-    )
-    metrics["Dbar_A2U1"] = np.nan
-    metrics["rmse_stationary"] = np.nan
+    metrics = {
+        "Dbar_A1": _span_distance(a1_hat, truth.A1),
+        "Dbar_A2": _span_distance(a2_hat, truth.A2),
+        "rmse_trend": rmse_factors((y @ a1_hat) @ a1_hat.T, truth.trend_paths(), norm),
+        "Dbar_A2U1": np.nan,
+        "rmse_stationary": np.nan,
+    }
     if r1 < spec.p:
-        counts, w, extras = stage2_by_r1[r1]
-        r2, v = counts[reorder]
+        counts = counts_by_r1[r1]
+        r2 = counts.r2[reorder]
         if r2 >= 1:
-            order = extras["orders"][reorder]
-            u1 = w[:, order[:r2]]
-            v1 = w[:, order[r2:]]
-            x2 = y @ eig1.vectors[:, r1:]
-            s_matrix = projected_S(x2, v1)
-            d = spec.p - r1
-            if config.K_override is not None:
-                k_hat = min(config.K_override, d - r2)
-            elif d <= config.small_p_threshold or v <= 1:
-                k_hat = 0
-            else:
-                eig_s = sym_eigen(s_matrix)
-                k_hat = estimate_K(eig_s.values, max_k=min(config.max_k, v - 1), tau=config.tau)
-            v2 = estimate_V2(s_matrix, u1, r2, k_hat)
-            z2 = recover_z2(v2, u1, x2)
-            a2u1_hat = a2_hat @ u1
-            if spec.r2 >= 1:
-                metrics["Dbar_A2U1"] = metric_Dbar(a2u1_hat, truth.A2 @ truth.U22_1)
+            fit = recover_factors(
+                y @ a2_hat, eig2_by_r1[r1].vectors, counts.order[reorder], r2, config
+            )
+            a2u1_hat = a2_hat @ fit.U1
+            metrics["Dbar_A2U1"] = _span_distance(a2u1_hat, truth.A2 @ truth.U22_1)
             metrics["rmse_stationary"] = rmse_factors(
-                z2 @ a2u1_hat.T, truth.factor_paths(), norm
+                fit.z2 @ a2u1_hat.T, truth.factor_paths(), norm
             )
     return indicators, metrics
 
@@ -501,8 +431,9 @@ def run_montecarlo(
     derived from ``(base_seed, cell index)``), after which the panel is
     regenerated ``reps`` times from independent per-replication shock streams
     derived from ``(base_seed, cell index, rep index)``; every requested
-    method variant is evaluated on the same draws.  Per-replication failures
-    are recorded and skipped rather than aborting the grid.  Aggregation is a
+    method variant is evaluated on the same draws.  Replications that raise a
+    package error or a linear-algebra failure are recorded and skipped rather
+    than aborting the grid; any other exception propagates.  Aggregation is a
     plain order-independent average.
     """
     if reps < 1:
@@ -522,7 +453,7 @@ def run_montecarlo(
             try:
                 panel, truth = draw_panel(rep_spec, mixing, rep_spec.seed)
                 indicators, metrics = _replication(panel, truth, rep_spec, config, list(methods))
-            except Exception:
+            except (TrendFactorsError, np.linalg.LinAlgError):
                 failures += 1
                 continue
             for name in methods:

@@ -43,6 +43,7 @@ class StationaryFactorFit:
     (mutually orthonormal, jointly a full basis); ``V2`` is the projected-PCA
     matrix used to invert the factor mixing, and ``z2`` holds the recovered
     factor paths.  ``r2_hat + v_hat`` always equals the panel width.
+    ``v2_fallback`` marks an ill-conditioned recovery where ``V2 = U1``.
     """
 
     r2_hat: int
@@ -53,6 +54,7 @@ class StationaryFactorFit:
     V2: np.ndarray
     z2: np.ndarray
     S_eigenvalues: np.ndarray
+    v2_fallback: bool = False
 
 
 def build_M2(x2, j0: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import chdtrc
 
 from .errors import ArgumentError, DegenerateSeriesError
 
@@ -27,6 +28,8 @@ __all__ = [
     "sample_acf",
     "ljung_box",
     "chi2_sf",
+    "is_degenerate",
+    "centered_columns",
     "sym_eigen",
 ]
 
@@ -119,9 +122,24 @@ def _centered(series) -> np.ndarray:
     return x - x.mean()
 
 
-def _gamma0_floor(xc: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(xc), initial=0.0)))
-    return (1e-13 * scale) ** 2
+def is_degenerate(xc: np.ndarray, gamma0):
+    """Mask of centered columns whose divisor-``n`` variance is rounding noise.
+
+    A column is degenerate (numerically constant) when ``gamma0`` is at most
+    ``(1e-13 * max(1, max |xc|))^2``.  Works column-wise on an ``n x d``
+    array with a length-``d`` ``gamma0``, and on a single series with a
+    scalar ``gamma0``.
+    """
+    scale = np.maximum(1.0, np.max(np.abs(xc), axis=0, initial=0.0))
+    return gamma0 <= (1e-13 * scale) ** 2
+
+
+def centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centered columns of an ``n x d`` array, their divisor-``n`` variances and
+    the :func:`is_degenerate` mask."""
+    xc = x - x.mean(axis=0)
+    gamma0 = np.einsum("ti,ti->i", xc, xc) / x.shape[0]
+    return xc, gamma0, is_degenerate(xc, gamma0)
 
 
 def sample_acf(series, k: int) -> float:
@@ -135,7 +153,7 @@ def sample_acf(series, k: int) -> float:
     if not 0 <= k <= n - 2:
         raise ArgumentError(f"lag k={k} outside [0, {n - 2}] for n={n}")
     gamma0 = float(xc @ xc) / n
-    if gamma0 <= _gamma0_floor(xc):
+    if is_degenerate(xc, gamma0):
         raise DegenerateSeriesError("constant series has no autocorrelation")
     if k == 0:
         return 1.0
@@ -159,7 +177,7 @@ def ljung_box(series, m: int) -> LjungBoxResult:
     if not 1 <= m <= n - 2:
         raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
     gamma0 = float(xc @ xc) / n
-    if gamma0 <= _gamma0_floor(xc):
+    if is_degenerate(xc, gamma0):
         raise DegenerateSeriesError("constant series: Ljung-Box undefined")
     q = 0.0
     for k in range(1, m + 1):
@@ -169,63 +187,14 @@ def ljung_box(series, m: int) -> LjungBoxResult:
     return LjungBoxResult(statistic=q, pvalue=chi2_sf(q, m))
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    # regularized lower incomplete gamma P(a, x), valid for x < a + 1
-    ap = a
-    total = 1.0 / a
-    delta = total
-    for _ in range(1000):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    # regularized upper incomplete gamma Q(a, x) by modified Lentz continued
-    # fraction, valid for x >= a + 1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        factor = d * c
-        h *= factor
-        if abs(factor - 1.0) < 1e-17:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
 def chi2_sf(x: float, df: int) -> float:
-    """Upper-tail probability of a chi-square distribution.
-
-    Evaluates the regularized incomplete gamma function directly (power
-    series below the ``a + 1`` turnover, continued fraction above), so the
-    result is testable against closed forms such as ``exp(-x/2)`` at df=2.
-    """
+    """Upper-tail probability of a chi-square distribution with ``df`` degrees of freedom."""
     if df < 1 or int(df) != df:
         raise ArgumentError(f"df must be a positive integer, got {df}")
     x = float(x)
     if not math.isfinite(x) or x < 0:
         raise ArgumentError(f"x must be finite and >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    a = df / 2.0
-    xx = x / 2.0
-    if xx < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _lower_gamma_series(a, xx)))
-    return min(1.0, max(0.0, _upper_gamma_cf(a, xx)))
+    return float(chdtrc(df, x))
 
 
 def sym_eigen(matrix) -> EigenDecomposition:

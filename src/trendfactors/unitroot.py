@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .tsstats import EigenDecomposition, as_panel, sample_acf, sample_autocov, sym_eigen
+from .tsstats import (
+    EigenDecomposition,
+    as_panel,
+    centered_columns,
+    sample_acf,
+    sample_autocov,
+    sym_eigen,
+)
 
 __all__ = [
     "R1Params",
@@ -24,6 +31,8 @@ __all__ = [
     "estimate_r1",
     "probe_lags",
     "acf_profile",
+    "first_stage",
+    "scan_r1",
 ]
 
 
@@ -72,6 +81,15 @@ def probe_lags(params: R1Params) -> np.ndarray:
     return 1 + params.l * np.arange(params.m)
 
 
+def _fitting_lags(params: R1Params, n: int) -> np.ndarray:
+    lags = probe_lags(params)
+    if lags[-1] > n - 2:
+        raise ArgumentError(
+            f"largest probed lag {lags[-1]} exceeds n-2={n - 2}; shrink l or m"
+        )
+    return lags
+
+
 def build_M1(panel, k0: int) -> np.ndarray:
     """Sum of autocovariance Gram products ``sum_{k=0..k0} C(k) C(k)'``.
 
@@ -117,12 +135,7 @@ def _s_from_acf(rhos, absolute: bool) -> float:
 def s_statistic(series, params: R1Params) -> float:
     """Average of (absolute) sample autocorrelations over the probed lags."""
     x = np.asarray(series, dtype=float).ravel()
-    lags = probe_lags(params)
-    if lags[-1] > x.size - 2:
-        raise ArgumentError(
-            f"largest probed lag {lags[-1]} exceeds n-2={x.size - 2}; shrink l or m"
-        )
-    rhos = [sample_acf(x, int(k)) for k in lags]
+    rhos = [sample_acf(x, int(k)) for k in _fitting_lags(params, x.size)]
     return _s_from_acf(rhos, params.absolute)
 
 
@@ -134,10 +147,8 @@ def acf_profile(components: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(components, dtype=float)
     n, d = x.shape
-    xc = x - x.mean(axis=0)
-    gamma0 = np.einsum("ti,ti->i", xc, xc) / n
-    floor = (1e-13 * np.maximum(1.0, np.max(np.abs(xc), axis=0, initial=0.0))) ** 2
-    ok = gamma0 > floor
+    xc, gamma0, degenerate = centered_columns(x)
+    ok = ~degenerate
     out = np.zeros((d, len(lags)))
     for j, k in enumerate(lags):
         k = int(k)
@@ -156,6 +167,19 @@ def scan_r1(rho: np.ndarray, c0: float, absolute: bool) -> int:
     return len(s_values)
 
 
+def first_stage(panel, k0: int, params: R1Params) -> tuple[EigenDecomposition, np.ndarray]:
+    """Eigendecomposition of ``M1`` and the ACF profile of the transformed panel.
+
+    Returns ``(eig, rho)`` where ``rho[i]`` holds the autocorrelations of the
+    ``i``-th transformed component at the probed lags; :func:`scan_r1` turns
+    it into a count for either aggregation variant.
+    """
+    pan = as_panel(panel)
+    lags = _fitting_lags(params, pan.n)
+    eig = sym_eigen(build_M1(pan, k0))
+    return eig, acf_profile(pan.data @ eig.vectors, lags)
+
+
 def estimate_r1(panel, k0: int, params: R1Params) -> UnitRootSplit:
     """Estimate the number of unit-root components and return the split.
 
@@ -164,13 +188,5 @@ def estimate_r1(panel, k0: int, params: R1Params) -> UnitRootSplit:
     statistic drops below ``c0`` (ties count as unit roots).
     """
     pan = as_panel(panel)
-    lags = probe_lags(params)
-    if lags[-1] > pan.n - 2:
-        raise ArgumentError(
-            f"largest probed lag {lags[-1]} exceeds n-2={pan.n - 2}; shrink l or m"
-        )
-    eig = sym_eigen(build_M1(pan, k0))
-    transformed = pan.data @ eig.vectors
-    rho = acf_profile(transformed, lags)
-    r1 = scan_r1(rho, params.c0, params.absolute)
-    return split_spaces(pan, eig, r1)
+    eig, rho = first_stage(pan, k0, params)
+    return split_spaces(pan, eig, scan_r1(rho, params.c0, params.absolute))

@@ -20,14 +20,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import chdtrc, ndtri
 
 from .errors import ArgumentError
+from .tsstats import centered_columns
 
 __all__ = [
     "OrderedComponents",
+    "FactorCounts",
     "lb_order",
     "hd_wn_test",
+    "count_factors",
     "estimate_r2_small",
     "estimate_r2_large",
     "ljung_box_pvalues",
@@ -53,6 +56,46 @@ class OrderedComponents:
         return self.series[:, self.order]
 
 
+@dataclass(frozen=True)
+class FactorCounts:
+    """Factor counts of one component panel, per requested reorder variant.
+
+    ``pvalues`` are the Ljung-Box p-values in input column order.  For a
+    variant ``reorder``, ``order[reorder]`` is its testing order (a
+    permutation of the columns) and ``r2[reorder]`` the number of leading
+    components in that order counted as factors; the other ``d - r2`` are
+    white noise.  ``truncated`` is the number of trailing components the
+    sequential test left out because the panel is wide.
+    """
+
+    pvalues: np.ndarray
+    order: dict
+    r2: dict
+    truncated: int
+
+
+def _component_panel(xi) -> np.ndarray:
+    x = np.asarray(xi, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ArgumentError(f"component panel must be n x d with d >= 1, got {x.shape}")
+    return x
+
+
+def _check_lags(m: int, n: int) -> None:
+    if not 1 <= m <= n - 2:
+        raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ArgumentError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _warn_degenerate(degenerate: np.ndarray, treatment: str) -> None:
+    if degenerate.any():
+        warnings.warn(f"{int(degenerate.sum())} constant component(s) {treatment}", stacklevel=3)
+
+
 def ljung_box_pvalues(xi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-column Ljung-Box p-values; constant columns get p-value 1.
 
@@ -60,25 +103,25 @@ def ljung_box_pvalues(xi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     vectorized computation matches :func:`trendfactors.tsstats.ljung_box`
     column by column.
     """
-    from .tsstats import chi2_sf
-
     x = np.asarray(xi, dtype=float)
     n, d = x.shape
-    if not 1 <= m <= n - 2:
-        raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
-    xc = x - x.mean(axis=0)
-    gamma0 = np.einsum("ti,ti->i", xc, xc) / n
-    floor = (1e-13 * np.maximum(1.0, np.max(np.abs(xc), axis=0, initial=0.0))) ** 2
-    degenerate = gamma0 <= floor
+    _check_lags(m, n)
+    xc, gamma0, degenerate = centered_columns(x)
     safe_gamma0 = np.where(degenerate, 1.0, gamma0)
     q = np.zeros(d)
     for k in range(1, m + 1):
         rho = (np.einsum("ti,ti->i", xc[k:], xc[: n - k]) / n) / safe_gamma0
         q += rho * rho / (n - k)
     q *= n * (n + 2)
-    pvalues = np.array([chi2_sf(v, m) for v in q])
+    pvalues = chdtrc(m, q)
     pvalues[degenerate] = 1.0
     return pvalues, degenerate
+
+
+def _testing_order(pvalues: np.ndarray, degenerate: np.ndarray, reorder: bool) -> np.ndarray:
+    # stable sorts: degenerate components last, then (optionally) by p-value
+    index = np.arange(pvalues.size)
+    return np.lexsort((index, pvalues, degenerate) if reorder else (index, degenerate))
 
 
 def lb_order(xi, m: int, reorder: bool) -> OrderedComponents:
@@ -89,22 +132,10 @@ def lb_order(xi, m: int, reorder: bool) -> OrderedComponents:
     keep their original relative order.  Degenerate (constant) components are
     flagged, assigned p-value 1, and pushed to the very end.
     """
-    x = np.asarray(xi, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ArgumentError(f"component panel must be n x d with d >= 1, got {x.shape}")
+    x = _component_panel(xi)
     pvalues, degenerate = ljung_box_pvalues(x, m)
-    if degenerate.any():
-        warnings.warn(
-            f"{int(degenerate.sum())} constant component(s) treated as white noise",
-            stacklevel=2,
-        )
-    if reorder:
-        order = np.lexsort((np.arange(x.shape[1]), pvalues, degenerate.astype(int)))
-    elif degenerate.any():
-        order = np.lexsort((np.arange(x.shape[1]), degenerate.astype(int)))
-    else:
-        order = np.arange(x.shape[1])
-    order = np.asarray(order, dtype=int)
+    _warn_degenerate(degenerate, "treated as white noise")
+    order = _testing_order(pvalues, degenerate, reorder)
     return OrderedComponents(
         series=x,
         order=order,
@@ -119,26 +150,22 @@ class HdWnResult(NamedTuple):
     threshold: float
 
 
-def _abs_corr_tensor(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Absolute cross-correlations ``|rho_ij(k)|`` for lags 1..m.
+def _peak_abs_corr(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest absolute cross-correlation ``max_k |rho_ij(k)|`` over lags 1..m.
 
-    Returns ``(tensor of shape (m, d, d), degenerate column mask)``; rows and
-    columns of degenerate components are zeroed so they never enter a max.
+    Returns ``(d x d array, degenerate column mask)``; rows and columns of
+    degenerate components are zeroed so they never enter a max.
     """
     n, d = x.shape
-    xc = x - x.mean(axis=0)
-    gamma0 = np.einsum("ti,ti->i", xc, xc) / n
-    floor = (1e-13 * np.maximum(1.0, np.max(np.abs(xc), axis=0, initial=0.0))) ** 2
-    degenerate = gamma0 <= floor
+    xc, gamma0, degenerate = centered_columns(x)
     sd = np.sqrt(np.where(degenerate, 1.0, gamma0))
-    tensor = np.empty((m, d, d))
+    peak = np.zeros((d, d))
     for k in range(1, m + 1):
         cov = xc[k:].T @ xc[: n - k] / n
-        tensor[k - 1] = np.abs(cov / np.outer(sd, sd))
-    if degenerate.any():
-        tensor[:, degenerate, :] = 0.0
-        tensor[:, :, degenerate] = 0.0
-    return tensor, degenerate
+        np.maximum(peak, np.abs(cov / np.outer(sd, sd)), out=peak)
+    peak[degenerate, :] = 0.0
+    peak[:, degenerate] = 0.0
+    return peak, degenerate
 
 
 def _bonferroni_threshold(d: int, m: int, alpha: float) -> float:
@@ -153,86 +180,110 @@ def hd_wn_test(xi, m: int, alpha: float) -> HdWnResult:
     ``1 - alpha / (2 d^2 m)``.  Degenerate components are excluded from the
     max (with a warning) but still count toward ``d`` in the threshold.
     """
-    x = np.asarray(xi, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ArgumentError(f"component panel must be n x d with d >= 1, got {x.shape}")
+    x = _component_panel(xi)
     n, d = x.shape
-    if not 1 <= m <= n - 2:
-        raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
-    if not 0.0 < alpha < 1.0:
-        raise ArgumentError(f"alpha must lie in (0, 1), got {alpha}")
-    tensor, degenerate = _abs_corr_tensor(x, m)
-    if degenerate.any():
-        warnings.warn(
-            f"{int(degenerate.sum())} constant component(s) excluded from the test statistic",
-            stacklevel=2,
-        )
-    statistic = float(np.sqrt(n) * tensor.max(initial=0.0))
+    _check_lags(m, n)
+    _check_alpha(alpha)
+    peak, degenerate = _peak_abs_corr(x, m)
+    _warn_degenerate(degenerate, "excluded from the test statistic")
+    statistic = float(np.sqrt(n) * peak.max(initial=0.0))
     threshold = _bonferroni_threshold(d, m, alpha)
     return HdWnResult(reject=statistic > threshold, statistic=statistic, threshold=threshold)
 
 
-def estimate_r2_small(xi, m: int, alpha: float) -> tuple[int, int]:
-    """Bottom-up factor count for low-dimensional component panels.
+def _kept_width(n: int, d: int, epsilon: float) -> int:
+    """Components entering the sequential test: all of them unless ``d >= n``."""
+    if d < n:
+        return d
+    keep = int(np.floor(epsilon * n))
+    if keep < 1:
+        raise ArgumentError(f"epsilon={epsilon} keeps no components at n={n}")
+    return keep
 
-    Tests the components one at a time with the Ljung-Box statistic, starting
-    from the last (least dependent) one; the count of stationary factors is
-    the position of the first non-white component found.
+
+def _count_drops(peak: np.ndarray, n: int, m: int, alpha: float) -> int:
+    """Leading components dropped before the remainder tests white.
+
+    ``peak`` holds the lag-maximal absolute cross-correlations of the kept
+    components in testing order; after ``j`` drops the statistic is
+    ``sqrt(n)`` times the largest entry of ``peak[j:, j:]``.
     """
-    x = np.asarray(xi, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ArgumentError(f"component panel must be n x d with d >= 1, got {x.shape}")
-    if not 0.0 < alpha < 1.0:
-        raise ArgumentError(f"alpha must lie in (0, 1), got {alpha}")
-    d = x.shape[1]
-    pvalues, _ = ljung_box_pvalues(x, m)
-    for i in range(d, 0, -1):
-        if pvalues[i - 1] < alpha:
-            return i, d - i
-    return 0, d
+    kept = peak.shape[0]
+    sqrt_n = np.sqrt(n)
+    for j in range(kept):
+        if sqrt_n * peak[j:, j:].max() <= _bonferroni_threshold(kept - j, m, alpha):
+            return j
+    return kept
+
+
+def count_factors(
+    xi,
+    m: int,
+    alpha: float,
+    reorders=(True,),
+    epsilon: float = 0.75,
+    bottom_up: bool = False,
+) -> FactorCounts:
+    """Count the factors among the components, for each reorder variant at once.
+
+    With ``bottom_up`` the components are tested one at a time with the
+    Ljung-Box statistic, from the last (least dependent) one; the count is
+    the position of the first non-white component, and the given order is
+    the testing order of every variant.  Otherwise each variant orders the
+    components (:func:`lb_order`) and runs the sequential multi-series test:
+    the leading component is dropped after each rejection, and the number of
+    drops is the count.  When the panel is at least as wide as it is long,
+    only the leading ``floor(epsilon * n)`` components of each order enter
+    the test and the truncated tail counts as white noise.
+
+    The Ljung-Box p-values and the cross-correlations are computed once, the
+    latter only over the components that some variant keeps.
+    """
+    x = _component_panel(xi)
+    _check_alpha(alpha)
+    if not 0.0 < epsilon <= 1.0:
+        raise ArgumentError(f"epsilon must lie in (0, 1], got {epsilon}")
+    n, d = x.shape
+    pvalues, degenerate = ljung_box_pvalues(x, m)
+    if bottom_up:
+        r2 = next((i for i in range(d, 0, -1) if pvalues[i - 1] < alpha), 0)
+        return FactorCounts(pvalues, dict.fromkeys(reorders, np.arange(d)),
+                            dict.fromkeys(reorders, r2), 0)
+    _warn_degenerate(degenerate, "treated as white noise")
+    keep = _kept_width(n, d, epsilon)
+    orders = {reorder: _testing_order(pvalues, degenerate, reorder) for reorder in reorders}
+    # the first variant's kept components, then any further ones the others keep
+    kept = np.concatenate([order[:keep] for order in orders.values()])
+    columns = np.array(list(dict.fromkeys(kept.tolist())), dtype=int)
+    peak, _ = _peak_abs_corr(x[:, columns], m)
+    position = np.empty(d, dtype=int)
+    position[columns] = np.arange(columns.size)
+    counts = {}
+    for reorder, order in orders.items():
+        idx = position[order[:keep]]
+        counts[reorder] = _count_drops(peak[np.ix_(idx, idx)], n, m, alpha)
+    return FactorCounts(pvalues, orders, counts, d - keep)
+
+
+def estimate_r2_small(xi, m: int, alpha: float) -> tuple[int, int]:
+    """Bottom-up Ljung-Box factor count ``(r2, v)`` for low-dimensional panels.
+
+    Scans from the last (least dependent) component; see :func:`count_factors`.
+    """
+    x = _component_panel(xi)
+    r2 = count_factors(x, m, alpha, (False,), bottom_up=True).r2[False]
+    return r2, x.shape[1] - r2
 
 
 def estimate_r2_large(
     xi, m: int, alpha: float, reorder: bool, epsilon: float = 0.75
 ) -> tuple[int, int]:
-    """Sequential high-dimensional factor count.
+    """Sequential high-dimensional factor count ``(r2, v)``.
 
-    Runs the multi-series white-noise test on the ordered components, dropping
-    the leading (most dependent) component after each rejection; the number of
-    drops is the factor count ``r2`` and ``v = d - r2``.  When the panel is at
-    least as wide as it is long, only the leading ``floor(epsilon * n)``
-    components enter the testing loop and the truncated tail (the least
-    dependent components) is counted as white noise.
+    Drops the leading component of the (optionally Ljung-Box reordered)
+    sequence after each rejection of the multi-series test, truncating wide
+    panels to ``floor(epsilon n)`` components; see :func:`count_factors`.
     """
-    x = np.asarray(xi, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ArgumentError(f"component panel must be n x d with d >= 1, got {x.shape}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ArgumentError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if not 0.0 < alpha < 1.0:
-        raise ArgumentError(f"alpha must lie in (0, 1), got {alpha}")
-    n, d = x.shape
-    ordered = lb_order(x, m, reorder).ordered()
-    if d >= n:
-        keep = int(np.floor(epsilon * n))
-        if keep < 1:
-            raise ArgumentError(f"epsilon={epsilon} keeps no components at n={n}")
-        ordered = ordered[:, : min(keep, d)]
-    r2 = _drop_count(ordered, m, alpha)
-    return r2, d - r2
-
-
-def _drop_count(ordered: np.ndarray, m: int, alpha: float) -> int:
-    """Number of leading components dropped before the remainder tests white."""
-    kept = ordered.shape[1]
-    n = ordered.shape[0]
-    if not 1 <= m <= n - 2:
-        raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
-    tensor, _ = _abs_corr_tensor(ordered, m)
-    sqrt_n = np.sqrt(n)
-    for j in range(kept):
-        d_cur = kept - j
-        statistic = sqrt_n * tensor[:, j:, j:].max(initial=0.0)
-        if statistic <= _bonferroni_threshold(d_cur, m, alpha):
-            return j
-    return kept
+    x = _component_panel(xi)
+    r2 = count_factors(x, m, alpha, (reorder,), epsilon).r2[reorder]
+    return r2, x.shape[1] - r2

@@ -1,11 +1,16 @@
 """Generators, subspace metrics, and the Monte Carlo driver."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trendfactors import stationary
 from trendfactors.errors import ArgumentError
+from trendfactors.pipeline import PipelineConfig, decompose
 from trendfactors.simgen import (
     DgpSpec,
     derive_seed,
@@ -210,3 +215,67 @@ class TestRunMontecarlo:
         p1, _ = draw_panel(spec, mix, derive_seed(8, 0, 0))
         p2, _ = draw_panel(spec, mix, derive_seed(8, 0, 1))
         assert not np.array_equal(p1.data, p2.data)
+
+    def test_zero_trend_cell_keeps_every_replication(self):
+        # with no true trends, a replication that finds one has no A1 span to
+        # compare; it must still count, with a NaN distance
+        spec = DgpSpec(p=38, n=81, r1=0, r2=3, delta=0.5, example=2)
+        cell = run_montecarlo([spec], reps=100, base_seed=3).cells[0]
+        assert cell.failures == 0
+        lib = _library_counts(spec, 100, 3, PipelineConfig())
+        assert cell.probs["a*w*"]["r1"] == lib["r1"] < 1.0
+        assert all(np.isnan(cell.metric_quartiles["Dbar_A1"]))
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        from trendfactors import simgen
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(simgen, "_replication", broken)
+        with pytest.raises(TypeError):
+            run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DgpSpec(p=6, n=200, example=1),  # bottom-up count, d <= 10
+            DgpSpec(p=38, n=81, r1=0, r2=3, delta=0.5, example=2),  # d < n
+            DgpSpec(p=120, n=100, r1=4, r2=6, K=2, example=2),  # d >= n, truncated
+        ],
+    )
+    def test_counts_match_decompose(self, spec):
+        reps, base = 12, 11
+        cell = run_montecarlo([spec], reps=reps, methods=("a*w*", "aw"), base_seed=base).cells[0]
+        assert cell.failures == 0
+        assert cell.probs["a*w*"] == _library_counts(spec, reps, base, PipelineConfig())
+        assert cell.probs["aw"] == _library_counts(
+            spec, reps, base, PipelineConfig(absolute_acf=False, reorder=False)
+        )
+
+    def test_ill_conditioned_recovery_falls_back(self, monkeypatch):
+        # a tolerance just below 1 makes every projected-PCA inversion
+        # "singular"; decompose then projects directly, and so must the driver
+        monkeypatch.setattr(stationary, "_SV_TOL", 1.0 - 1e-6)
+        spec = DgpSpec(p=50, n=2000, r1=4, r2=6, K=2, delta=0.0, example=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            panel, _ = draw_panel(spec, draw_mixing(spec, 0), 1)
+            assert decompose(panel).diagnostics["v2_fallback"]
+            cell = run_montecarlo([spec], reps=5, base_seed=0).cells[0]
+        assert cell.failures == 0
+
+
+def _library_counts(spec, reps, base_seed, config):
+    """Hit rates of ``decompose`` on the draws run_montecarlo makes for cell 0."""
+    mixing = draw_mixing(replace(spec, seed=derive_seed(base_seed, 0)), derive_seed(base_seed, 0))
+    hits = {"r1": 0, "r2": 0, "total": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for rep in range(reps):
+            panel, _ = draw_panel(spec, mixing, derive_seed(base_seed, 0, rep))
+            dec = decompose(panel, config)
+            hits["r1"] += dec.r1_hat == spec.r1
+            hits["r2"] += dec.r2_hat == spec.r2
+            hits["total"] += dec.r1_hat + dec.r2_hat == spec.r1 + spec.r2
+    return {key: count / reps for key, count in hits.items()}

@@ -1,10 +1,13 @@
 """White-noise counting: ordering, the multi-series test, both procedures."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from trendfactors.errors import ArgumentError
 from trendfactors.whitenoise import (
+    count_factors,
     estimate_r2_large,
     estimate_r2_small,
     hd_wn_test,
@@ -184,3 +187,46 @@ class TestEstimateR2Large:
         rng = np.random.default_rng(17)
         with pytest.raises(ArgumentError):
             estimate_r2_large(rng.normal(size=(50, 5)), 5, 0.05, True, epsilon=0.0)
+
+
+class TestCountFactors:
+    @staticmethod
+    def sequential_reference(x, m, alpha, reorder, keep):
+        # the definition: drop the leading component until the rest tests white
+        ordered = lb_order(x, m, reorder).ordered()[:, :keep]
+        for j in range(keep):
+            if not hd_wn_test(ordered[:, j:], m, alpha).reject:
+                return j
+        return keep
+
+    @pytest.mark.parametrize("n, d, keep", [(400, 30, 30), (60, 80, 45)])
+    def test_both_variants_match_reference(self, n, d, keep):
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            dependent = np.column_stack([ar1(rng, n, 0.8) for _ in range(3)])
+            x = np.hstack([rng.normal(size=(n, d - 6)), dependent, rng.normal(size=(n, 3))])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                counts = count_factors(x, 5, 0.05, (True, False))
+                for reorder in (True, False):
+                    expected = self.sequential_reference(x, 5, 0.05, reorder, keep)
+                    assert counts.r2[reorder] == expected
+                    assert estimate_r2_large(x, 5, 0.05, reorder) == (expected, d - expected)
+            assert counts.truncated == d - keep
+
+    def test_bottom_up_keeps_input_order(self):
+        rng = np.random.default_rng(19)
+        x = np.column_stack([ar1(rng, 500, 0.8), rng.normal(size=500), rng.normal(size=500)])
+        counts = count_factors(x, 10, 0.05, (True, False), bottom_up=True)
+        for reorder in (True, False):
+            assert list(counts.order[reorder]) == [0, 1, 2]
+            assert counts.r2[reorder] == estimate_r2_small(x, 10, 0.05)[0]
+        assert np.array_equal(counts.pvalues, ljung_box_pvalues(x, 10)[0])
+
+    def test_no_reorder_pushes_constant_components_last(self):
+        rng = np.random.default_rng(20)
+        x = np.column_stack([np.full(300, 1.5), ar1(rng, 300, 0.8), rng.normal(size=(300, 11))])
+        with pytest.warns(UserWarning):
+            counts = count_factors(x, 10, 0.05, (False,))
+        assert list(counts.order[False]) == list(range(1, 13)) + [0]
+        assert list(counts.order[False]) == list(lb_order(x, 10, reorder=False).order)
