@@ -87,7 +87,9 @@ class Decomposition:
 
     Loadings ``A1`` (trends) and ``A2`` (stationary block) live in the
     observation space; ``U1``, ``V1``, ``V2`` live in the stationary
-    subspace of width ``p - r1_hat``.  The diagnostics dictionary carries the
+    subspace of width ``p - r1_hat``.  Only the span of ``V2`` and the factor
+    paths ``z2`` are determined, not the basis of ``V2`` inside its span.
+    The diagnostics dictionary carries the
     eigenvalue spectra, the per-component threshold statistics, and the
     Ljung-Box p-values in testing order.
     """
@@ -145,8 +147,7 @@ def recover_factors(
     v = d - r2
     u1 = w[:, order[:r2]]
     v1 = w[:, order[r2:]]
-    s_matrix = projected_S(x2, v1)
-    eig_s = sym_eigen(s_matrix)
+    eig_s = sym_eigen(projected_S(x2, v1))
     if config.K_override is not None:
         k_hat = min(config.K_override, v)
     elif d <= config.small_p_threshold or v <= 1:
@@ -157,7 +158,7 @@ def recover_factors(
         k_hat = estimate_K(eig_s.values, max_k=min(config.max_k, v - 1), tau=config.tau)
     fallback = False
     try:
-        v2 = estimate_V2(s_matrix, u1, r2, k_hat)
+        v2 = estimate_V2(eig_s, u1, r2, k_hat)
     except IllConditionedError:
         # rank-deficient regimes (e.g. panels wider than they are long) can
         # make the projected-PCA inversion singular; fall back to the direct

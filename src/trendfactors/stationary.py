@@ -17,8 +17,8 @@ from .tsstats import (
     EigenDecomposition,
     TimeSeriesPanel,
     as_panel,
+    fix_signs,
     sample_autocov,
-    sym_eigen,
 )
 
 __all__ = [
@@ -42,8 +42,10 @@ class StationaryFactorFit:
     ``U1`` spans the factor directions and ``V1`` the white-noise directions
     (mutually orthonormal, jointly a full basis); ``V2`` is the projected-PCA
     matrix used to invert the factor mixing, and ``z2`` holds the recovered
-    factor paths.  ``r2_hat + v_hat`` always equals the panel width.
-    ``v2_fallback`` marks an ill-conditioned recovery where ``V2 = U1``.
+    factor paths.  Only the span of ``V2`` is determined, not its basis
+    inside the span, and ``z2`` does not depend on that basis.
+    ``r2_hat + v_hat`` always equals the panel width.  ``v2_fallback`` marks
+    an ill-conditioned recovery where ``V2 = U1``.
     """
 
     r2_hat: int
@@ -128,13 +130,16 @@ def estimate_K(s_eigenvalues, max_k: int, tau: float = 10.0) -> int:
     return j + 1 if ratios[j] > tau else 0
 
 
-def estimate_V2(s_matrix, u1: np.ndarray, r2: int, K: int) -> np.ndarray:
-    """Directions used to invert the factor mixing.
+def estimate_V2(s_eig: EigenDecomposition, u1: np.ndarray, r2: int, K: int) -> np.ndarray:
+    """Directions used to invert the factor mixing, from the eigendecomposition of ``S``.
 
     With ``K = 0`` these are simply the eigenvectors of ``S`` attached to its
     ``r2`` smallest eigenvalues.  With ``K > 0`` the ``K`` diverging noise
-    eigenvalues are dropped first and the remaining eigenvectors are rotated
-    toward the factor space, which keeps ``V2' U1`` well conditioned.
+    eigenvalues are dropped first and the remaining eigenvectors ``V2*`` are
+    rotated toward the factor space, which keeps ``V2' U1`` well conditioned:
+    the rotation is the left singular vectors of ``V2*' U1``, which span the
+    top-``r2`` eigenspace of ``V2*' U1 U1' V2*``.  Only the span of the result
+    is determined, not its basis inside the span.
     """
     u1 = np.asarray(u1, dtype=float)
     d = u1.shape[0]
@@ -142,15 +147,13 @@ def estimate_V2(s_matrix, u1: np.ndarray, r2: int, K: int) -> np.ndarray:
         raise ArgumentError(f"need K + r2 <= dim, got K={K}, r2={r2}, dim={d}")
     if r2 == 0:
         return np.zeros((d, 0))
-    eig = sym_eigen(s_matrix)
-    if eig.vectors.shape[0] != d:
+    if s_eig.vectors.shape[0] != d:
         raise ArgumentError("S and U1 dimensions do not match")
     if K == 0:
-        v2 = eig.vectors[:, d - r2 :]
+        v2 = s_eig.vectors[:, d - r2 :]
     else:
-        v2_star = eig.vectors[:, K:]
-        g = v2_star.T @ u1
-        rot = sym_eigen(g @ g.T).vectors[:, :r2]
+        v2_star = s_eig.vectors[:, K:]
+        rot = fix_signs(np.linalg.svd(v2_star.T @ u1, full_matrices=False)[0])
         v2 = v2_star @ rot
     smin = np.linalg.svd(v2.T @ u1, compute_uv=False)[-1]
     if smin <= _SV_TOL:

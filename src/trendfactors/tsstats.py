@@ -31,6 +31,7 @@ __all__ = [
     "is_degenerate",
     "centered_columns",
     "sym_eigen",
+    "fix_signs",
 ]
 
 
@@ -216,10 +217,17 @@ def sym_eigen(matrix) -> EigenDecomposition:
         raise ArgumentError("matrix is not symmetric within 1e-10 relative")
     sym = (m + m.T) / 2.0
     values, vectors = np.linalg.eigh(sym)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    for j in range(vectors.shape[1]):
-        i = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[i, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return EigenDecomposition(values=values, vectors=vectors)
+    return EigenDecomposition(values=values[::-1].copy(), vectors=fix_signs(vectors[:, ::-1]))
+
+
+def fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Copy of ``vectors`` with each column's largest-magnitude entry made positive.
+
+    Ties go to the first such entry; negation is exact, so the result is
+    bit-identical to flipping the columns one at a time.
+    """
+    out = np.asarray(vectors, dtype=float).copy()
+    if out.size:
+        peak = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+        out[:, peak < 0] *= -1.0
+    return out

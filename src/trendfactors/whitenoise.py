@@ -96,14 +96,9 @@ def _warn_degenerate(degenerate: np.ndarray, treatment: str) -> None:
         warnings.warn(f"{int(degenerate.sum())} constant component(s) {treatment}", stacklevel=3)
 
 
-def ljung_box_pvalues(xi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column Ljung-Box p-values; constant columns get p-value 1.
-
-    Returns ``(pvalues, degenerate)`` aligned to the input columns.  The
-    vectorized computation matches :func:`trendfactors.tsstats.ljung_box`
-    column by column.
-    """
-    x = np.asarray(xi, dtype=float)
+def _ljung_box(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column Ljung-Box statistics ``Q(m)``, their p-values (1 for constant
+    columns) and the degenerate-column mask."""
     n, d = x.shape
     _check_lags(m, n)
     xc, gamma0, degenerate = centered_columns(x)
@@ -115,27 +110,39 @@ def ljung_box_pvalues(xi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     q *= n * (n + 2)
     pvalues = chdtrc(m, q)
     pvalues[degenerate] = 1.0
+    return q, pvalues, degenerate
+
+
+def ljung_box_pvalues(xi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column Ljung-Box p-values; constant columns get p-value 1.
+
+    Returns ``(pvalues, degenerate)`` aligned to the input columns.  The
+    vectorized computation matches :func:`trendfactors.tsstats.ljung_box`
+    column by column.
+    """
+    _, pvalues, degenerate = _ljung_box(np.asarray(xi, dtype=float), m)
     return pvalues, degenerate
 
 
-def _testing_order(pvalues: np.ndarray, degenerate: np.ndarray, reorder: bool) -> np.ndarray:
-    # stable sorts: degenerate components last, then (optionally) by p-value
-    index = np.arange(pvalues.size)
-    return np.lexsort((index, pvalues, degenerate) if reorder else (index, degenerate))
+def _testing_order(q: np.ndarray, degenerate: np.ndarray, reorder: bool) -> np.ndarray:
+    # stable sorts: degenerate components last, then (optionally) by Q descending,
+    # which orders as the p-values do but without their ties at underflow to 0
+    index = np.arange(q.size)
+    return np.lexsort((index, -q, degenerate) if reorder else (index, degenerate))
 
 
 def lb_order(xi, m: int, reorder: bool) -> OrderedComponents:
     """Order components for white-noise testing.
 
-    With ``reorder=True`` the permutation sorts the Ljung-Box p-values
-    ascending, so the most serially dependent components come first; ties
-    keep their original relative order.  Degenerate (constant) components are
-    flagged, assigned p-value 1, and pushed to the very end.
+    With ``reorder=True`` the permutation sorts the Ljung-Box statistics
+    descending (p-values ascending), so the most serially dependent components
+    come first; ties keep their original relative order.  Degenerate (constant)
+    components are flagged, assigned p-value 1, and pushed to the very end.
     """
     x = _component_panel(xi)
-    pvalues, degenerate = ljung_box_pvalues(x, m)
+    q, pvalues, degenerate = _ljung_box(x, m)
     _warn_degenerate(degenerate, "treated as white noise")
-    order = _testing_order(pvalues, degenerate, reorder)
+    order = _testing_order(q, degenerate, reorder)
     return OrderedComponents(
         series=x,
         order=order,
@@ -168,8 +175,9 @@ def _peak_abs_corr(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return peak, degenerate
 
 
-def _bonferroni_threshold(d: int, m: int, alpha: float) -> float:
-    return float(ndtri(1.0 - alpha / (2.0 * d * d * m)))
+def _bonferroni_threshold(d, m: int, alpha: float):
+    """Gaussian quantile at ``1 - alpha / (2 d^2 m)``; ``d`` may be an array."""
+    return ndtri(1.0 - alpha / (2.0 * d * d * m))
 
 
 def hd_wn_test(xi, m: int, alpha: float) -> HdWnResult:
@@ -187,7 +195,7 @@ def hd_wn_test(xi, m: int, alpha: float) -> HdWnResult:
     peak, degenerate = _peak_abs_corr(x, m)
     _warn_degenerate(degenerate, "excluded from the test statistic")
     statistic = float(np.sqrt(n) * peak.max(initial=0.0))
-    threshold = _bonferroni_threshold(d, m, alpha)
+    threshold = float(_bonferroni_threshold(d, m, alpha))
     return HdWnResult(reject=statistic > threshold, statistic=statistic, threshold=threshold)
 
 
@@ -206,14 +214,15 @@ def _count_drops(peak: np.ndarray, n: int, m: int, alpha: float) -> int:
 
     ``peak`` holds the lag-maximal absolute cross-correlations of the kept
     components in testing order; after ``j`` drops the statistic is
-    ``sqrt(n)`` times the largest entry of ``peak[j:, j:]``.
+    ``sqrt(n)`` times the largest entry of ``peak[j:, j:]``, which is the
+    largest ``head[t]`` over ``t >= j`` when ``head[t]`` is the largest entry
+    whose smaller index is ``t``.
     """
     kept = peak.shape[0]
-    sqrt_n = np.sqrt(n)
-    for j in range(kept):
-        if sqrt_n * peak[j:, j:].max() <= _bonferroni_threshold(kept - j, m, alpha):
-            return j
-    return kept
+    head = np.triu(np.maximum(peak, peak.T)).max(axis=1, initial=0.0)
+    statistic = np.sqrt(n) * np.maximum.accumulate(head[::-1])[::-1]
+    white = statistic <= _bonferroni_threshold(kept - np.arange(kept), m, alpha)
+    return int(np.argmax(white)) if white.any() else kept
 
 
 def count_factors(
@@ -244,14 +253,14 @@ def count_factors(
     if not 0.0 < epsilon <= 1.0:
         raise ArgumentError(f"epsilon must lie in (0, 1], got {epsilon}")
     n, d = x.shape
-    pvalues, degenerate = ljung_box_pvalues(x, m)
+    q, pvalues, degenerate = _ljung_box(x, m)
     if bottom_up:
         r2 = next((i for i in range(d, 0, -1) if pvalues[i - 1] < alpha), 0)
         return FactorCounts(pvalues, dict.fromkeys(reorders, np.arange(d)),
                             dict.fromkeys(reorders, r2), 0)
     _warn_degenerate(degenerate, "treated as white noise")
     keep = _kept_width(n, d, epsilon)
-    orders = {reorder: _testing_order(pvalues, degenerate, reorder) for reorder in reorders}
+    orders = {reorder: _testing_order(q, degenerate, reorder) for reorder in reorders}
     # the first variant's kept components, then any further ones the others keep
     kept = np.concatenate([order[:keep] for order in orders.values()])
     columns = np.array(list(dict.fromkeys(kept.tolist())), dtype=int)

@@ -79,6 +79,25 @@ class TestDecompose:
         dec2 = decompose(panel, PipelineConfig(K_override=3))
         assert dec2.K_hat == 3
 
+    def test_three_eigendecompositions_with_prominent_noise(self, monkeypatch):
+        # M1, M2 and S; V2 reuses S's eigendecomposition and rotates with a thin SVD
+        from trendfactors import pipeline, stationary, tsstats, unitroot
+
+        calls = []
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return tsstats.sym_eigen(matrix)
+
+        for module in (pipeline, stationary, unitroot):
+            monkeypatch.setattr(module, "sym_eigen", counting, raising=False)
+        spec = DgpSpec(p=20, n=400, r1=2, r2=3, K=1, delta=0.0, example=2, seed=1)
+        panel, _ = generate(spec)
+        dec = decompose(panel)
+        assert dec.K_hat >= 1 and dec.r2_hat >= 1
+        assert len(calls) == 3
+        check_decomposition_invariants(panel, dec)
+
     def test_small_p_regime_has_zero_K(self):
         spec = DgpSpec(p=6, n=900, example=1, seed=10)
         panel, _ = generate(spec)

@@ -135,7 +135,7 @@ class TestEstimateV2:
     def test_small_p_diagonal(self):
         s = np.diag([5.0, 4.0, 0.0, 0.0])
         u1 = np.eye(4)[:, 2:]
-        v2 = estimate_V2(s, u1, r2=2, K=0)
+        v2 = estimate_V2(sym_eigen(s), u1, r2=2, K=0)
         proj = v2 @ v2.T
         expect = np.diag([0.0, 0.0, 1.0, 1.0])
         assert np.allclose(proj, expect, atol=1e-10)
@@ -147,7 +147,7 @@ class TestEstimateV2:
         # S has exact null space spanned by u1: well-posed recovery
         rest = q[:, 2:]
         s = rest @ np.diag([3.0, 2.0, 1.0]) @ rest.T
-        v2 = estimate_V2(s, u1, r2=2, K=0)
+        v2 = estimate_V2(sym_eigen(s), u1, r2=2, K=0)
         smin = np.linalg.svd(v2.T @ u1, compute_uv=False)[-1]
         assert smin > 0.1
 
@@ -157,7 +157,7 @@ class TestEstimateV2:
         u1 = q[:, :2]
         spike = q[:, 2:3]
         s = 50.0 * spike @ spike.T + q[:, 3:] @ np.diag([0.5, 0.3, 0.1]) @ q[:, 3:].T
-        v2 = estimate_V2(s, u1, r2=2, K=1)
+        v2 = estimate_V2(sym_eigen(s), u1, r2=2, K=1)
         smin = np.linalg.svd(v2.T @ u1, compute_uv=False)[-1]
         assert smin >= 0.9
 
@@ -169,11 +169,29 @@ class TestEstimateV2:
         # case instead with S null space orthogonal to u1
         s_bad = np.diag([3.0, 2.0, 0.0, 0.0])
         with pytest.raises(IllConditionedError):
-            estimate_V2(s_bad, u1, r2=2, K=0)
-        assert estimate_V2(s, u1, r2=2, K=0).shape == (4, 2)
+            estimate_V2(sym_eigen(s_bad), u1, r2=2, K=0)
+        assert estimate_V2(sym_eigen(s), u1, r2=2, K=0).shape == (4, 2)
+
+    def test_rotation_spans_top_eigenvectors_of_gram(self):
+        # the thin-SVD rotation spans what the eigenvectors of g g' span
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            d = int(rng.integers(4, 40))
+            K = int(rng.integers(1, d // 2))
+            r2 = int(rng.integers(1, d - K + 1))
+            a = rng.normal(size=(d, d))
+            s = a @ np.diag(rng.exponential(size=d)) @ a.T
+            u1 = np.linalg.qr(rng.normal(size=(d, r2)))[0]
+            eig = sym_eigen(s)
+            v2_star = eig.vectors[:, K:]
+            g = v2_star.T @ u1
+            expected = v2_star @ sym_eigen(g @ g.T).vectors[:, :r2]
+            v2 = estimate_V2(eig, u1, r2=r2, K=K)
+            assert v2.shape == (d, r2)
+            assert np.max(np.abs(v2 @ v2.T - expected @ expected.T)) <= 1e-10
 
     def test_r2_zero_empty(self):
-        assert estimate_V2(np.eye(3), np.zeros((3, 0)), r2=0, K=0).shape == (3, 0)
+        assert estimate_V2(sym_eigen(np.eye(3)), np.zeros((3, 0)), r2=0, K=0).shape == (3, 0)
 
 
 class TestRecoverZ2:

@@ -9,6 +9,7 @@ from trendfactors.errors import ArgumentError, DegenerateSeriesError
 from trendfactors.tsstats import (
     TimeSeriesPanel,
     chi2_sf,
+    fix_signs,
     ljung_box,
     sample_acf,
     sample_autocov,
@@ -191,6 +192,20 @@ class TestSymEigen:
         for j in range(5):
             i = np.argmax(np.abs(v1[:, j]))
             assert v1[i, j] > 0
+
+    def test_fix_signs_matches_column_loop(self):
+        rng = np.random.default_rng(7)
+        tie = np.array([[-1.0], [1.0], [0.0], [0.0], [0.0], [0.0]])
+        v = np.hstack([rng.normal(size=(6, 8)), tie, np.zeros((6, 1))])
+        expected = v.copy()
+        for j in range(v.shape[1]):
+            i = int(np.argmax(np.abs(v[:, j])))
+            if v[i, j] < 0:
+                expected[:, j] = -v[:, j]
+        got = fix_signs(v)
+        assert np.array_equal(got, expected)
+        assert list(got[:2, 8]) == [1.0, -1.0]
+        assert fix_signs(np.zeros((3, 0))).shape == (3, 0)
 
     def test_rejects_asymmetric_and_nonfinite(self):
         with pytest.raises(ArgumentError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trendfactors.errors import ArgumentError
+from trendfactors.tsstats import ljung_box
 from trendfactors.whitenoise import (
     count_factors,
     estimate_r2_large,
@@ -53,6 +54,16 @@ class TestLbOrder:
         assert np.all(np.diff(oc.pvalues) >= 0)
         raw, _ = ljung_box_pvalues(x, 10)
         assert np.allclose(oc.pvalues, raw[oc.order])
+
+    def test_underflowing_pvalues_order_by_statistic(self):
+        # both p-values underflow to 0; the larger Ljung-Box Q still goes first
+        rng = np.random.default_rng(21)
+        x = np.column_stack([ar1(rng, 2000, 0.9), ar1(rng, 2000, 0.99), rng.normal(size=2000)])
+        pvalues, _ = ljung_box_pvalues(x, 10)
+        assert pvalues[0] == 0.0 and pvalues[1] == 0.0
+        assert ljung_box(x[:, 1], 10).statistic > ljung_box(x[:, 0], 10).statistic
+        assert list(lb_order(x, 10, reorder=True).order) == [1, 0, 2]
+        assert list(count_factors(x, 10, 0.05).order[True]) == [1, 0, 2]
 
     def test_degenerate_last_with_warning(self):
         rng = np.random.default_rng(4)
@@ -213,6 +224,16 @@ class TestCountFactors:
                     assert counts.r2[reorder] == expected
                     assert estimate_r2_large(x, 5, 0.05, reorder) == (expected, d - expected)
             assert counts.truncated == d - keep
+
+    def test_many_drops_match_reference(self):
+        rng = np.random.default_rng(22)
+        n = 400
+        dependent = np.column_stack([ar1(rng, n, rng.uniform(0.3, 0.9)) for _ in range(60)])
+        x = np.hstack([dependent, rng.normal(size=(n, 20))])
+        counts = count_factors(x, 5, 0.05, (True, False))
+        for reorder in (True, False):
+            assert counts.r2[reorder] == self.sequential_reference(x, 5, 0.05, reorder, 80)
+        assert counts.r2[True] >= 50
 
     def test_bottom_up_keeps_input_order(self):
         rng = np.random.default_rng(19)
