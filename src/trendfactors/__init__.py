@@ -4,6 +4,12 @@ A library and CLI that splits a high-dimensional, possibly unit-root panel
 into unit-root common trends, dynamically dependent stationary factors, and
 idiosyncratic white noise via two-stage eigenanalysis, then uses the pieces
 for forecasting and Monte Carlo benchmarking.
+
+The package exports the entry points the README documents, the types they
+take or return, and the error classes behind the CLI exit codes.  The stage
+cores stay in their submodules: ``unitroot.first_stage`` / ``scan_r1``,
+``whitenoise.count_factors`` and ``pipeline.second_stage`` /
+``recover_factors``.
 """
 
 from .errors import (
@@ -17,128 +23,35 @@ from .errors import (
 from .forecast import (
     FactorModelFit,
     ForecastReport,
-    baseline_dfar,
-    baseline_pca,
-    dm_test,
     evaluate_forecasts,
-    fe_h,
-    fit_ar1,
     fit_factor_models,
-    fit_var1_diff,
-    forecast_path,
     forecast_y,
-    rmsfe,
 )
 from .pipeline import Decomposition, PipelineConfig, decompose
-from .simgen import (
-    DgpSpec,
-    GroundTruth,
-    MonteCarloResult,
-    draw_mixing,
-    draw_panel,
-    gen_example1,
-    gen_example2,
-    generate,
-    metric_D,
-    metric_Dbar,
-    random_orthonormal,
-    rmse_factors,
-    run_montecarlo,
-)
-from .stationary import (
-    StationaryFactorFit,
-    build_M2,
-    estimate_K,
-    estimate_V2,
-    lam_yao_ratio,
-    projected_S,
-    recover_z2,
-    split_U1_V1,
-)
-from .tsstats import (
-    AutocovMatrix,
-    EigenDecomposition,
-    TimeSeriesPanel,
-    as_panel,
-    chi2_sf,
-    ljung_box,
-    sample_acf,
-    sample_autocov,
-    sym_eigen,
-)
-from .unitroot import R1Params, UnitRootSplit, build_M1, estimate_r1, s_statistic, split_spaces
-from .whitenoise import (
-    OrderedComponents,
-    estimate_r2_large,
-    estimate_r2_small,
-    hd_wn_test,
-    lb_order,
-)
+from .simgen import DgpSpec, GroundTruth, MonteCarloResult, generate, run_montecarlo
+from .tsstats import TimeSeriesPanel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError",
-    "AutocovMatrix",
     "CsvParseError",
     "Decomposition",
     "DegenerateSeriesError",
     "DgpSpec",
-    "EigenDecomposition",
     "FactorModelFit",
     "ForecastReport",
     "GroundTruth",
     "IllConditionedError",
     "MonteCarloResult",
     "NumericalError",
-    "OrderedComponents",
     "PipelineConfig",
-    "R1Params",
-    "StationaryFactorFit",
     "TimeSeriesPanel",
     "TrendFactorsError",
-    "UnitRootSplit",
-    "as_panel",
-    "baseline_dfar",
-    "baseline_pca",
-    "build_M1",
-    "build_M2",
-    "chi2_sf",
     "decompose",
-    "dm_test",
-    "draw_mixing",
-    "draw_panel",
-    "estimate_K",
-    "estimate_V2",
-    "estimate_r1",
-    "estimate_r2_large",
-    "estimate_r2_small",
     "evaluate_forecasts",
-    "fe_h",
-    "fit_ar1",
     "fit_factor_models",
-    "fit_var1_diff",
-    "forecast_path",
     "forecast_y",
-    "gen_example1",
-    "gen_example2",
     "generate",
-    "hd_wn_test",
-    "lam_yao_ratio",
-    "lb_order",
-    "ljung_box",
-    "metric_D",
-    "metric_Dbar",
-    "projected_S",
-    "random_orthonormal",
-    "recover_z2",
-    "rmse_factors",
-    "rmsfe",
     "run_montecarlo",
-    "s_statistic",
-    "sample_acf",
-    "sample_autocov",
-    "split_U1_V1",
-    "split_spaces",
-    "sym_eigen",
 ]

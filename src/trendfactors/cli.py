@@ -101,21 +101,26 @@ def _config_from_args(args) -> PipelineConfig:
         K_override=args.K,
         absolute_acf=not args.no_absolute_acf,
         reorder=not args.no_reorder,
-        horizons=tuple(args.horizons) if getattr(args, "horizons", None) else (1, 2, 3, 4),
+        horizons=tuple(getattr(args, "horizons", PipelineConfig.horizons)),
         window_start=getattr(args, "window_start", None),
     )
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k0", type=int, default=2, help="lags in the first-stage matrix")
-    parser.add_argument("--j0", type=int, default=2, help="lags in the second-stage matrix")
-    parser.add_argument("--c0", type=float, default=0.3, help="unit-root ACF threshold")
-    parser.add_argument("--l", type=int, default=3, help="gap between probed ACF lags")
-    parser.add_argument("--m", type=int, default=10, help="number of probed lags / portmanteau lag")
-    parser.add_argument("--alpha", type=float, default=0.05, help="white-noise test level")
-    parser.add_argument("--epsilon", type=float, default=0.75,
+    defaults = PipelineConfig
+    parser.add_argument("--k0", type=int, default=defaults.k0,
+                        help="lags in the first-stage matrix")
+    parser.add_argument("--j0", type=int, default=defaults.j0,
+                        help="lags in the second-stage matrix")
+    parser.add_argument("--c0", type=float, default=defaults.c0, help="unit-root ACF threshold")
+    parser.add_argument("--l", type=int, default=defaults.l, help="gap between probed ACF lags")
+    parser.add_argument("--m", type=int, default=defaults.m,
+                        help="number of probed lags / portmanteau lag")
+    parser.add_argument("--alpha", type=float, default=defaults.alpha,
+                        help="white-noise test level")
+    parser.add_argument("--epsilon", type=float, default=defaults.epsilon,
                         help="kept fraction of components when the panel is wide")
-    parser.add_argument("--K", type=int, default=None,
+    parser.add_argument("--K", type=int, default=defaults.K_override,
                         help="override the prominent-noise count")
     parser.add_argument("--no-absolute-acf", action="store_true",
                         help="use signed instead of absolute autocorrelations")
@@ -140,12 +145,14 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_decompose(args) -> int:
     config = _config_from_args(args)
     panel = read_panel_csv(args.input)
-    if panel.n <= panel.p:
-        warnings.warn(
-            f"panel is wide (n={panel.n} <= p={panel.p}); white-noise testing keeps "
-            f"only the leading {config.epsilon:.0%} * n components"
-        )
     dec = decompose(panel, config)
+    diag = dec.diagnostics
+    if diag["truncated_components"]:
+        warnings.warn(
+            f"stationary block is wide (p - r1 = {panel.p - dec.r1_hat} >= n = {panel.n}); "
+            f"{diag['truncated_components']} components were left out of white-noise "
+            f"testing and counted as white noise"
+        )
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     for name, mat in [
@@ -154,7 +161,6 @@ def cmd_decompose(args) -> int:
         ("factors_x1", dec.x1), ("factors_x2", dec.x2), ("factors_z2", dec.z2),
     ]:
         write_csv(out / f"{name}.csv", mat)
-    diag = dec.diagnostics
     _write_json(out / "decompose.json", {
         "r1_hat": dec.r1_hat,
         "r2_hat": dec.r2_hat,
@@ -168,15 +174,7 @@ def cmd_decompose(args) -> int:
             "K_override": config.K_override, "absolute_acf": config.absolute_acf,
             "reorder": config.reorder,
         },
-        "diagnostics": {
-            "M1_eigenvalues": diag.get("M1_eigenvalues"),
-            "s_statistics": diag.get("s_statistics"),
-            "M2_eigenvalues": diag.get("M2_eigenvalues"),
-            "lb_pvalues": diag.get("lb_pvalues"),
-            "component_order": diag.get("component_order"),
-            "S_eigenvalues": diag.get("S_eigenvalues"),
-            "truncated_components": diag.get("truncated_components", 0),
-        },
+        "diagnostics": diag,
     })
     print(f"r1={dec.r1_hat} r2={dec.r2_hat} v={dec.v_hat} K={dec.K_hat} -> {out}")
     return 0
@@ -350,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc = sub.add_parser("forecast", help="expanding-window forecast evaluation")
     p_fc.add_argument("input", type=Path, help="input CSV panel")
     _add_config_flags(p_fc)
-    p_fc.add_argument("--horizons", type=int, nargs="+", default=[1, 2, 3, 4])
+    p_fc.add_argument("--horizons", type=int, nargs="+",
+                      default=list(PipelineConfig.horizons))
     p_fc.add_argument("--window-start", type=int, default=None,
                       help="training length at the first forecast origin")
     p_fc.add_argument("--methods", nargs="+", default=list(FORECAST_METHODS),

@@ -28,6 +28,12 @@ from .whitenoise import FactorCounts, count_factors
 
 __all__ = ["PipelineConfig", "Decomposition", "decompose", "second_stage", "recover_factors"]
 
+# Stationary panels at most this wide are counted by the bottom-up Ljung-Box
+# scan and get no prominent-noise correction.
+SMALL_P_THRESHOLD = 10
+# Largest prominent-noise count the eigenvalue-ratio rule considers.
+MAX_K = 10
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -52,9 +58,6 @@ class PipelineConfig:
     K_override: int | None = None
     absolute_acf: bool = True
     reorder: bool = True
-    small_p_threshold: int = 10
-    max_k: int = 10
-    tau: float = 10.0
     horizons: tuple[int, ...] = (1, 2, 3, 4)
     window_start: int | None = None
 
@@ -89,9 +92,12 @@ class Decomposition:
     observation space; ``U1``, ``V1``, ``V2`` live in the stationary
     subspace of width ``p - r1_hat``.  Only the span of ``V2`` and the factor
     paths ``z2`` are determined, not the basis of ``V2`` inside its span.
-    The diagnostics dictionary carries the
-    eigenvalue spectra, the per-component threshold statistics, and the
-    Ljung-Box p-values in testing order.
+    The diagnostics dictionary has the same keys on every path:
+    ``M1_eigenvalues`` and ``s_statistics`` (stage one), ``M2_eigenvalues``,
+    ``lb_pvalues`` (in testing order), ``component_order`` (the testing
+    order), ``S_eigenvalues``, ``truncated_components`` (components the
+    wide-panel test left out) and ``v2_fallback`` (an ill-conditioned
+    recovery).  Without a stationary block the arrays are empty.
     """
 
     r1_hat: int
@@ -119,7 +125,7 @@ def second_stage(
     """Eigendecomposition of ``M2`` and the factor counts of its components.
 
     Counts are returned for each reorder variant in ``reorders``; panels no
-    wider than ``small_p_threshold`` use the bottom-up Ljung-Box scan.
+    wider than ``SMALL_P_THRESHOLD`` use the bottom-up Ljung-Box scan.
     """
     eig2 = sym_eigen(build_M2(x2, config.j0))
     counts = count_factors(
@@ -128,7 +134,7 @@ def second_stage(
         config.alpha,
         reorders,
         config.epsilon,
-        bottom_up=x2.shape[1] <= config.small_p_threshold,
+        bottom_up=x2.shape[1] <= SMALL_P_THRESHOLD,
     )
     return eig2, counts
 
@@ -150,12 +156,12 @@ def recover_factors(
     eig_s = sym_eigen(projected_S(x2, v1))
     if config.K_override is not None:
         k_hat = min(config.K_override, v)
-    elif d <= config.small_p_threshold or v <= 1:
+    elif d <= SMALL_P_THRESHOLD or v <= 1:
         # prominent noise is a diverging-eigenvalue phenomenon; the ratio rule
         # only runs in the wide regime, and only on the nonzero spectrum
         k_hat = 0
     else:
-        k_hat = estimate_K(eig_s.values, max_k=min(config.max_k, v - 1), tau=config.tau)
+        k_hat = estimate_K(eig_s.values, max_k=min(MAX_K, v - 1))
     fallback = False
     try:
         v2 = estimate_V2(eig_s, u1, r2, k_hat)
@@ -195,38 +201,30 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
     eig1, rho = first_stage(pan, config.k0, config.r1_params)
     r1 = scan_r1(rho, config.c0, config.absolute_acf)
     split = split_spaces(pan, eig1, r1)
-    diagnostics: dict = {
+    if r1 == pan.p:
+        # no stationary block: empty spectra and bases, so every path sets the same keys
+        empty = np.zeros((0, 0))
+        eig2 = EigenDecomposition(values=np.zeros(0), vectors=empty)
+        counts = FactorCounts(pvalues=np.zeros(0), order={}, r2={}, truncated=0)
+        order = np.zeros(0, dtype=int)
+        fit = StationaryFactorFit(
+            r2_hat=0, v_hat=0, K_hat=0, U1=empty, V1=empty, V2=empty,
+            z2=np.zeros((pan.n, 0)), S_eigenvalues=np.zeros(0),
+        )
+    else:
+        eig2, counts = second_stage(split.x2, config, (config.reorder,))
+        order = counts.order[config.reorder]
+        fit = recover_factors(split.x2, eig2.vectors, order, counts.r2[config.reorder], config)
+    diagnostics = {
         "M1_eigenvalues": eig1.values,
         "s_statistics": (np.abs(rho) if config.absolute_acf else rho).mean(axis=1),
+        "M2_eigenvalues": eig2.values,
+        "lb_pvalues": counts.pvalues[order],
+        "component_order": order,
+        "S_eigenvalues": fit.S_eigenvalues,
+        "truncated_components": counts.truncated,
+        "v2_fallback": fit.v2_fallback,
     }
-    d = pan.p - r1
-    if d == 0:
-        return Decomposition(
-            r1_hat=r1,
-            r2_hat=0,
-            v_hat=0,
-            K_hat=0,
-            A1=split.A1,
-            A2=split.A2,
-            U1=np.zeros((0, 0)),
-            V1=np.zeros((0, 0)),
-            V2=np.zeros((0, 0)),
-            x1=split.x1,
-            x2=split.x2,
-            z2=np.zeros((pan.n, 0)),
-            diagnostics=diagnostics,
-        )
-    eig2, counts = second_stage(split.x2, config, (config.reorder,))
-    order = counts.order[config.reorder]
-    fit = recover_factors(split.x2, eig2.vectors, order, counts.r2[config.reorder], config)
-    diagnostics["M2_eigenvalues"] = eig2.values
-    if d > config.small_p_threshold:
-        diagnostics["truncated_components"] = counts.truncated
-    diagnostics["component_order"] = order
-    diagnostics["lb_pvalues"] = counts.pvalues[order]
-    if fit.v2_fallback:
-        diagnostics["v2_fallback"] = True
-    diagnostics["S_eigenvalues"] = fit.S_eigenvalues
     return Decomposition(
         r1_hat=r1,
         r2_hat=fit.r2_hat,

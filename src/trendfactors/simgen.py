@@ -32,8 +32,6 @@ __all__ = [
     "random_orthonormal",
     "draw_mixing",
     "draw_panel",
-    "gen_example1",
-    "gen_example2",
     "generate",
     "metric_D",
     "metric_Dbar",
@@ -208,25 +206,10 @@ def draw_panel(spec: DgpSpec, mixing: Mixing, seed) -> tuple[TimeSeriesPanel, Gr
     return TimeSeriesPanel(y), truth
 
 
-def gen_example1(spec: DgpSpec) -> tuple[TimeSeriesPanel, GroundTruth]:
-    """Generate one example-1 panel; mixing and paths share the spec seed."""
-    if spec.example != 1:
-        raise ArgumentError("spec.example must be 1")
-    rng = _as_rng(spec.seed)
-    return draw_panel(spec, draw_mixing(spec, rng), rng)
-
-
-def gen_example2(spec: DgpSpec) -> tuple[TimeSeriesPanel, GroundTruth]:
-    """Generate one example-2 panel; mixing and paths share the spec seed."""
-    if spec.example != 2:
-        raise ArgumentError("spec.example must be 2")
-    rng = _as_rng(spec.seed)
-    return draw_panel(spec, draw_mixing(spec, rng), rng)
-
-
 def generate(spec: DgpSpec) -> tuple[TimeSeriesPanel, GroundTruth]:
-    """Dispatch to the example-1 or example-2 generator."""
-    return gen_example1(spec) if spec.example == 1 else gen_example2(spec)
+    """Generate one panel of the spec's example; mixing and paths share the spec seed."""
+    rng = _as_rng(spec.seed)
+    return draw_panel(spec, draw_mixing(spec, rng), rng)
 
 
 def metric_D(h1: np.ndarray, h2: np.ndarray) -> float:

@@ -24,7 +24,6 @@ from .tsstats import (
 __all__ = [
     "StationaryFactorFit",
     "build_M2",
-    "split_U1_V1",
     "projected_S",
     "estimate_K",
     "estimate_V2",
@@ -76,19 +75,6 @@ def build_M2(x2, j0: int) -> np.ndarray:
     return (m2 + m2.T) / 2.0
 
 
-def split_U1_V1(m2_eig: EigenDecomposition, r2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``r2`` eigenvectors as factor directions, the rest as noise directions."""
-    d = m2_eig.vectors.shape[1]
-    if not 0 <= r2 <= d:
-        raise ArgumentError(f"r2={r2} outside [0, {d}]")
-    return m2_eig.vectors[:, :r2], m2_eig.vectors[:, r2:]
-
-
-def lag0_cov(x2) -> np.ndarray:
-    """Lag-0 sample covariance of the stationary panel (centered, divisor n)."""
-    return sample_autocov(as_panel(x2), 0).matrix
-
-
 def projected_S(x2, v1: np.ndarray) -> np.ndarray:
     """Projected-PCA matrix ``S = C(0) V1 V1' C(0)``.
 
@@ -106,8 +92,7 @@ def projected_S(x2, v1: np.ndarray) -> np.ndarray:
         gram = v1.T @ v1
         if float(np.max(np.abs(gram - np.eye(v1.shape[1])))) > 1e-8:
             raise ArgumentError("V1 is not half-orthonormal")
-    sig0 = lag0_cov(pan)
-    g = sig0 @ v1
+    g = sample_autocov(pan, 0).matrix @ v1
     return g @ g.T
 
 

@@ -17,7 +17,6 @@ from .tsstats import (
     EigenDecomposition,
     as_panel,
     centered_columns,
-    sample_acf,
     sample_autocov,
     sym_eigen,
 )
@@ -27,8 +26,6 @@ __all__ = [
     "UnitRootSplit",
     "build_M1",
     "split_spaces",
-    "s_statistic",
-    "estimate_r1",
     "probe_lags",
     "acf_profile",
     "first_stage",
@@ -125,20 +122,6 @@ def split_spaces(panel, m1_eig: EigenDecomposition, r1: int) -> UnitRootSplit:
     )
 
 
-def _s_from_acf(rhos, absolute: bool) -> float:
-    rhos = np.asarray(rhos, dtype=float)
-    if absolute:
-        return float(np.mean(np.abs(rhos)))
-    return float(np.mean(rhos))
-
-
-def s_statistic(series, params: R1Params) -> float:
-    """Average of (absolute) sample autocorrelations over the probed lags."""
-    x = np.asarray(series, dtype=float).ravel()
-    rhos = [sample_acf(x, int(k)) for k in _fitting_lags(params, x.size)]
-    return _s_from_acf(rhos, params.absolute)
-
-
 def acf_profile(components: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """Sample autocorrelations of every column at every probed lag.
 
@@ -178,15 +161,3 @@ def first_stage(panel, k0: int, params: R1Params) -> tuple[EigenDecomposition, n
     lags = _fitting_lags(params, pan.n)
     eig = sym_eigen(build_M1(pan, k0))
     return eig, acf_profile(pan.data @ eig.vectors, lags)
-
-
-def estimate_r1(panel, k0: int, params: R1Params) -> UnitRootSplit:
-    """Estimate the number of unit-root components and return the split.
-
-    Transformed components are scanned in descending-eigenvalue order starting
-    from the top; the count stops just before the first component whose
-    statistic drops below ``c0`` (ties count as unit roots).
-    """
-    pan = as_panel(panel)
-    eig, rho = first_stage(pan, k0, params)
-    return split_spaces(pan, eig, scan_r1(rho, params.c0, params.absolute))

@@ -25,35 +25,7 @@ from scipy.special import chdtrc, ndtri
 from .errors import ArgumentError
 from .tsstats import centered_columns
 
-__all__ = [
-    "OrderedComponents",
-    "FactorCounts",
-    "lb_order",
-    "hd_wn_test",
-    "count_factors",
-    "estimate_r2_small",
-    "estimate_r2_large",
-    "ljung_box_pvalues",
-]
-
-
-@dataclass(frozen=True)
-class OrderedComponents:
-    """Components with a testing order and aligned Ljung-Box p-values.
-
-    ``order`` is a permutation of ``0..d-1``; position ``i`` of the testing
-    sequence is column ``order[i]`` of ``series``.  ``pvalues[i]`` and
-    ``degenerate[i]`` describe that same position.
-    """
-
-    series: np.ndarray
-    order: np.ndarray
-    pvalues: np.ndarray
-    degenerate: np.ndarray
-
-    def ordered(self) -> np.ndarray:
-        """The component panel with columns permuted into testing order."""
-        return self.series[:, self.order]
+__all__ = ["FactorCounts", "hd_wn_test", "count_factors"]
 
 
 @dataclass(frozen=True)
@@ -113,42 +85,11 @@ def _ljung_box(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return q, pvalues, degenerate
 
 
-def ljung_box_pvalues(xi: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column Ljung-Box p-values; constant columns get p-value 1.
-
-    Returns ``(pvalues, degenerate)`` aligned to the input columns.  The
-    vectorized computation matches :func:`trendfactors.tsstats.ljung_box`
-    column by column.
-    """
-    _, pvalues, degenerate = _ljung_box(np.asarray(xi, dtype=float), m)
-    return pvalues, degenerate
-
-
 def _testing_order(q: np.ndarray, degenerate: np.ndarray, reorder: bool) -> np.ndarray:
     # stable sorts: degenerate components last, then (optionally) by Q descending,
     # which orders as the p-values do but without their ties at underflow to 0
     index = np.arange(q.size)
     return np.lexsort((index, -q, degenerate) if reorder else (index, degenerate))
-
-
-def lb_order(xi, m: int, reorder: bool) -> OrderedComponents:
-    """Order components for white-noise testing.
-
-    With ``reorder=True`` the permutation sorts the Ljung-Box statistics
-    descending (p-values ascending), so the most serially dependent components
-    come first; ties keep their original relative order.  Degenerate (constant)
-    components are flagged, assigned p-value 1, and pushed to the very end.
-    """
-    x = _component_panel(xi)
-    q, pvalues, degenerate = _ljung_box(x, m)
-    _warn_degenerate(degenerate, "treated as white noise")
-    order = _testing_order(q, degenerate, reorder)
-    return OrderedComponents(
-        series=x,
-        order=order,
-        pvalues=pvalues[order],
-        degenerate=degenerate[order],
-    )
 
 
 class HdWnResult(NamedTuple):
@@ -239,9 +180,13 @@ def count_factors(
     Ljung-Box statistic, from the last (least dependent) one; the count is
     the position of the first non-white component, and the given order is
     the testing order of every variant.  Otherwise each variant orders the
-    components (:func:`lb_order`) and runs the sequential multi-series test:
-    the leading component is dropped after each rejection, and the number of
-    drops is the count.  When the panel is at least as wide as it is long,
+    components and runs the sequential multi-series test: the leading
+    component is dropped after each rejection, and the number of drops is
+    the count.  The order with ``reorder`` sorts the Ljung-Box statistics
+    descending (p-values ascending), so the most serially dependent
+    components come first; without it the given order is kept.  Ties keep
+    their given relative order, and constant components (p-value 1) go last
+    in either order.  When the panel is at least as wide as it is long,
     only the leading ``floor(epsilon * n)`` components of each order enter
     the test and the truncated tail counts as white noise.
 
@@ -272,27 +217,3 @@ def count_factors(
         idx = position[order[:keep]]
         counts[reorder] = _count_drops(peak[np.ix_(idx, idx)], n, m, alpha)
     return FactorCounts(pvalues, orders, counts, d - keep)
-
-
-def estimate_r2_small(xi, m: int, alpha: float) -> tuple[int, int]:
-    """Bottom-up Ljung-Box factor count ``(r2, v)`` for low-dimensional panels.
-
-    Scans from the last (least dependent) component; see :func:`count_factors`.
-    """
-    x = _component_panel(xi)
-    r2 = count_factors(x, m, alpha, (False,), bottom_up=True).r2[False]
-    return r2, x.shape[1] - r2
-
-
-def estimate_r2_large(
-    xi, m: int, alpha: float, reorder: bool, epsilon: float = 0.75
-) -> tuple[int, int]:
-    """Sequential high-dimensional factor count ``(r2, v)``.
-
-    Drops the leading component of the (optionally Ljung-Box reordered)
-    sequence after each rejection of the multi-series test, truncating wide
-    panels to ``floor(epsilon n)`` components; see :func:`count_factors`.
-    """
-    x = _component_panel(xi)
-    r2 = count_factors(x, m, alpha, (reorder,), epsilon).r2[reorder]
-    return r2, x.shape[1] - r2

@@ -2,13 +2,15 @@
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from trendfactors.cli import main, read_panel_csv, write_csv
+from trendfactors.cli import _config_from_args, build_parser, main, read_panel_csv, write_csv
 from trendfactors.errors import CsvParseError
-from trendfactors.simgen import DgpSpec, gen_example1
+from trendfactors.pipeline import PipelineConfig
+from trendfactors.simgen import DgpSpec, generate
 
 
 class TestCsvIo:
@@ -52,7 +54,7 @@ class TestCsvIo:
 
 @pytest.fixture()
 def example_csv(tmp_path):
-    panel, _ = gen_example1(DgpSpec(p=5, n=300, example=1, seed=17))
+    panel, _ = generate(DgpSpec(p=5, n=300, example=1, seed=17))
     path = tmp_path / "panel.csv"
     write_csv(path, panel.data)
     return path
@@ -165,3 +167,38 @@ class TestCommands:
         assert code == 0
         report = json.loads((out / "decompose.json").read_text())
         assert report["r1_hat"] + report["r2_hat"] + report["v_hat"] == 45
+
+    @staticmethod
+    def _decompose_recording_warnings(data, tmp_path, *flags):
+        path = tmp_path / "panel.csv"
+        write_csv(path, data)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["decompose", str(path), "--out-dir", str(out), *flags])
+        assert code == 0
+        report = json.loads((out / "decompose.json").read_text())
+        return report, [str(w.message) for w in caught]
+
+    def test_no_truncation_warning_when_stationary_block_fits(self, tmp_path):
+        # n <= p, but d = p - r1 < n, so every component is tested
+        spec = DgpSpec(p=260, n=258, r1=4, r2=6, K=2, example=2, seed=0)
+        report, messages = self._decompose_recording_warnings(generate(spec)[0].data, tmp_path)
+        assert report["p"] - report["r1_hat"] < report["n"]
+        assert report["diagnostics"]["truncated_components"] == 0
+        assert report["diagnostics"]["v2_fallback"] is False
+        assert not [m for m in messages if "white-noise testing" in m]
+
+    def test_truncation_warning_names_count(self, tmp_path):
+        data = np.random.default_rng(6).normal(size=(40, 45))
+        report, messages = self._decompose_recording_warnings(
+            data, tmp_path, "--m", "5", "--l", "2")
+        truncated = report["diagnostics"]["truncated_components"]
+        assert report["p"] - report["r1_hat"] >= report["n"] and truncated > 0
+        assert [m for m in messages
+                if f"{truncated} components were left out of white-noise testing" in m]
+
+    @pytest.mark.parametrize("command", ["decompose", "forecast"])
+    def test_default_flags_are_config_defaults(self, command):
+        args = build_parser().parse_args([command, "panel.csv"])
+        assert _config_from_args(args) == PipelineConfig()

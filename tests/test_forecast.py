@@ -20,7 +20,7 @@ from trendfactors.forecast import (
     rmsfe,
 )
 from trendfactors.pipeline import PipelineConfig, decompose
-from trendfactors.simgen import DgpSpec, gen_example1
+from trendfactors.simgen import DgpSpec, generate
 
 
 class TestFitAr1:
@@ -86,7 +86,7 @@ class TestForecastY:
         # trend paths with exactly constant differences forecast linearly
         rng = np.random.default_rng(3)
         spec = DgpSpec(p=4, n=300, r1=1, r2=1, example=1, seed=9)
-        panel, _ = gen_example1(spec)
+        panel, _ = generate(spec)
         dec, fit = self._decomp(panel.data)
         path = forecast_path(dec, fit, dec, 3)
         assert path.shape == (3, 4)
@@ -123,7 +123,7 @@ class TestForecastY:
 
     def test_compositionality_one_step(self):
         spec = DgpSpec(p=6, n=400, example=1, seed=21)
-        panel, _ = gen_example1(spec)
+        panel, _ = generate(spec)
         dec, fit = self._decomp(panel.data)
         got = forecast_y(dec, fit, dec, 1)
         x1_next = dec.x1[-1] + fit.nonstat.intercept + fit.nonstat.coef @ (
@@ -263,7 +263,7 @@ class TestBaselines:
 class TestEvaluateForecasts:
     def test_report_shape_and_window(self):
         spec = DgpSpec(p=5, n=260, example=1, seed=33)
-        panel, _ = gen_example1(spec)
+        panel, _ = generate(spec)
         config = PipelineConfig(horizons=(1, 2), window_start=240)
         report = evaluate_forecasts(panel, config)
         assert report.methods[0] == "gt"
@@ -290,12 +290,12 @@ class TestEvaluateForecasts:
 
     def test_window_too_short(self):
         spec = DgpSpec(p=4, n=120, example=1, seed=2)
-        panel, _ = gen_example1(spec)
+        panel, _ = generate(spec)
         with pytest.raises(ArgumentError):
             evaluate_forecasts(panel, PipelineConfig(horizons=(1,), window_start=120))
 
     def test_horizon_beyond_end(self):
         spec = DgpSpec(p=4, n=120, example=1, seed=2)
-        panel, _ = gen_example1(spec)
+        panel, _ = generate(spec)
         with pytest.raises(ArgumentError):
             evaluate_forecasts(panel, PipelineConfig(horizons=(30,), window_start=100))

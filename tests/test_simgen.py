@@ -16,8 +16,7 @@ from trendfactors.simgen import (
     derive_seed,
     draw_mixing,
     draw_panel,
-    gen_example1,
-    gen_example2,
+    generate,
     metric_D,
     metric_Dbar,
     random_orthonormal,
@@ -58,8 +57,8 @@ class TestRandomOrthonormal:
 class TestGenerators:
     def test_deterministic(self):
         spec = DgpSpec(p=6, n=150, example=1, seed=99)
-        a, _ = gen_example1(spec)
-        b, _ = gen_example1(spec)
+        a, _ = generate(spec)
+        b, _ = generate(spec)
         assert np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize(
@@ -70,7 +69,7 @@ class TestGenerators:
         ],
     )
     def test_reconstruction_identity(self, spec):
-        panel, truth = (gen_example1 if spec.example == 1 else gen_example2)(spec)
+        panel, truth = generate(spec)
         x2 = truth.f2 @ truth.U22_1.T + truth.eps @ truth.U22_2.T
         recon = truth.x1 @ truth.A1.T + x2 @ truth.A2.T
         assert np.max(np.abs(recon - panel.data)) <= 1e-10 * max(1, np.abs(panel.data).max())
@@ -80,7 +79,7 @@ class TestGenerators:
         hits = 0
         for rep in range(60):
             spec = DgpSpec(p=5, n=400, r1=1, r2=1, example=1, seed=1000 + rep)
-            _, truth = gen_example1(spec)
+            _, truth = generate(spec)
             diffs = np.diff(truth.x1[:, 0])
             if ljung_box(diffs, 10).pvalue > 0.01:
                 hits += 1
@@ -90,21 +89,21 @@ class TestGenerators:
         # sigma_1 of the U(-1,1) factor block sits inside the moment bounds
         for p, r2, seed in [(20, 2, 1), (20, 2, 5), (30, 4, 2), (30, 4, 9)]:
             spec = DgpSpec(p=p, n=60, r1=4, r2=r2, K=1, delta=0.5, example=2, seed=seed)
-            _, truth = gen_example2(spec)
+            _, truth = generate(spec)
             s1 = np.linalg.svd(truth.U22_1 * p ** (spec.delta / 2), compute_uv=False)[0]
             bound = np.sqrt(p * r2 / 3.0)
             assert 0.5 * bound <= s1 <= 1.5 * bound
 
     def test_delta_zero_no_factor_scaling(self):
         spec = DgpSpec(p=12, n=80, r1=2, r2=2, K=1, delta=0.0, example=2, seed=3)
-        _, truth = gen_example2(spec)
+        _, truth = generate(spec)
         assert np.abs(truth.U22_1).max() <= 1.0 + 1e-12
         assert np.abs(truth.U22_2[:, :1]).max() <= 1.0 + 1e-12
         assert np.abs(truth.U22_2[:, 1:]).max() <= 1.0 / 12 + 1e-12
 
     def test_prominent_noise_eigenvalues(self):
         spec = DgpSpec(p=50, n=60, r1=4, r2=6, K=2, delta=0.0, example=2, seed=4)
-        _, truth = gen_example2(spec)
+        _, truth = generate(spec)
         w = np.sort(np.linalg.eigvalsh(truth.U22_2 @ truth.U22_2.T))[::-1]
         assert w[1] > 100 * w[2]
 

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from trendfactors.errors import ArgumentError
-from trendfactors.tsstats import sample_autocov, sym_eigen
+from trendfactors.tsstats import sample_acf, sample_autocov, sym_eigen
 from trendfactors.unitroot import (
     R1Params,
-    _s_from_acf,
     acf_profile,
     build_M1,
-    estimate_r1,
+    first_stage,
     probe_lags,
-    s_statistic,
+    scan_r1,
     split_spaces,
 )
+
+
+def r1_split(y, k0, params):
+    eig, rho = first_stage(y, k0, params)
+    return split_spaces(y, eig, scan_r1(rho, params.c0, params.absolute))
 
 
 def test_params_validation():
@@ -89,35 +93,38 @@ class TestSplitSpaces:
 
 
 class TestSStatistic:
+    """The averaged (absolute) ACF that ``scan_r1`` thresholds."""
+
     def test_aggregation_all_ones(self):
-        assert _s_from_acf(np.ones(10), absolute=True) == 1.0
+        # s = 1 clears any threshold below 1
+        assert scan_r1(np.ones((1, 10)), 0.99, absolute=True) == 1
 
     def test_aggregation_zeros(self):
-        assert _s_from_acf(np.zeros(10), absolute=True) == 0.0
+        assert scan_r1(np.zeros((1, 10)), 1e-12, absolute=True) == 0
 
     def test_signed_cancellation(self):
-        rhos = 0.5 * np.array([1, -1, 1, -1, 1, -1, 1, -1, 1, -1], dtype=float)
-        assert _s_from_acf(rhos, absolute=True) == pytest.approx(0.5)
-        assert abs(_s_from_acf(rhos, absolute=False)) < 0.5
+        rhos = 0.5 * np.array([[1, -1, 1, -1, 1, -1, 1, -1, 1, -1]], dtype=float)
+        assert scan_r1(rhos, 0.5, absolute=True) == 1
+        assert scan_r1(rhos, 0.3, absolute=False) == 0
 
     def test_matches_acf_profile(self):
         rng = np.random.default_rng(6)
         x = np.cumsum(rng.normal(size=300))
-        params = R1Params(l=2, m=5)
-        rho = acf_profile(x[:, None], probe_lags(params))
-        assert s_statistic(x, params) == pytest.approx(np.abs(rho[0]).mean())
+        lags = probe_lags(R1Params(l=2, m=5))
+        rho = acf_profile(x[:, None], lags)
+        assert np.allclose(rho[0], [sample_acf(x, int(k)) for k in lags], rtol=1e-12)
 
     def test_lag_overflow(self):
         with pytest.raises(ArgumentError):
-            s_statistic(np.arange(10.0), R1Params(l=3, m=10))
+            first_stage(np.arange(10.0)[:, None], 2, R1Params(l=3, m=10))
 
     def test_random_walk_high_noise_low(self):
         rng = np.random.default_rng(7)
-        params = R1Params()
+        lags = probe_lags(R1Params())
         walk = np.cumsum(rng.normal(size=1500))
         noise = rng.normal(size=1500)
-        assert s_statistic(walk, params) > 0.8
-        assert s_statistic(noise, params) < 0.2
+        assert scan_r1(acf_profile(walk[:, None], lags), 0.8, absolute=True) == 1
+        assert scan_r1(acf_profile(noise[:, None], lags), 0.2, absolute=True) == 0
 
 
 class TestEstimateR1:
@@ -131,7 +138,7 @@ class TestEstimateR1:
             ar[t] = 0.7 * ar[t - 1] + rng.normal()
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         y = np.column_stack([walk, ar]) @ q.T
-        split = estimate_r1(y, 2, R1Params())
+        split = r1_split(y, 2, R1Params())
         assert split.r1_hat == 1
 
     def test_iid_panel_mostly_zero(self):
@@ -139,7 +146,7 @@ class TestEstimateR1:
         hits = 0
         for _ in range(100):
             y = rng.normal(size=(2000, 4))
-            if estimate_r1(y, 2, R1Params()).r1_hat == 0:
+            if r1_split(y, 2, R1Params()).r1_hat == 0:
                 hits += 1
         assert hits >= 95
 
@@ -149,7 +156,7 @@ class TestEstimateR1:
         y = np.column_stack(
             [np.cumsum(rng.normal(size=n)), rng.normal(size=n), rng.normal(size=n)]
         )
-        base = estimate_r1(y, 2, R1Params()).r1_hat
+        base = r1_split(y, 2, R1Params()).r1_hat
         for seed in range(5):
             q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
-            assert estimate_r1(y @ q.T, 2, R1Params()).r1_hat == base
+            assert r1_split(y @ q.T, 2, R1Params()).r1_hat == base

@@ -7,14 +7,7 @@ import pytest
 
 from trendfactors.errors import ArgumentError
 from trendfactors.tsstats import ljung_box
-from trendfactors.whitenoise import (
-    count_factors,
-    estimate_r2_large,
-    estimate_r2_small,
-    hd_wn_test,
-    lb_order,
-    ljung_box_pvalues,
-)
+from trendfactors.whitenoise import count_factors, hd_wn_test
 
 
 def ar1(rng, n, phi):
@@ -25,54 +18,55 @@ def ar1(rng, n, phi):
     return x
 
 
+def order_of(x, m, reorder):
+    return count_factors(x, m, 0.05, (reorder,)).order[reorder]
+
+
 class TestLbOrder:
+    """The testing order of ``count_factors`` and its Ljung-Box p-values."""
+
     def test_single_component_identity(self):
         rng = np.random.default_rng(0)
-        oc = lb_order(rng.normal(size=(60, 1)), 5, reorder=True)
-        assert list(oc.order) == [0]
+        assert list(order_of(rng.normal(size=(60, 1)), 5, True)) == [0]
 
     def test_no_reorder_keeps_identity(self):
         rng = np.random.default_rng(1)
         x = np.column_stack([ar1(rng, 300, 0.8), rng.normal(size=300), ar1(rng, 300, 0.5)])
-        oc = lb_order(x, 10, reorder=False)
-        assert list(oc.order) == [0, 1, 2]
+        assert list(order_of(x, 10, False)) == [0, 1, 2]
 
     def test_dependent_component_first(self):
         rng = np.random.default_rng(2)
         hits = 0
         for _ in range(100):
             x = np.column_stack([rng.normal(size=500), ar1(rng, 500, 0.8)])
-            oc = lb_order(x, 10, reorder=True)
-            if oc.order[0] == 1:
+            if order_of(x, 10, True)[0] == 1:
                 hits += 1
         assert hits >= 99
 
     def test_pvalues_sorted_and_aligned(self):
         rng = np.random.default_rng(3)
         x = np.column_stack([rng.normal(size=400) for _ in range(4)] + [ar1(rng, 400, 0.9)])
-        oc = lb_order(x, 10, reorder=True)
-        assert np.all(np.diff(oc.pvalues) >= 0)
-        raw, _ = ljung_box_pvalues(x, 10)
-        assert np.allclose(oc.pvalues, raw[oc.order])
+        counts = count_factors(x, 10, 0.05)
+        assert np.all(np.diff(counts.pvalues[counts.order[True]]) >= 0)
+        scalar = [ljung_box(x[:, i], 10).pvalue for i in range(x.shape[1])]
+        assert np.allclose(counts.pvalues, scalar)
 
     def test_underflowing_pvalues_order_by_statistic(self):
         # both p-values underflow to 0; the larger Ljung-Box Q still goes first
         rng = np.random.default_rng(21)
         x = np.column_stack([ar1(rng, 2000, 0.9), ar1(rng, 2000, 0.99), rng.normal(size=2000)])
-        pvalues, _ = ljung_box_pvalues(x, 10)
-        assert pvalues[0] == 0.0 and pvalues[1] == 0.0
+        counts = count_factors(x, 10, 0.05)
+        assert counts.pvalues[0] == 0.0 and counts.pvalues[1] == 0.0
         assert ljung_box(x[:, 1], 10).statistic > ljung_box(x[:, 0], 10).statistic
-        assert list(lb_order(x, 10, reorder=True).order) == [1, 0, 2]
-        assert list(count_factors(x, 10, 0.05).order[True]) == [1, 0, 2]
+        assert list(counts.order[True]) == [1, 0, 2]
 
     def test_degenerate_last_with_warning(self):
         rng = np.random.default_rng(4)
         x = np.column_stack([np.full(200, 3.0), ar1(rng, 200, 0.7), rng.normal(size=200)])
         with pytest.warns(UserWarning):
-            oc = lb_order(x, 10, reorder=True)
-        assert oc.order[-1] == 0
-        assert oc.pvalues[-1] == 1.0
-        assert bool(oc.degenerate[-1])
+            counts = count_factors(x, 10, 0.05)
+        assert counts.order[True][-1] == 0
+        assert counts.pvalues[0] == 1.0
 
 
 class TestHdWnTest:
@@ -122,14 +116,14 @@ class TestHdWnTest:
 
 
 class TestEstimateR2Small:
+    """The bottom-up Ljung-Box count of ``count_factors``."""
+
     def test_all_white(self):
         rng = np.random.default_rng(10)
         hits = 0
         for _ in range(100):
             x = rng.normal(size=(2000, 4))
-            r2, v = estimate_r2_small(x, 10, 0.05)
-            assert r2 + v == 4
-            if r2 == 0:
+            if count_factors(x, 10, 0.05, bottom_up=True).r2[True] == 0:
                 hits += 1
         assert hits >= 80
 
@@ -141,26 +135,27 @@ class TestEstimateR2Small:
                 [ar1(rng, 2000, 0.8), ar1(rng, 2000, 0.7),
                  rng.normal(size=2000), rng.normal(size=2000)]
             )
-            if estimate_r2_small(x, 10, 0.05) == (2, 2):
+            if count_factors(x, 10, 0.05, bottom_up=True).r2[True] == 2:
                 hits += 1
         assert hits >= 45
 
     def test_count_conservation(self):
         rng = np.random.default_rng(12)
         x = np.column_stack([ar1(rng, 300, 0.9), rng.normal(size=300)])
-        r2, v = estimate_r2_small(x, 10, 0.05)
-        assert r2 + v == 2
+        assert 0 <= count_factors(x, 10, 0.05, bottom_up=True).r2[True] <= 2
 
 
 class TestEstimateR2Large:
+    """The sequential multi-series count of ``count_factors``."""
+
     def test_all_white_accepts(self):
         rng = np.random.default_rng(13)
         hits = 0
         for _ in range(100):
             x = rng.normal(size=(500, 40))
-            r2, v = estimate_r2_large(x, 10, 0.05, reorder=True)
-            assert r2 + v == 40
-            if v == 40:
+            r2 = count_factors(x, 10, 0.05).r2[True]
+            assert 0 <= r2 <= 40
+            if r2 == 0:
                 hits += 1
         assert hits >= 85
 
@@ -171,8 +166,7 @@ class TestEstimateR2Large:
             factors = np.column_stack([ar1(rng, 800, 0.8), ar1(rng, 800, 0.7)])
             noise = rng.normal(size=(800, 18))
             x = np.hstack([factors, noise])
-            r2, v = estimate_r2_large(x, 10, 0.05, reorder=True)
-            if (r2, v) == (2, 18):
+            if count_factors(x, 10, 0.05).r2[True] == 2:
                 hits += 1
         assert hits >= 24
 
@@ -180,31 +174,35 @@ class TestEstimateR2Large:
         # dependent component sits LAST in the supplied (eigen) order
         rng = np.random.default_rng(15)
         x = np.hstack([rng.normal(size=(600, 11)), ar1(rng, 600, 0.9)[:, None]])
-        r2_w, v_w = estimate_r2_large(x, 10, 0.05, reorder=False)
-        r2_ws, v_ws = estimate_r2_large(x, 10, 0.05, reorder=True)
-        assert v_ws >= v_w
-        assert (r2_ws, v_ws) == (1, 11)
-        assert r2_w == 12  # drop-from-front must flush everything
+        r2 = count_factors(x, 10, 0.05, (True, False)).r2
+        assert r2[True] == 1
+        assert r2[False] == 12  # drop-from-front must flush everything
 
     def test_truncation_counts_tail_as_white(self):
         rng = np.random.default_rng(16)
         n, d = 100, 120
         x = np.hstack([ar1(rng, n, 0.9)[:, None], rng.normal(size=(n, d - 1))])
-        r2, v = estimate_r2_large(x, 5, 0.05, reorder=True, epsilon=0.5)
-        assert r2 + v == d
-        assert r2 <= int(0.5 * n)
+        counts = count_factors(x, 5, 0.05, epsilon=0.5)
+        assert counts.truncated == d - int(0.5 * n)
+        assert counts.r2[True] <= int(0.5 * n)
 
     def test_epsilon_validation(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ArgumentError):
-            estimate_r2_large(rng.normal(size=(50, 5)), 5, 0.05, True, epsilon=0.0)
+            count_factors(rng.normal(size=(50, 5)), 5, 0.05, epsilon=0.0)
 
 
 class TestCountFactors:
     @staticmethod
     def sequential_reference(x, m, alpha, reorder, keep):
-        # the definition: drop the leading component until the rest tests white
-        ordered = lb_order(x, m, reorder).ordered()[:, :keep]
+        # the definition: order by the scalar Ljung-Box statistic (descending,
+        # stable) or keep the given order, then drop the leading component
+        # until the rest tests white
+        order = np.arange(x.shape[1])
+        if reorder:
+            q = [ljung_box(x[:, i], m).statistic for i in order]
+            order = np.argsort(-np.asarray(q), kind="stable")
+        ordered = x[:, order[:keep]]
         for j in range(keep):
             if not hd_wn_test(ordered[:, j:], m, alpha).reject:
                 return j
@@ -222,7 +220,6 @@ class TestCountFactors:
                 for reorder in (True, False):
                     expected = self.sequential_reference(x, 5, 0.05, reorder, keep)
                     assert counts.r2[reorder] == expected
-                    assert estimate_r2_large(x, 5, 0.05, reorder) == (expected, d - expected)
             assert counts.truncated == d - keep
 
     def test_many_drops_match_reference(self):
@@ -239,10 +236,13 @@ class TestCountFactors:
         rng = np.random.default_rng(19)
         x = np.column_stack([ar1(rng, 500, 0.8), rng.normal(size=500), rng.normal(size=500)])
         counts = count_factors(x, 10, 0.05, (True, False), bottom_up=True)
+        # the definition: the position of the last component that rejects white noise
+        scalar = [ljung_box(x[:, i], 10).pvalue for i in range(3)]
+        expected = max((i + 1 for i in range(3) if scalar[i] < 0.05), default=0)
         for reorder in (True, False):
             assert list(counts.order[reorder]) == [0, 1, 2]
-            assert counts.r2[reorder] == estimate_r2_small(x, 10, 0.05)[0]
-        assert np.array_equal(counts.pvalues, ljung_box_pvalues(x, 10)[0])
+            assert counts.r2[reorder] == expected
+        assert np.allclose(counts.pvalues, scalar)
 
     def test_no_reorder_pushes_constant_components_last(self):
         rng = np.random.default_rng(20)
@@ -250,4 +250,3 @@ class TestCountFactors:
         with pytest.warns(UserWarning):
             counts = count_factors(x, 10, 0.05, (False,))
         assert list(counts.order[False]) == list(range(1, 13)) + [0]
-        assert list(counts.order[False]) == list(lb_order(x, 10, reorder=False).order)
