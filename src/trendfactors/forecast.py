@@ -71,6 +71,26 @@ class FactorModelFit:
     stat: tuple[Ar1Fit, ...]
 
 
+def _ar1_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OLS regressions of ``x_t`` on ``(1, x_{t-1})``, one per column of ``x``.
+
+    Returns ``(phi, intercept, degenerate)``.  A column whose lagged part has
+    variance at or below ``(1e-13 * max(1, max|x_{t-1}|))^2`` is degenerate:
+    its regressor is constant, so it gets ``phi = 0`` and its own mean as the
+    intercept, which continues a constant path.
+    """
+    xt = np.ascontiguousarray(x.T)  # reductions along contiguous rows run far faster
+    lagged, current = xt[:, :-1], xt[:, 1:]
+    lag_mean, cur_mean = lagged.mean(axis=1), current.mean(axis=1)
+    lag_c = lagged - lag_mean[:, None]
+    sxx = np.einsum("ij,ij->i", lag_c, lag_c) / lagged.shape[1]
+    sxy = np.einsum("ij,ij->i", lag_c, current - cur_mean[:, None]) / lagged.shape[1]
+    degenerate = sxx <= (1e-13 * np.maximum(1.0, np.abs(lagged).max(axis=1))) ** 2
+    phi = np.where(degenerate, 0.0, sxy / np.where(degenerate, 1.0, sxx))
+    intercept = np.where(degenerate, xt.mean(axis=1), cur_mean - phi * lag_mean)
+    return phi, intercept, degenerate
+
+
 def fit_ar1(series) -> Ar1Fit:
     """OLS regression of ``x_t`` on ``(1, x_{t-1})``.
 
@@ -82,13 +102,11 @@ def fit_ar1(series) -> Ar1Fit:
         raise ArgumentError(f"AR(1) fit needs n >= 3, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ArgumentError("series contains non-finite entries")
-    lagged, current = x[:-1], x[1:]
-    sxx = float(np.var(lagged))
-    if sxx <= (1e-13 * max(1.0, float(np.max(np.abs(lagged))))) ** 2:
+    phi, intercept, degenerate = _ar1_columns(x[:, None])
+    if degenerate[0]:
         raise DegenerateSeriesError("constant regressor in AR(1) fit")
-    phi = float(np.cov(lagged, current, bias=True)[0, 1] / sxx)
-    intercept = float(current.mean() - phi * lagged.mean())
-    return Ar1Fit(phi=phi, intercept=intercept, explosive=abs(phi) >= 1.0)
+    phi = float(phi[0])
+    return Ar1Fit(phi=phi, intercept=float(intercept[0]), explosive=abs(phi) >= 1.0)
 
 
 def fit_var1_diff(panel) -> Var1Fit:
@@ -116,20 +134,14 @@ def fit_var1_diff(panel) -> Var1Fit:
     )
 
 
-def _ar1_or_constant(series: np.ndarray) -> Ar1Fit:
-    # a constant factor path forecasts as its own continuation
-    try:
-        return fit_ar1(series)
-    except DegenerateSeriesError:
-        return Ar1Fit(phi=0.0, intercept=float(np.mean(series)), explosive=False)
-
-
 def fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
     """Fit the trend VAR(1)-on-differences and per-factor AR(1) models."""
     x1 = np.asarray(x1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     nonstat = fit_var1_diff(x1) if x1.shape[1] >= 1 else None
-    stat = tuple(_ar1_or_constant(z2[:, i]) for i in range(z2.shape[1]))
+    phi, intercept, _ = _ar1_columns(z2)
+    stat = tuple(Ar1Fit(phi=a, intercept=c, explosive=abs(a) >= 1.0)
+                 for a, c in zip(phi.tolist(), intercept.tolist()))
     return FactorModelFit(nonstat=nonstat, stat=stat)
 
 
@@ -148,17 +160,25 @@ def _trend_forecast(x1: np.ndarray, fit: Var1Fit | None, h_max: int) -> np.ndarr
     return out
 
 
-def _stationary_forecast(z2: np.ndarray, fits: tuple[Ar1Fit, ...], h_max: int) -> np.ndarray:
-    out = np.zeros((h_max, len(fits)))
-    if not fits:
-        return out
-    state = z2[-1].copy()
-    phi = np.array([f.phi for f in fits])
-    c = np.array([f.intercept for f in fits])
+def _ar1_path(phi: np.ndarray, intercept: np.ndarray, last: np.ndarray, h_max: int) -> np.ndarray:
+    """Iterate ``x <- intercept + phi * x`` from ``last``; row ``j`` is step ``j + 1``."""
+    out = np.empty((h_max, last.size))
+    state = last
     for j in range(h_max):
-        state = c + phi * state
+        state = intercept + phi * state
         out[j] = state
     return out
+
+
+def _dfar_path(y: np.ndarray, h_max: int) -> np.ndarray:
+    """AR(1) on the first differences of every column, re-integrated."""
+    if len(y) < 4:  # the fit regresses n - 2 differences on their lags
+        raise ArgumentError(f"differenced AR(1) needs a panel of n >= 4, got n = {len(y)}")
+    d = np.diff(y, axis=0)
+    phi, intercept, _ = _ar1_columns(d)
+    deltas = _ar1_path(phi, intercept, d[-1], h_max)
+    # accumulate row by row from the last level, as the recursion does
+    return np.cumsum(np.vstack([y[-1], deltas]), axis=0)[1:]
 
 
 def forecast_path(split, fit: FactorModelFit, sf, h_max: int) -> np.ndarray:
@@ -173,7 +193,8 @@ def forecast_path(split, fit: FactorModelFit, sf, h_max: int) -> np.ndarray:
     if h_max < 1:
         raise ArgumentError(f"horizon must be >= 1, got {h_max}")
     x1f = _trend_forecast(split.x1, fit.nonstat, h_max)
-    z2f = _stationary_forecast(sf.z2, fit.stat, h_max)
+    phi = np.array([f.phi for f in fit.stat])
+    z2f = _ar1_path(phi, np.array([f.intercept for f in fit.stat]), sf.z2[-1], h_max)
     trend_part = x1f @ split.A1.T
     factor_part = z2f @ (split.A2 @ sf.U1).T if sf.U1.shape[1] else 0.0
     return trend_part + factor_part
@@ -256,24 +277,6 @@ def dm_test(loss_a, loss_b, bandwidth: int | None = None) -> DmResult:
     return DmResult(stat, lrv, float(ndtr(stat)), False, bandwidth)
 
 
-def _ar1_delta_forecast(series: np.ndarray, h_max: int) -> np.ndarray:
-    """Differenced AR(1) forecast of one series, re-integrated; constant-safe."""
-    d = np.diff(series)
-    try:
-        f = fit_ar1(d)
-        phi, c = f.phi, f.intercept
-    except DegenerateSeriesError:
-        phi, c = 0.0, float(d.mean())
-    level = float(series[-1])
-    delta = float(d[-1])
-    out = np.empty(h_max)
-    for j in range(h_max):
-        delta = c + phi * delta
-        level += delta
-        out[j] = level
-    return out
-
-
 def baseline_dfar(panel, h_max: int) -> np.ndarray:
     """Per-series AR(1) on first differences, re-integrated over horizons.
 
@@ -283,12 +286,7 @@ def baseline_dfar(panel, h_max: int) -> np.ndarray:
     pan = as_panel(panel)
     if h_max < 1:
         raise ArgumentError(f"horizon must be >= 1, got {h_max}")
-    if pan.n < 3:
-        raise ArgumentError("differenced AR(1) needs n >= 3")
-    out = np.empty((h_max, pan.p))
-    for i in range(pan.p):
-        out[:, i] = _ar1_delta_forecast(pan.data[:, i], h_max)
-    return out
+    return _dfar_path(pan.data, h_max)
 
 
 def _var1_thresholded(f: np.ndarray) -> Var1Fit:
@@ -335,11 +333,7 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
             return np.tile(mean, (h_max, 1))
         yc = y - mean
         loadings = sym_eigen(yc.T @ yc / pan.n).vectors[:, :nfac]
-        factors = yc @ loadings
-        ffc = np.empty((h_max, nfac))
-        for i in range(nfac):
-            ffc[:, i] = _ar1_delta_forecast(factors[:, i], h_max)
-        return ffc @ loadings.T + mean
+        return _dfar_path(yc @ loadings, h_max) @ loadings.T + mean
     d = np.diff(y, axis=0)
     if d.shape[0] < 4:
         raise ArgumentError("differences mode needs n >= 5")
@@ -384,23 +378,9 @@ class ForecastReport:
     meta: dict = field(default_factory=dict)
 
 
-def _gt_forecast(y: np.ndarray, config: PipelineConfig, h_max: int) -> np.ndarray:
-    dec = decompose(y, config)
+def _gt_forecast(dec, h_max: int) -> np.ndarray:
     fit = fit_factor_models(dec.x1, dec.z2)
     return forecast_path(dec, fit, dec, h_max)
-
-
-def make_forecaster(method: str, config: PipelineConfig, nfac_levels: int, nfac_diff: int):
-    """Bind a method name to a ``(train, h_max) -> forecasts`` callable."""
-    if method == "gt":
-        return lambda y, h: _gt_forecast(y, config, h)
-    if method == "dfar":
-        return baseline_dfar
-    if method == "pca_levels":
-        return lambda y, h: baseline_pca(y, nfac_levels, "levels", h)
-    if method == "pca_diff":
-        return lambda y, h: baseline_pca(y, nfac_diff, "differences", h)
-    raise ArgumentError(f"unknown forecast method {method!r}; choose from {FORECAST_METHODS}")
 
 
 def evaluate_forecasts(
@@ -416,9 +396,10 @@ def evaluate_forecasts(
     ``window_start`` through ``n - h``; forecast errors are averaged per
     horizon, per-series errors are aggregated into RMSFE values, and the
     first method is tested pairwise against the others for equal predictive
-    ability.  Default PCA factor counts come from the decomposition of the
-    first training window: the trend count for levels, total factor count
-    for differences.
+    ability.  The first training window ``y[:window_start]`` is decomposed
+    once: that decomposition gives the default PCA factor counts (the trend
+    count for levels, the total factor count for differences) and the gt
+    forecast at the first origin.
     """
     pan = as_panel(panel)
     y = pan.data
@@ -432,13 +413,24 @@ def evaluate_forecasts(
         raise ArgumentError("window too short: no forecast origin fits before the data end")
     if methods and methods[0] != "gt" and "gt" in methods:
         methods = ("gt",) + tuple(m for m in methods if m != "gt")
-    if pca_nfac_levels is None or pca_nfac_diff is None:
+    for m in methods:
+        if m not in FORECAST_METHODS:
+            raise ArgumentError(f"unknown forecast method {m!r}; choose from {FORECAST_METHODS}")
+    dec0 = None
+    if "gt" in methods or pca_nfac_levels is None or pca_nfac_diff is None:
         dec0 = decompose(y[:w], config)
-        if pca_nfac_levels is None:
-            pca_nfac_levels = max(dec0.r1_hat, 1)
-        if pca_nfac_diff is None:
-            pca_nfac_diff = min(max(dec0.r1_hat + dec0.r2_hat, 1), p)
-    forecasters = {m: make_forecaster(m, config, pca_nfac_levels, pca_nfac_diff) for m in methods}
+    if pca_nfac_levels is None:
+        pca_nfac_levels = max(dec0.r1_hat, 1)
+    if pca_nfac_diff is None:
+        pca_nfac_diff = min(max(dec0.r1_hat + dec0.r2_hat, 1), p)
+    # every training window is a prefix of y, so its length identifies it
+    forecasters = {
+        "gt": lambda train, h: _gt_forecast(dec0 if len(train) == w
+                                            else decompose(train, config), h),
+        "dfar": baseline_dfar,
+        "pca_levels": lambda train, h: baseline_pca(train, pca_nfac_levels, "levels", h),
+        "pca_diff": lambda train, h: baseline_pca(train, pca_nfac_diff, "differences", h),
+    }
 
     per_origin: dict = {m: {h: [] for h in horizons} for m in methods}
     actual_rows = {h: [] for h in horizons}

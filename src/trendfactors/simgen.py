@@ -291,11 +291,16 @@ def derive_seed(base_seed: int, cell_index: int, rep_index: int | None = None) -
 
 @dataclass(frozen=True)
 class CellResult:
-    """Per-cell Monte Carlo summary."""
+    """Per-cell Monte Carlo summary.
+
+    ``failure_reasons`` maps each failing exception class name to
+    ``(count, first message)``; ``failures`` is the total count.
+    """
 
     spec: DgpSpec
     reps: int
     failures: int
+    failure_reasons: dict
     probs: dict
     metric_quartiles: dict
     rmse_normalization: str
@@ -324,6 +329,10 @@ class MonteCarloResult:
                 "K": cell.spec.K,
                 "reps": cell.reps,
                 "failures": cell.failures,
+                "failure_reasons": "; ".join(
+                    f"{name} x{count}: {message}"
+                    for name, (count, message) in cell.failure_reasons.items()
+                ),
             }
             for method in self.methods:
                 for stat, value in cell.probs[method].items():
@@ -415,8 +424,8 @@ def run_montecarlo(
     regenerated ``reps`` times from independent per-replication shock streams
     derived from ``(base_seed, cell index, rep index)``; every requested
     method variant is evaluated on the same draws.  Replications that raise a
-    package error or a linear-algebra failure are recorded and skipped rather
-    than aborting the grid; any other exception propagates.  Aggregation is a
+    package error or a linear-algebra failure are recorded by exception class
+    and skipped rather than aborting the grid; any other exception propagates.  Aggregation is a
     plain order-independent average.
     """
     if reps < 1:
@@ -428,7 +437,7 @@ def run_montecarlo(
     for ci, spec in enumerate(grid):
         sums = {name: {"r1": 0.0, "r2": 0.0, "total": 0.0} for name in methods}
         metric_samples: dict = {}
-        failures = 0
+        failure_reasons: dict = {}
         cell_spec = replace(spec, seed=derive_seed(base_seed, ci))
         mixing = draw_mixing(cell_spec, cell_spec.seed)
         for rep in range(reps):
@@ -436,14 +445,16 @@ def run_montecarlo(
             try:
                 panel, truth = draw_panel(rep_spec, mixing, rep_spec.seed)
                 indicators, metrics = _replication(panel, truth, rep_spec, config, list(methods))
-            except (TrendFactorsError, np.linalg.LinAlgError):
-                failures += 1
+            except (TrendFactorsError, np.linalg.LinAlgError) as exc:
+                count, message = failure_reasons.get(type(exc).__name__, (0, str(exc)))
+                failure_reasons[type(exc).__name__] = (count + 1, message)
                 continue
             for name in methods:
                 for key in sums[name]:
                     sums[name][key] += indicators[name][key]
             for key, value in metrics.items():
                 metric_samples.setdefault(key, []).append(value)
+        failures = sum(count for count, _ in failure_reasons.values())
         good = reps - failures
         probs = {
             name: {key: (total / good if good else np.nan) for key, total in stat.items()}
@@ -461,6 +472,7 @@ def run_montecarlo(
                 spec=spec,
                 reps=reps,
                 failures=failures,
+                failure_reasons=failure_reasons,
                 probs=probs,
                 metric_quartiles=quartiles,
                 rmse_normalization="small" if spec.example == 1 else "large",

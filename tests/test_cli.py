@@ -131,6 +131,8 @@ class TestCommands:
         assert "P(r1_hat=2)" in text
         lines = (out / "benchmark.csv").read_text().strip().splitlines()
         assert len(lines) > 3
+        header = lines[0].split(",")
+        assert header[header.index("failures") + 1] == "failure_reasons"
 
     def test_benchmark_deterministic(self, tmp_path):
         outs = []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trendfactors import forecast
 from trendfactors.errors import ArgumentError, DegenerateSeriesError
 from trendfactors.forecast import (
     baseline_dfar,
@@ -47,6 +48,86 @@ class TestFitAr1:
     def test_explosive_flagged(self):
         x = 1.2 ** np.arange(40)
         assert fit_ar1(x).explosive
+
+
+def ols_ar1_reference(x):
+    """Per-column OLS of x_t on [1, x_{t-1}] by lstsq; a constant regressor gives (0, mean)."""
+    phi, intercept = [], []
+    for col in x.T:
+        lagged, current = col[:-1], col[1:]
+        if np.ptp(lagged) <= 1e-9 * max(1.0, np.abs(lagged).max()):
+            phi.append(0.0)
+            intercept.append(col.mean())
+            continue
+        design = np.column_stack([np.ones_like(lagged), lagged])
+        (c, a), *_ = np.linalg.lstsq(design, current, rcond=None)
+        phi.append(a)
+        intercept.append(c)
+    return np.array(phi), np.array(intercept)
+
+
+def dfar_reference(y, h_max):
+    """Differenced AR(1) per column, iterated and re-integrated one step at a time."""
+    d = np.diff(y, axis=0)
+    phi, intercept = ols_ar1_reference(d)
+    out = np.empty((h_max, y.shape[1]))
+    level, delta = y[-1].copy(), d[-1].copy()
+    for j in range(h_max):
+        delta = intercept + phi * delta
+        level = level + delta
+        out[j] = level
+    return out
+
+
+def panel_with_degenerate_columns(seed):
+    """Random walks and an AR(1) plus a constant column and an exact linear trend."""
+    rng = np.random.default_rng(seed)
+    y = np.cumsum(rng.normal(size=(150, 6)), axis=0)
+    for t in range(1, 150):
+        y[t, 1] = 0.6 * y[t - 1, 1] + rng.normal()
+    y[:, 2] = 4.25
+    y[:, 4] = 1.5 - 0.35 * np.arange(150.0)
+    return y
+
+
+class TestAr1Columns:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lstsq_reference(self, seed):
+        y = panel_with_degenerate_columns(seed)
+        for x in (y, np.diff(y, axis=0)):
+            phi, intercept, degenerate = forecast._ar1_columns(x)
+            ref_phi, ref_intercept = ols_ar1_reference(x)
+            np.testing.assert_allclose(phi, ref_phi, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(intercept, ref_intercept, rtol=1e-12, atol=1e-12)
+        # the constant column is degenerate in levels; the trend only in differences
+        assert forecast._ar1_columns(y)[2].tolist() == [c == 2 for c in range(6)]
+        assert degenerate.tolist() == [c in (2, 4) for c in range(6)]
+
+    def test_fit_ar1_matches_reference(self):
+        y = panel_with_degenerate_columns(3)
+        ref_phi, ref_intercept = ols_ar1_reference(y)
+        for i in (0, 1, 3, 4, 5):
+            fit = fit_ar1(y[:, i])
+            assert fit.phi == pytest.approx(ref_phi[i], rel=1e-12, abs=1e-12)
+            assert fit.intercept == pytest.approx(ref_intercept[i], rel=1e-12, abs=1e-12)
+        with pytest.raises(DegenerateSeriesError):
+            fit_ar1(y[:, 2])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dfar_matches_reference(self, seed):
+        y = panel_with_degenerate_columns(seed)
+        np.testing.assert_allclose(baseline_dfar(y, 5), dfar_reference(y, 5), rtol=1e-12)
+
+    @pytest.mark.parametrize("nfac", [1, 3, 6])
+    def test_pca_levels_matches_reference(self, nfac):
+        y = panel_with_degenerate_columns(4)
+        mean = y.mean(axis=0)
+        yc = y - mean
+        values, vectors = np.linalg.eigh(yc.T @ yc / y.shape[0])
+        loadings = vectors[:, np.argsort(values)[::-1][:nfac]]
+        expect = dfar_reference(yc @ loadings, 5) @ loadings.T + mean
+        got = baseline_pca(y, nfac, "levels", 5)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(y).max())
 
 
 class TestFitVar1Diff:
@@ -252,6 +333,20 @@ class TestBaselines:
         with pytest.raises(ArgumentError):
             baseline_pca(rng.normal(size=(30, 3)), 4, "levels", 1)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda y: baseline_dfar(y, 2),
+            lambda y: baseline_pca(y, 1, "levels", 2),
+        ],
+        ids=["dfar", "pca_levels"],
+    )
+    def test_three_rows_rejected_up_front(self, run):
+        y = np.random.default_rng(14).normal(size=(3, 2))
+        with pytest.raises(ArgumentError, match=r"panel of n >= 4, got n = 3"):
+            run(y)
+        assert run(np.vstack([y, y[:1]])).shape == (2, 2)
+
     def test_pca_differences_runs(self):
         rng = np.random.default_rng(13)
         y = np.cumsum(rng.normal(size=(100, 4)), axis=0)
@@ -287,6 +382,29 @@ class TestEvaluateForecasts:
         assert report.fe["dfar"][1] == pytest.approx(0.0, abs=1e-8)
         assert report.fe["dfar"][2] == pytest.approx(0.0, abs=1e-8)
         assert report.fe["gt"][1] == pytest.approx(0.0, abs=1e-6)
+
+    def test_first_window_decomposed_once(self, monkeypatch):
+        calls = []
+
+        def counting(y, config):
+            calls.append(len(y))
+            return decompose(y, config)
+
+        monkeypatch.setattr(forecast, "decompose", counting)
+        spec = DgpSpec(p=5, n=260, example=1, seed=33)
+        panel, _ = generate(spec)
+        report = evaluate_forecasts(panel, PipelineConfig(horizons=(1, 2), window_start=240))
+        # one decomposition per origin plus the full-sample forecast
+        assert len(calls) == report.origins[1] + 1
+        assert sorted(calls) == list(range(240, 261))
+
+    def test_window_of_three_rows_names_panel_length(self):
+        y = np.cumsum(np.random.default_rng(15).normal(size=(12, 2)), axis=0)
+        with pytest.raises(ArgumentError, match=r"panel of n >= 4, got n = 3"):
+            evaluate_forecasts(
+                y, PipelineConfig(horizons=(1,), window_start=3), methods=("dfar",),
+                pca_nfac_levels=1, pca_nfac_diff=1,
+            )
 
     def test_window_too_short(self):
         spec = DgpSpec(p=4, n=120, example=1, seed=2)

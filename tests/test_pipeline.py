@@ -208,21 +208,31 @@ def spec_id(spec):
     return f"ex{spec.example}-p{spec.p}-n{spec.n}-seed{spec.seed}"
 
 
-def counts(y):
+def quiet_decompose(y):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dec = decompose(y)
+        return decompose(y)
+
+
+def counts(dec):
     return dec.r1_hat, dec.r2_hat, dec.v_hat, dec.K_hat
 
 
 class TestInvariance:
     @pytest.mark.parametrize("spec", NARROW + WIDE, ids=spec_id)
     def test_column_permutation(self, spec):
+        # counts are unchanged; with d < n the trend projector A1 A1' is permuted too
         y = generate(spec)[0].data
-        base = counts(y)
+        dec = quiet_decompose(y)
+        proj = dec.A1 @ dec.A1.T
         rng = np.random.default_rng(spec.seed)
         for _ in range(3):
-            assert counts(y[:, rng.permutation(spec.p)]) == base
+            perm = rng.permutation(spec.p)
+            got = quiet_decompose(y[:, perm])
+            assert counts(got) == counts(dec)
+            if spec.p - dec.r1_hat < spec.n:
+                gap = np.max(np.abs(got.A1 @ got.A1.T - proj[np.ix_(perm, perm)]))
+                assert gap <= 1e-10
 
     @pytest.mark.parametrize(
         "spec",
@@ -245,6 +255,6 @@ class TestInvariance:
     )
     def test_scaling(self, spec):
         y = generate(spec)[0].data
-        base = counts(y)
+        base = counts(quiet_decompose(y))
         for c in (1e-3, 0.125, 7.5, 1e3):
-            assert counts(c * y) == base, f"c={c}"
+            assert counts(quiet_decompose(c * y)) == base, f"c={c}"

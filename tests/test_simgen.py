@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendfactors import stationary
-from trendfactors.errors import ArgumentError
+from trendfactors.errors import ArgumentError, TrendFactorsError
 from trendfactors.pipeline import PipelineConfig, decompose
 from trendfactors.simgen import (
     DgpSpec,
@@ -224,6 +224,25 @@ class TestRunMontecarlo:
         lib = _library_counts(spec, 100, 3, PipelineConfig())
         assert cell.probs["a*w*"]["r1"] == lib["r1"] < 1.0
         assert all(np.isnan(cell.metric_quartiles["Dbar_A1"]))
+
+    def test_failures_recorded_by_exception_class(self, monkeypatch):
+        from trendfactors import simgen
+
+        real = simgen._replication
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise TrendFactorsError("forced failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simgen, "_replication", fail_second)
+        res = run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=3, base_seed=3)
+        cell = res.cells[0]
+        assert cell.failures == 1
+        assert cell.failure_reasons == {"TrendFactorsError": (1, "forced failure")}
+        assert {r["failure_reasons"] for r in res.rows()} == {"TrendFactorsError x1: forced failure"}
 
     def test_programming_errors_propagate(self, monkeypatch):
         from trendfactors import simgen
