@@ -18,6 +18,7 @@ from scipy.special import ndtr
 from .errors import ArgumentError, DegenerateSeriesError
 from .pipeline import PipelineConfig, decompose
 from .tsstats import as_panel, sym_eigen
+from .unitroot import probe_lags
 
 __all__ = [
     "Ar1Fit",
@@ -109,6 +110,29 @@ def fit_ar1(series) -> Ar1Fit:
     return Ar1Fit(phi=phi, intercept=float(intercept[0]), explosive=abs(phi) >= 1.0)
 
 
+def _var1_least_squares(f: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Least-squares regression of ``f_t`` on ``(1, f_{t-1})`` by one thin SVD.
+
+    Returns ``(beta, cond, se)``: the coefficients with the intercept in row
+    0, the design condition number, and the coefficients' standard errors.
+    Singular values below ``lstsq``'s default cutoff are treated as zero, so
+    a rank-deficient design gets the minimum-norm solution.
+    """
+    design = np.ones((f.shape[0] - 1, f.shape[1] + 1))
+    design[:, 1:] = f[:-1]
+    target = f[1:]
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    inv_sv = np.zeros_like(sv)
+    np.divide(1.0, sv, out=inv_sv, where=sv > np.finfo(float).eps * max(design.shape) * sv[0])
+    beta = vt.T @ (inv_sv[:, None] * (u.T @ target))
+    resid = target - design @ beta
+    sigma2 = np.einsum("ij,ij->j", resid, resid) / max(design.shape[0] - design.shape[1], 1)
+    # the diagonal of the pseudo-inverse of design' design
+    gram_inv_diag = (vt * vt).T @ (inv_sv * inv_sv)
+    return beta, cond, np.sqrt(np.outer(gram_inv_diag, sigma2))
+
+
 def fit_var1_diff(panel) -> Var1Fit:
     """VAR(1) with intercept on first differences of a panel.
 
@@ -121,11 +145,7 @@ def fit_var1_diff(panel) -> Var1Fit:
     r = y.shape[1]
     if y.shape[0] < r + 3:
         raise ArgumentError(f"VAR(1)-on-differences needs n >= r + 3 = {r + 3}")
-    d = np.diff(y, axis=0)
-    design = np.hstack([np.ones((d.shape[0] - 1, 1)), d[:-1]])
-    target = d[1:]
-    beta, _, _, sv = np.linalg.lstsq(design, target, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    beta, cond, _ = _var1_least_squares(np.diff(y, axis=0))
     return Var1Fit(
         coef=beta[1:].T,
         intercept=beta[0],
@@ -291,16 +311,7 @@ def baseline_dfar(panel, h_max: int) -> np.ndarray:
 
 def _var1_thresholded(f: np.ndarray) -> Var1Fit:
     """VAR(1) with intercept; coefficients with |t| < 1.96 are zeroed."""
-    design = np.hstack([np.ones((f.shape[0] - 1, 1)), f[:-1]])
-    target = f[1:]
-    gram = design.T @ design
-    beta, _, _, sv = np.linalg.lstsq(design, target, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    resid = target - design @ beta
-    dof = max(design.shape[0] - design.shape[1], 1)
-    sigma2 = (resid**2).sum(axis=0) / dof
-    gram_inv_diag = np.diag(np.linalg.pinv(gram))
-    se = np.sqrt(np.outer(gram_inv_diag, sigma2))
+    beta, cond, se = _var1_least_squares(f)
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(se > 0, np.abs(beta / se), np.inf)
     coef = beta[1:].T.copy()
@@ -399,7 +410,8 @@ def evaluate_forecasts(
     ability.  The first training window ``y[:window_start]`` is decomposed
     once: that decomposition gives the default PCA factor counts (the trend
     count for levels, the total factor count for differences) and the gt
-    forecast at the first origin.
+    forecast at the first origin, so when it is needed ``window_start`` must
+    leave room for every lag ``decompose`` probes.
     """
     pan = as_panel(panel)
     y = pan.data
@@ -418,6 +430,14 @@ def evaluate_forecasts(
             raise ArgumentError(f"unknown forecast method {m!r}; choose from {FORECAST_METHODS}")
     dec0 = None
     if "gt" in methods or pca_nfac_levels is None or pca_nfac_diff is None:
+        # every lag decompose probes (k0, j0, the Ljung-Box m and the largest
+        # ACF lag) must be at most the window length minus 2
+        need = max(int(probe_lags(config.r1_params)[-1]), config.k0, config.j0, config.m) + 2
+        if w < need:
+            raise ArgumentError(
+                f"window_start={w} is too short to decompose the first training "
+                f"window: the configuration needs window_start >= {need}"
+            )
         dec0 = decompose(y[:w], config)
     if pca_nfac_levels is None:
         pca_nfac_levels = max(dec0.r1_hat, 1)

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import ArgumentError, IllConditionedError
 from .stationary import (
@@ -23,7 +24,7 @@ from .stationary import (
     recover_z2,
 )
 from .tsstats import EigenDecomposition, as_panel, sym_eigen
-from .unitroot import R1Params, first_stage, scan_r1, split_spaces
+from .unitroot import R1Params, first_stage, null_width, scan_r1, split_spaces
 from .whitenoise import FactorCounts, count_factors
 
 __all__ = ["PipelineConfig", "Decomposition", "decompose", "second_stage", "recover_factors"]
@@ -90,14 +91,22 @@ class Decomposition:
 
     Loadings ``A1`` (trends) and ``A2`` (stationary block) live in the
     observation space; ``U1``, ``V1``, ``V2`` live in the stationary
-    subspace of width ``p - r1_hat``.  Only the span of ``V2`` and the factor
-    paths ``z2`` are determined, not the basis of ``V2`` inside its span.
-    The diagnostics dictionary has the same keys on every path:
-    ``M1_eigenvalues`` and ``s_statistics`` (stage one), ``M2_eigenvalues``,
-    ``lb_pvalues`` (in testing order), ``component_order`` (the testing
-    order), ``S_eigenvalues``, ``truncated_components`` (components the
-    wide-panel test left out) and ``v2_fallback`` (an ill-conditioned
+    subspace of width ``d = p - r1_hat``.  Only the span of ``V2`` and the
+    factor paths ``z2`` are determined, not the basis of ``V2`` inside its
+    span.  The diagnostics dictionary has the same keys on every path:
+    ``M1_eigenvalues`` and ``s_statistics`` (stage one, length ``p``),
+    ``M2_eigenvalues``, ``lb_pvalues`` (in testing order),
+    ``component_order`` (the testing order) and ``S_eigenvalues`` (each of
+    length ``d``), ``truncated_components`` (components the sequential test
+    left out because ``d >= n``) and ``v2_fallback`` (an ill-conditioned
     recovery).  Without a stationary block the arrays are empty.
+
+    When ``p >= n`` the last ``p - n + 1`` columns of ``A2`` are orthogonal
+    to the centered panel (see :func:`trendfactors.unitroot.null_width`):
+    their components in ``x2`` are constant, they are white noise, last in
+    the testing order with Ljung-Box p-value 1, ``V2`` is zero on them, and
+    their ``M1``, ``M2`` and ``S`` eigenvalues and s-statistics are exact
+    zeros.
     """
 
     r1_hat: int
@@ -120,56 +129,79 @@ class Decomposition:
 
 
 def second_stage(
-    x2: np.ndarray, config: PipelineConfig, reorders
+    x2: np.ndarray, config: PipelineConfig, reorders, null: int = 0
 ) -> tuple[EigenDecomposition, FactorCounts]:
     """Eigendecomposition of ``M2`` and the factor counts of its components.
 
     Counts are returned for each reorder variant in ``reorders``; panels no
-    wider than ``SMALL_P_THRESHOLD`` use the bottom-up Ljung-Box scan.
+    wider than ``SMALL_P_THRESHOLD`` use the bottom-up Ljung-Box scan.  The
+    last ``null`` columns of ``x2`` are constant by construction (the null
+    space of a wide panel): ``M2`` is built on the others, and these join
+    its eigenbasis as unit vectors with eigenvalue 0 and count as white
+    noise, last in the testing order.
     """
-    eig2 = sym_eigen(build_M2(x2, config.j0))
+    lead = x2.shape[1] - null
+    eig2 = sym_eigen(build_M2(x2[:, :lead], config.j0))
     counts = count_factors(
-        x2 @ eig2.vectors,
+        x2[:, :lead] @ eig2.vectors,
         config.m,
         config.alpha,
         reorders,
         config.epsilon,
         bottom_up=x2.shape[1] <= SMALL_P_THRESHOLD,
+        null=null,
     )
+    if null:
+        eig2 = EigenDecomposition(
+            values=np.concatenate([eig2.values, np.zeros(null)]),
+            vectors=block_diag(eig2.vectors, np.eye(null)),
+        )
     return eig2, counts
 
 
 def recover_factors(
-    x2: np.ndarray, w: np.ndarray, order: np.ndarray, r2: int, config: PipelineConfig
+    x2: np.ndarray,
+    w: np.ndarray,
+    order: np.ndarray,
+    r2: int,
+    config: PipelineConfig,
+    null: int = 0,
 ) -> StationaryFactorFit:
     """Projected-PCA recovery of the stationary factors at a given count.
 
     ``w`` is the ``M2`` eigenbasis; the first ``r2`` of its columns in the
     testing ``order`` span the factor directions and the rest the white
     noise.  When the recovery is ill conditioned the factors are read off
-    by direct projection instead (``v2_fallback``).
+    by direct projection instead (``v2_fallback``).  ``S`` and ``V2`` are
+    found among the leading ``d - null`` components, as laid out by
+    :func:`second_stage`: ``V2`` is zero on the ``null`` constant ones, and
+    ``S`` has exact zero eigenvalues there.
     """
     d = x2.shape[1]
+    lead = d - null
     v = d - r2
+    v_lead = lead - r2
     u1 = w[:, order[:r2]]
     v1 = w[:, order[r2:]]
-    eig_s = sym_eigen(projected_S(x2, v1))
+    # the constant components come last in the order and ``w`` is block
+    # diagonal, so the leading rows of U1 and V1 cover the other components
+    u1_lead = u1[:lead]
+    eig_s = sym_eigen(projected_S(x2[:, :lead], v1[:lead, :v_lead]))
     if config.K_override is not None:
-        k_hat = min(config.K_override, v)
-    elif d <= SMALL_P_THRESHOLD or v <= 1:
+        k_hat = min(config.K_override, v_lead)
+    elif d <= SMALL_P_THRESHOLD or v_lead <= 1:
         # prominent noise is a diverging-eigenvalue phenomenon; the ratio rule
         # only runs in the wide regime, and only on the nonzero spectrum
         k_hat = 0
     else:
-        k_hat = estimate_K(eig_s.values, max_k=min(MAX_K, v - 1))
+        k_hat = estimate_K(eig_s.values, max_k=min(MAX_K, v_lead - 1))
     fallback = False
     try:
-        v2 = estimate_V2(eig_s, u1, r2, k_hat)
+        v2 = estimate_V2(eig_s, u1_lead, r2, k_hat)
     except IllConditionedError:
-        # rank-deficient regimes (e.g. panels wider than they are long) can
-        # make the projected-PCA inversion singular; fall back to the direct
+        # an ill-conditioned projected-PCA inversion falls back to the direct
         # projection recovery so the decomposition still completes
-        v2 = u1
+        v2 = u1_lead
         fallback = True
         warnings.warn(
             "projected PCA recovery is ill conditioned; using the direct "
@@ -182,9 +214,9 @@ def recover_factors(
         K_hat=k_hat,
         U1=u1,
         V1=v1,
-        V2=v2,
-        z2=recover_z2(v2, u1, x2),
-        S_eigenvalues=eig_s.values,
+        V2=np.concatenate([v2, np.zeros((null, r2))]),
+        z2=recover_z2(v2, u1_lead, x2[:, :lead]),
+        S_eigenvalues=np.concatenate([eig_s.values, np.zeros(null)]),
         v2_fallback=fallback,
     )
 
@@ -198,23 +230,27 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
     eigenvalues are detected or pinned via ``K_override``).
     """
     pan = as_panel(panel)
+    null = null_width(pan.n, pan.p)
     eig1, rho = first_stage(pan, config.k0, config.r1_params)
     r1 = scan_r1(rho, config.c0, config.absolute_acf)
     split = split_spaces(pan, eig1, r1)
-    if r1 == pan.p:
-        # no stationary block: empty spectra and bases, so every path sets the same keys
-        empty = np.zeros((0, 0))
-        eig2 = EigenDecomposition(values=np.zeros(0), vectors=empty)
-        counts = FactorCounts(pvalues=np.zeros(0), order={}, r2={}, truncated=0)
-        order = np.zeros(0, dtype=int)
+    d = pan.p - r1
+    if d == null:
+        # nothing left to test (on a narrow panel, no stationary block): the
+        # d constant components are white noise, and every path sets the same keys
+        eig2 = EigenDecomposition(values=np.zeros(d), vectors=np.eye(d))
+        counts = FactorCounts(pvalues=np.ones(d), order={}, r2={}, truncated=0)
+        order = np.arange(d)
         fit = StationaryFactorFit(
-            r2_hat=0, v_hat=0, K_hat=0, U1=empty, V1=empty, V2=empty,
-            z2=np.zeros((pan.n, 0)), S_eigenvalues=np.zeros(0),
+            r2_hat=0, v_hat=d, K_hat=0, U1=np.zeros((d, 0)), V1=np.eye(d),
+            V2=np.zeros((d, 0)), z2=np.zeros((pan.n, 0)), S_eigenvalues=np.zeros(d),
         )
     else:
-        eig2, counts = second_stage(split.x2, config, (config.reorder,))
+        eig2, counts = second_stage(split.x2, config, (config.reorder,), null)
         order = counts.order[config.reorder]
-        fit = recover_factors(split.x2, eig2.vectors, order, counts.r2[config.reorder], config)
+        fit = recover_factors(
+            split.x2, eig2.vectors, order, counts.r2[config.reorder], config, null
+        )
     diagnostics = {
         "M1_eigenvalues": eig1.values,
         "s_statistics": (np.abs(rho) if config.absolute_acf else rho).mean(axis=1),

@@ -124,12 +124,16 @@ def _centered(series) -> np.ndarray:
 
 
 def is_degenerate(xc: np.ndarray, gamma0):
-    """Mask of centered columns whose divisor-``n`` variance is rounding noise.
+    """Mask of centered columns treated as constant.
 
-    A column is degenerate (numerically constant) when ``gamma0`` is at most
-    ``(1e-13 * max(1, max |xc|))^2``.  Works column-wise on an ``n x d``
-    array with a length-``d`` ``gamma0``, and on a single series with a
-    scalar ``gamma0``.
+    A column is degenerate when its divisor-``n`` variance ``gamma0`` is at
+    most ``(1e-13 * max(1, max |xc|))^2``.  The floor is absolute unless the
+    centered column exceeds 1 in magnitude, which a column of rounding noise
+    does not, so whether such a column is flagged depends on the scale of
+    the data it came from; the null space of a panel with ``p >= n`` is
+    therefore handled without it.  Works column-wise on an ``n x d`` array
+    with a length-``d`` ``gamma0``, and on a single series with a scalar
+    ``gamma0``.
     """
     scale = np.maximum(1.0, np.max(np.abs(xc), axis=0, initial=0.0))
     return gamma0 <= (1e-13 * scale) ** 2

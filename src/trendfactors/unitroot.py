@@ -4,6 +4,9 @@ Builds the nonnegative definite matrix ``M1 = sum_{k=0..k0} C(k) C(k)'`` from
 sample autocovariances, splits the observation space along its eigenvectors,
 and counts the unit-root directions by thresholding averages of (absolute)
 sample autocorrelations of the transformed components.
+
+A panel with ``p >= n`` is analysed in the coordinates of its centered
+rows' span (see :func:`first_stage`).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .tsstats import (
     EigenDecomposition,
     as_panel,
     centered_columns,
+    fix_signs,
     sample_autocov,
     sym_eigen,
 )
@@ -24,6 +28,7 @@ from .tsstats import (
 __all__ = [
     "R1Params",
     "UnitRootSplit",
+    "null_width",
     "build_M1",
     "split_spaces",
     "probe_lags",
@@ -62,7 +67,9 @@ class UnitRootSplit:
 
     ``[A1 A2]`` is a full orthonormal basis, ``x1 = y @ A1`` are the recovered
     unit-root paths and ``x2 = y @ A2`` the stationary ones, so
-    ``A1 x1_t' + A2 x2_t' = y_t`` exactly for every ``t``.
+    ``A1 x1_t' + A2 x2_t' = y_t`` for every ``t``.  When ``p >= n`` the last
+    :func:`null_width` columns of ``A2`` are orthogonal to the centered
+    panel, and on them ``x2`` is set to the exact constant ``ybar @ A2``.
     """
 
     r1_hat: int
@@ -70,7 +77,6 @@ class UnitRootSplit:
     A2: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
-    eigenvalues: np.ndarray
 
 
 def probe_lags(params: R1Params) -> np.ndarray:
@@ -85,6 +91,15 @@ def _fitting_lags(params: R1Params, n: int) -> np.ndarray:
             f"largest probed lag {lags[-1]} exceeds n-2={n - 2}; shrink l or m"
         )
     return lags
+
+
+def null_width(n: int, p: int) -> int:
+    """Dimensions orthogonal to every centered row of an ``n x p`` panel.
+
+    The ``n`` centered rows sum to zero, so they span at most ``n - 1``
+    dimensions and at least ``p - n + 1`` are left over when ``p >= n``.
+    """
+    return max(p - n + 1, 0)
 
 
 def build_M1(panel, k0: int) -> np.ndarray:
@@ -104,7 +119,11 @@ def build_M1(panel, k0: int) -> np.ndarray:
 
 
 def split_spaces(panel, m1_eig: EigenDecomposition, r1: int) -> UnitRootSplit:
-    """Split the panel along the eigenvectors of ``M1`` at a given count ``r1``."""
+    """Split the panel along the eigenvectors of ``M1`` at a given count ``r1``.
+
+    When ``p >= n`` the last :func:`null_width` eigenvectors must be
+    orthogonal to the centered panel, as those of :func:`first_stage` are.
+    """
     pan = as_panel(panel)
     if not 0 <= r1 <= pan.p:
         raise ArgumentError(f"r1={r1} outside [0, {pan.p}]")
@@ -112,14 +131,13 @@ def split_spaces(panel, m1_eig: EigenDecomposition, r1: int) -> UnitRootSplit:
         raise ArgumentError("eigenvector matrix does not match panel dimension")
     a1 = m1_eig.vectors[:, :r1]
     a2 = m1_eig.vectors[:, r1:]
-    return UnitRootSplit(
-        r1_hat=r1,
-        A1=a1,
-        A2=a2,
-        x1=pan.data @ a1,
-        x2=pan.data @ a2,
-        eigenvalues=np.asarray(m1_eig.values, dtype=float),
-    )
+    lead = max(pan.p - r1 - null_width(pan.n, pan.p), 0)
+    x2 = pan.data @ a2[:, :lead]
+    if lead < a2.shape[1]:
+        # off the row space every row of the panel projects onto its mean
+        constant = pan.data.mean(axis=0) @ a2[:, lead:]
+        x2 = np.hstack([x2, np.broadcast_to(constant, (pan.n, constant.size))])
+    return UnitRootSplit(r1_hat=r1, A1=a1, A2=a2, x1=pan.data @ a1, x2=x2)
 
 
 def acf_profile(components: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -156,8 +174,31 @@ def first_stage(panel, k0: int, params: R1Params) -> tuple[EigenDecomposition, n
     Returns ``(eig, rho)`` where ``rho[i]`` holds the autocorrelations of the
     ``i``-th transformed component at the probed lags; :func:`scan_r1` turns
     it into a count for either aggregation variant.
+
+    When ``p >= n``, a Householder QR of the first ``n - 1`` centered rows
+    gives an orthonormal basis ``Q`` of the row space and its completion
+    ``Q_perp``.  ``M1`` is built and diagonalised in the coordinates
+    ``yc @ Q``, and ``eig`` holds ``[Q W, Q_perp]`` with ``W`` the small
+    eigenbasis; the :func:`null_width` trailing eigenvalues and ACF rows
+    are exact zeros.  A narrower panel is the same computation with
+    ``Q = I`` and an empty ``Q_perp``.
     """
     pan = as_panel(panel)
     lags = _fitting_lags(params, pan.n)
-    eig = sym_eigen(build_M1(pan, k0))
-    return eig, acf_profile(pan.data @ eig.vectors, lags)
+    null = null_width(pan.n, pan.p)
+    rank = pan.p - null
+    if null:
+        yc = pan.data - pan.data.mean(axis=0)
+        q, r = np.linalg.qr(yc[:-1].T, mode="complete")
+        # yc[:-1] = r' q', and the centered rows sum to zero
+        coords = np.vstack([r[:rank].T, -r[:rank].sum(axis=1)])
+    else:
+        coords = pan.data
+    eig = sym_eigen(build_M1(coords, k0))
+    # autocorrelations ignore the mean and the sign fix
+    rho = acf_profile(coords @ eig.vectors, lags)
+    if null:
+        q[:, :rank] = fix_signs(q[:, :rank] @ eig.vectors)
+        eig = EigenDecomposition(values=np.concatenate([eig.values, np.zeros(null)]), vectors=q)
+        rho = np.concatenate([rho, np.zeros((null, rho.shape[1]))])
+    return eig, rho

@@ -32,7 +32,8 @@ __all__ = ["FactorCounts", "hd_wn_test", "count_factors"]
 class FactorCounts:
     """Factor counts of one component panel, per requested reorder variant.
 
-    ``pvalues`` are the Ljung-Box p-values in input column order.  For a
+    ``pvalues`` are the Ljung-Box p-values in input column order (1 for
+    constant components).  For a
     variant ``reorder``, ``order[reorder]`` is its testing order (a
     permutation of the columns) and ``r2[reorder]`` the number of leading
     components in that order counted as factors; the other ``d - r2`` are
@@ -173,6 +174,7 @@ def count_factors(
     reorders=(True,),
     epsilon: float = 0.75,
     bottom_up: bool = False,
+    null: int = 0,
 ) -> FactorCounts:
     """Count the factors among the components, for each reorder variant at once.
 
@@ -192,25 +194,40 @@ def count_factors(
 
     The Ljung-Box p-values and the cross-correlations are computed once, the
     latter only over the components that some variant keeps.
+
+    ``null`` further components, constant by construction (the null space
+    of a wide panel), follow the ``t`` columns of ``xi`` as columns
+    ``t .. t + null - 1``.  They are not tested: they are white noise with p-value
+    1, last in every order, and they count toward the width that sets the
+    truncation and the threshold.  The constant-component warning concerns
+    the columns of ``xi`` only.
     """
     x = _component_panel(xi)
     _check_alpha(alpha)
     if not 0.0 < epsilon <= 1.0:
         raise ArgumentError(f"epsilon must lie in (0, 1], got {epsilon}")
-    n, d = x.shape
+    n, tested = x.shape
+    d = tested + null
     q, pvalues, degenerate = _ljung_box(x, m)
+    pvalues = np.concatenate([pvalues, np.ones(null)])
     if bottom_up:
-        r2 = next((i for i in range(d, 0, -1) if pvalues[i - 1] < alpha), 0)
+        r2 = next((i for i in range(tested, 0, -1) if pvalues[i - 1] < alpha), 0)
         return FactorCounts(pvalues, dict.fromkeys(reorders, np.arange(d)),
                             dict.fromkeys(reorders, r2), 0)
     _warn_degenerate(degenerate, "treated as white noise")
     keep = _kept_width(n, d, epsilon)
-    orders = {reorder: _testing_order(q, degenerate, reorder) for reorder in reorders}
+    orders = {
+        reorder: np.concatenate([_testing_order(q, degenerate, reorder), np.arange(tested, d)])
+        for reorder in reorders
+    }
     # the first variant's kept components, then any further ones the others keep
     kept = np.concatenate([order[:keep] for order in orders.values()])
     columns = np.array(list(dict.fromkeys(kept.tolist())), dtype=int)
-    peak, _ = _peak_abs_corr(x[:, columns], m)
-    position = np.empty(d, dtype=int)
+    columns = columns[columns < tested]
+    # the constant components read the appended row and column of zeros
+    peak = np.zeros((columns.size + 1, columns.size + 1))
+    peak[:-1, :-1] = _peak_abs_corr(x[:, columns], m)[0]
+    position = np.full(d, columns.size)
     position[columns] = np.arange(columns.size)
     counts = {}
     for reorder, order in orders.items():

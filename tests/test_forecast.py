@@ -1,6 +1,7 @@
 """Forecasting: factor-model fits, error metrics, DM test, baselines."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,6 +406,31 @@ class TestEvaluateForecasts:
                 y, PipelineConfig(horizons=(1,), window_start=3), methods=("dfar",),
                 pca_nfac_levels=1, pca_nfac_diff=1,
             )
+
+    @pytest.mark.parametrize(
+        "methods, nfac", [(("gt", "dfar"), 1), (("dfar",), None)], ids=["gt", "default_pca_count"]
+    )
+    def test_window_too_short_to_decompose(self, methods, nfac):
+        y = np.cumsum(np.random.default_rng(15).normal(size=(60, 2)), axis=0)
+        # the largest probed ACF lag is 1 + 3 * 9 = 28, so decompose needs 30 rows
+        for w in (3, 29):
+            with pytest.raises(ArgumentError, match=r"window_start=\d+ .*window_start >= 30"):
+                evaluate_forecasts(
+                    y, PipelineConfig(horizons=(1,), window_start=w), methods=methods,
+                    pca_nfac_levels=nfac, pca_nfac_diff=nfac,
+                )
+        report = evaluate_forecasts(
+            y, PipelineConfig(horizons=(1,), window_start=30), methods=methods,
+            pca_nfac_levels=nfac, pca_nfac_diff=nfac,
+        )
+        assert report.window_start == 30
+        small = PipelineConfig(horizons=(1,), window_start=8, l=1, m=4, k0=6)
+        with pytest.raises(ArgumentError, match=r"window_start >= 8\b"):
+            evaluate_forecasts(y, replace(small, window_start=7), methods=methods,
+                               pca_nfac_levels=nfac, pca_nfac_diff=nfac)
+        report = evaluate_forecasts(y, small, methods=methods,
+                                    pca_nfac_levels=nfac, pca_nfac_diff=nfac)
+        assert report.window_start == 8
 
     def test_window_too_short(self):
         spec = DgpSpec(p=4, n=120, example=1, seed=2)

@@ -221,7 +221,7 @@ def counts(dec):
 class TestInvariance:
     @pytest.mark.parametrize("spec", NARROW + WIDE, ids=spec_id)
     def test_column_permutation(self, spec):
-        # counts are unchanged; with d < n the trend projector A1 A1' is permuted too
+        # counts are unchanged, and the trend projector A1 A1' is permuted too
         y = generate(spec)[0].data
         dec = quiet_decompose(y)
         proj = dec.A1 @ dec.A1.T
@@ -230,31 +230,61 @@ class TestInvariance:
             perm = rng.permutation(spec.p)
             got = quiet_decompose(y[:, perm])
             assert counts(got) == counts(dec)
-            if spec.p - dec.r1_hat < spec.n:
-                gap = np.max(np.abs(got.A1 @ got.A1.T - proj[np.ix_(perm, perm)]))
-                assert gap <= 1e-10
+            gap = np.max(np.abs(got.A1 @ got.A1.T - proj[np.ix_(perm, perm)]))
+            assert gap <= 1e-10
 
-    @pytest.mark.parametrize(
-        "spec",
-        NARROW
-        + [
-            pytest.param(
-                spec,
-                # the null-space components are rounding noise, so on seed 2 whether a
-                # scale moves r2 depends on the BLAS build and thread count
-                marks=pytest.mark.xfail(
-                    strict=spec.seed == 1,
-                    reason="tsstats.is_degenerate's floor is absolute, so how many "
-                    "null-space components of a wide panel count as constant "
-                    "depends on the scale",
-                ),
-            )
-            for spec in WIDE
-        ],
-        ids=spec_id,
-    )
+    @pytest.mark.parametrize("spec", NARROW + WIDE, ids=spec_id)
     def test_scaling(self, spec):
         y = generate(spec)[0].data
         base = counts(quiet_decompose(y))
         for c in (1e-3, 0.125, 7.5, 1e3):
             assert counts(quiet_decompose(c * y)) == base, f"c={c}"
+
+
+class TestWidePanel:
+    """Panels with p >= n run in the coordinates of the centered panel's row space."""
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_no_v2_fallback_with_K_pinned_to_zero(self, seed):
+        # the null-space directions used to supply V2 from S's null space
+        spec = DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=seed)
+        panel, _ = generate(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = decompose(panel, PipelineConfig(K_override=0))
+        assert dec.K_hat == 0 and dec.r2_hat >= 1
+        assert dec.diagnostics["v2_fallback"] is False
+        check_decomposition_invariants(panel, dec)
+
+    @pytest.mark.parametrize("spec", WIDE, ids=spec_id)
+    def test_first_stage_matches_dense_eigendecomposition(self, spec):
+        from trendfactors.unitroot import acf_profile, build_M1, probe_lags, scan_r1
+
+        config = PipelineConfig()
+        y = generate(spec)[0].data
+        values, vectors = np.linalg.eigh(build_M1(y, config.k0))
+        values, vectors = values[::-1], vectors[:, ::-1]
+        rho = acf_profile(y @ vectors, probe_lags(config.r1_params))
+        r1 = scan_r1(rho, config.c0, config.absolute_acf)
+        dec = quiet_decompose(y)
+        assert dec.r1_hat == r1 >= 1
+        a1 = vectors[:, :r1]
+        assert np.max(np.abs(dec.A1 @ dec.A1.T - a1 @ a1.T)) <= 1e-10
+        got = dec.diagnostics["M1_eigenvalues"]
+        lead = spec.n - 1
+        assert np.max(np.abs(got[:lead] - values[:lead])) <= 1e-12 * values[0]
+        assert np.all(got[lead:] == 0.0)
+
+    def test_null_space_components_are_constant_white_noise(self):
+        spec = WIDE[0]
+        y = generate(spec)[0].data
+        dec = quiet_decompose(y)
+        null = spec.p - spec.n + 1
+        assert np.all(dec.x2[:, -null:] == dec.x2[0, -null:])
+        assert np.all(dec.V2[-null:] == 0.0)
+        diag = dec.diagnostics
+        assert np.all(diag["component_order"][-null:] == np.arange(dec.p - dec.r1_hat)[-null:])
+        assert np.all(diag["lb_pvalues"][-null:] == 1.0)
+        for key in ("M2_eigenvalues", "S_eigenvalues"):
+            assert len(diag[key]) == dec.p - dec.r1_hat
+            assert np.all(diag[key][-null:] == 0.0)
