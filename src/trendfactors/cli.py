@@ -1,9 +1,13 @@
 """Command-line interface: decompose, forecast, simulate, benchmark.
 
-CSV panels are comma-separated with one time point per row and an optional
-header; floats are emitted with 17 significant digits so a round trip is
-exact.  Reports are JSON with a top-level ``schema_version``.  Exit codes:
-0 on success, 1 on argument errors, 2 on numerical failures.
+CSV panels are comma-separated with one time point per row.  Matrices are
+written with no header, 17 significant digits per cell (so a round trip is
+exact) and CRLF line ends; the forecast tables add a header row.  Input may
+have LF or CRLF line ends and one optional header row; blank lines are
+skipped, and parse errors name the row of the file (1-based, counting the
+header and blank lines).  Reports are JSON with a top-level
+``schema_version``.  Exit codes: 0 on success, 1 on argument errors, 2 on
+numerical failures.
 """
 
 from __future__ import annotations
@@ -31,15 +35,18 @@ def format_float(x: float) -> str:
 
 
 def write_csv(path_or_buf, matrix: np.ndarray, header: list[str] | None = None) -> None:
-    """Write a 2-D array as CSV with round-trip-exact float formatting."""
+    """Write a 2-D array as CSV with round-trip-exact float formatting.
+
+    Each cell is ``%.17g`` (the text of :func:`format_float`) and each line
+    ends in CRLF, as ``csv.writer`` writes them; a 1-D input is one row.
+    """
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
+    row_format = ",".join(["%.17g"] * mat.shape[1]) + "\r\n"
 
     def _emit(fh):
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow(header)
-        for row in mat:
-            writer.writerow([format_float(v) for v in row])
+            csv.writer(fh).writerow(header)
+        fh.writelines(row_format % tuple(row) for row in mat.tolist())
 
     if hasattr(path_or_buf, "write"):
         _emit(path_or_buf)
@@ -51,15 +58,17 @@ def write_csv(path_or_buf, matrix: np.ndarray, header: list[str] | None = None) 
 def read_panel_csv(path_or_buf) -> TimeSeriesPanel:
     """Parse a CSV panel, tolerating one optional header row.
 
+    Cells are read as Python's ``float`` reads them; blank lines are skipped.
     Ragged rows and non-numeric cells raise :class:`CsvParseError` with the
-    offending row/column (1-based, counting the header).
+    offending row/column (1-based, counting the header and blank lines).
     """
     if hasattr(path_or_buf, "read"):
         rows = list(csv.reader(path_or_buf))
     else:
         with open(path_or_buf, newline="") as fh:
             rows = list(csv.reader(fh))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    row_nos = [i for i, row in enumerate(rows, start=1) if any(cell.strip() for cell in row)]
+    rows = [rows[i - 1] for i in row_nos]
     if not rows:
         raise CsvParseError("empty CSV input")
     start = 0
@@ -69,20 +78,26 @@ def read_panel_csv(path_or_buf) -> TimeSeriesPanel:
         start = 1
         if len(rows) == 1:
             raise CsvParseError("CSV has a header but no data rows")
-    width = len(rows[start])
-    data = np.empty((len(rows) - start, width))
-    for i, row in enumerate(rows[start:], start=start):
-        if len(row) != width:
-            raise CsvParseError(
-                f"ragged row: expected {width} columns, got {len(row)}", row=i + 1
-            )
-        for j, cell in enumerate(row):
-            try:
-                data[i - start, j] = float(cell)
-            except ValueError:
+    body, row_nos = rows[start:], row_nos[start:]
+    try:
+        data = np.array(body, dtype=float)
+    except ValueError:
+        # ragged rows and cells float() rejects both land here; report the
+        # first of either in file order
+        width = len(body[0])
+        for row_no, row in zip(row_nos, body):
+            if len(row) != width:
                 raise CsvParseError(
-                    f"non-numeric cell {cell!r}", row=i + 1, column=j + 1
+                    f"ragged row: expected {width} columns, got {len(row)}", row=row_no
                 ) from None
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise CsvParseError(
+                        f"non-numeric cell {cell!r}", row=row_no, column=j + 1
+                    ) from None
+        raise
     try:
         return TimeSeriesPanel(data)
     except ArgumentError as exc:

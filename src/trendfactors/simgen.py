@@ -33,7 +33,6 @@ __all__ = [
     "draw_mixing",
     "draw_panel",
     "generate",
-    "metric_D",
     "metric_Dbar",
     "rmse_factors",
     "run_montecarlo",
@@ -212,30 +211,12 @@ def generate(spec: DgpSpec) -> tuple[TimeSeriesPanel, GroundTruth]:
     return draw_panel(spec, draw_mixing(spec, rng), rng)
 
 
-def metric_D(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Distance in [0, 1] between the spans of two half-orthonormal bases.
-
-    0 means equal spans, 1 means orthogonal spans.
-    """
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    if h1.shape != h2.shape:
-        raise ArgumentError(f"shape mismatch: {h1.shape} vs {h2.shape}")
-    r = h1.shape[1]
-    if r < 1:
-        raise ArgumentError("need at least one column")
-    for h in (h1, h2):
-        if float(np.max(np.abs(h.T @ h - np.eye(r)))) > 1e-8:
-            raise ArgumentError("input is not half-orthonormal")
-    overlap = float(np.sum((h1.T @ h2) ** 2))
-    return float(np.sqrt(max(0.0, 1.0 - overlap / r)))
-
-
 def metric_Dbar(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Projector-based span distance for full-column-rank matrices.
+    """Projector-based span distance in [0, 1] for full-column-rank matrices.
 
-    Reduces to :func:`metric_D` when both inputs are half-orthonormal with
-    equal width; 0 whenever one span nests inside the other.
+    0 means equal spans and 1 orthogonal spans; a span of width d1 nested in
+    one of width d2 gives ``sqrt(1 - d1 / d2)``.  For half-orthonormal inputs
+    of equal width r this is the paper's ``D = sqrt(1 - ||h1' h2||_F^2 / r)``.
     """
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)

@@ -1,5 +1,6 @@
 """CLI commands, CSV round trips, parse errors, and exit codes."""
 
+import csv
 import io
 import json
 import warnings
@@ -7,13 +8,91 @@ import warnings
 import numpy as np
 import pytest
 
-from trendfactors.cli import _config_from_args, build_parser, main, read_panel_csv, write_csv
+from trendfactors.cli import (
+    _config_from_args,
+    build_parser,
+    format_float,
+    main,
+    read_panel_csv,
+    write_csv,
+)
 from trendfactors.errors import CsvParseError
 from trendfactors.pipeline import PipelineConfig
 from trendfactors.simgen import DgpSpec, generate
 
 
+def _reference_csv(matrix, header=None) -> bytes:
+    """The cell-by-cell writer: csv.writer rows of format_float strings."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    if header is not None:
+        writer.writerow(header)
+    for row in np.atleast_2d(np.asarray(matrix, dtype=float)):
+        writer.writerow([format_float(v) for v in row])
+    return buf.getvalue().encode()
+
+
+_SPECIAL = np.array([
+    [-0.0, 5e-324, 2.5e-310, 1e308],
+    [-1e308, 1.0, -7.0, 123456789.0],
+    [0.0, 2.0**52, 0.1, 1.0 / 3.0],
+])
+_SPANNING = (np.random.default_rng(11).normal(size=(30, 5))
+             * 10.0 ** np.linspace(-8, 8, 30)[:, None])
+_FORMAT_CASES = {
+    "special": (_SPECIAL, None),
+    "spanning": (_SPANNING, None),
+    "non-finite": (np.array([[np.nan, np.inf, -np.inf]]), None),
+    "one-dim": (np.array([1.5, -0.0, 1e-8, 3.0]), None),
+    "no-columns": (np.empty((4, 0)), None),
+    "quoted-header": (_SPECIAL, ["x, y", 'say "hi"', "plain", "z"]),
+}
+
+
 class TestCsvIo:
+    @pytest.mark.parametrize("case", list(_FORMAT_CASES))
+    def test_bytes_match_reference_writer(self, case, tmp_path):
+        matrix, header = _FORMAT_CASES[case]
+        path = tmp_path / "out.csv"
+        write_csv(path, matrix, header=header)
+        assert path.read_bytes() == _reference_csv(matrix, header)
+
+    @pytest.mark.parametrize("case", ["special", "spanning", "quoted-header"])
+    def test_lf_and_crlf_read_identically(self, case):
+        matrix, header = _FORMAT_CASES[case]
+        buf = io.StringIO(newline="")
+        write_csv(buf, matrix, header=header)
+        crlf = buf.getvalue()
+        assert "\r\n" in crlf
+        from_crlf = read_panel_csv(io.StringIO(crlf, newline="")).data
+        from_lf = read_panel_csv(io.StringIO(crlf.replace("\r\n", "\n"), newline="")).data
+        assert np.array_equal(from_crlf, matrix)
+        assert np.array_equal(from_lf, from_crlf)
+        assert np.array_equal(np.signbit(from_lf), np.signbit(matrix))
+
+    def test_quoted_and_padded_cells(self):
+        panel = read_panel_csv(io.StringIO('"1.5", 2\n 3 ,"4e0"\n\t-0.5\t,"  7 "\n'))
+        assert np.array_equal(panel.data, [[1.5, 2.0], [3.0, 4.0], [-0.5, 7.0]])
+
+    def test_non_numeric_cell_in_wide_panel(self):
+        rows = [",".join(["1.25"] * 300)] * 600
+        cells = rows[499].split(",")
+        cells[122] = "n/a"
+        rows[499] = ",".join(cells)
+        with pytest.raises(CsvParseError) as err:
+            read_panel_csv(io.StringIO("\n".join(rows) + "\n"))
+        assert (err.value.row, err.value.column) == (500, 123)
+
+    def test_error_rows_count_blank_lines(self):
+        with pytest.raises(CsvParseError) as err:
+            read_panel_csv(io.StringIO("1,2\n\n3,oops\n"))
+        assert (err.value.row, err.value.column) == (3, 2)
+
+    def test_ragged_row_counts_blank_lines(self):
+        with pytest.raises(CsvParseError) as err:
+            read_panel_csv(io.StringIO("a,b\n1,2\n\n\n3\n"))
+        assert err.value.row == 5
+
     def test_round_trip_exact(self):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-8, 8, size=(40, 6))

@@ -57,7 +57,7 @@ class TestBuildM2:
 
 class TestSplitU1V1:
     def test_factor_direction_recovered(self):
-        from trendfactors.simgen import metric_D
+        from trendfactors.simgen import metric_Dbar
 
         rng = np.random.default_rng(5)
         n, d, r2 = 3000, 6, 2
@@ -66,7 +66,7 @@ class TestSplitU1V1:
         noise = rng.normal(size=(n, d)) * 0.5
         x2 = f @ u1_true.T + noise
         u1_hat = sym_eigen(build_M2(x2, 2)).vectors[:, :r2]
-        assert metric_D(u1_hat, u1_true) <= 0.1
+        assert metric_Dbar(u1_hat, u1_true) <= 0.1
 
 
 class TestProjectedS:
