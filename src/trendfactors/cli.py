@@ -2,21 +2,25 @@
 
 CSV panels are comma-separated with one time point per row.  Matrices are
 written with no header, 17 significant digits per cell (so a round trip is
-exact) and CRLF line ends; the forecast tables add a header row.  Input may
-have LF or CRLF line ends and one optional header row; blank lines are
-skipped, and parse errors name the row of the file (1-based, counting the
-header and blank lines).  Reports are JSON with a top-level
-``schema_version``.  Exit codes: 0 on success, 1 on argument errors, 2 on
-numerical failures.
+exact) and CRLF line ends; the forecast tables add a header row.  Input is
+UTF-8 text with an optional byte-order mark, LF or CRLF line ends and one
+optional header row; blank lines are skipped, and parse errors name the row
+of the file (1-based, counting the header and blank lines).  Reports are
+JSON with a top-level ``schema_version``.  Each flag's argparse ``dest`` is
+the name of its :class:`PipelineConfig` or :class:`DgpSpec` field.  Exit
+codes: 0 on success, 1 on argument errors, malformed or undecodable input
+and paths that cannot be read or written, 2 on numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +62,26 @@ def write_csv(path_or_buf, matrix: np.ndarray, header: list[str] | None = None) 
 def read_panel_csv(path_or_buf) -> TimeSeriesPanel:
     """Parse a CSV panel, tolerating one optional header row.
 
-    Cells are read as Python's ``float`` reads them; blank lines are skipped.
-    Ragged rows and non-numeric cells raise :class:`CsvParseError` with the
-    offending row/column (1-based, counting the header and blank lines).
+    A path is read as UTF-8; a leading byte-order mark is skipped, in a path
+    or a text buffer.  Cells are read as Python's ``float`` reads them;
+    blank lines are skipped.  Undecodable bytes, ragged rows and non-numeric
+    cells raise :class:`CsvParseError`, the last two with the offending
+    row/column (1-based, counting the header and blank lines).
     """
-    if hasattr(path_or_buf, "read"):
-        rows = list(csv.reader(path_or_buf))
-    else:
-        with open(path_or_buf, newline="") as fh:
-            rows = list(csv.reader(fh))
+
+    def _rows(fh):
+        lines = iter(fh)
+        first = next(lines, "").removeprefix("\ufeff")
+        return list(csv.reader(itertools.chain([first], lines)))
+
+    try:
+        if hasattr(path_or_buf, "read"):
+            rows = _rows(path_or_buf)
+        else:
+            with open(path_or_buf, newline="", encoding="utf-8") as fh:
+                rows = _rows(fh)
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"input is not UTF-8 text: {exc}") from None
     row_nos = [i for i, row in enumerate(rows, start=1) if any(cell.strip() for cell in row)]
     rows = [rows[i - 1] for i in row_nos]
     if not rows:
@@ -105,20 +120,9 @@ def read_panel_csv(path_or_buf) -> TimeSeriesPanel:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        k0=args.k0,
-        j0=args.j0,
-        c0=args.c0,
-        l=args.l,
-        m=args.m,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        K_override=args.K,
-        absolute_acf=not args.no_absolute_acf,
-        reorder=not args.no_reorder,
-        horizons=tuple(getattr(args, "horizons", PipelineConfig.horizons)),
-        window_start=getattr(args, "window_start", None),
-    )
+    # decompose has no --horizons or --window-start: those keep their defaults
+    values = {f.name: getattr(args, f.name, f.default) for f in fields(PipelineConfig)}
+    return PipelineConfig(**{**values, "horizons": tuple(values["horizons"])})
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -135,13 +139,32 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="white-noise test level")
     parser.add_argument("--epsilon", type=float, default=defaults.epsilon,
                         help="kept fraction of components when the panel is wide")
-    parser.add_argument("--K", type=int, default=defaults.K_override,
+    parser.add_argument("--K", dest="K_override", type=int, default=defaults.K_override,
                         help="override the prominent-noise count")
-    parser.add_argument("--no-absolute-acf", action="store_true",
+    parser.add_argument("--no-absolute-acf", dest="absolute_acf", action="store_false",
                         help="use signed instead of absolute autocorrelations")
-    parser.add_argument("--no-reorder", action="store_true",
+    parser.add_argument("--no-reorder", dest="reorder", action="store_false",
                         help="skip p-value reordering before white-noise testing")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
+
+
+def _add_spec_flags(parser: argparse.ArgumentParser, nargs=None) -> None:
+    """Generator flags; ``nargs="+"`` lets ``--p`` and ``--n`` list a grid."""
+    defaults = DgpSpec
+    parser.add_argument("--example", type=int, default=defaults.example, choices=(1, 2))
+    parser.add_argument("--p", type=int, nargs=nargs, required=True)
+    parser.add_argument("--n", type=int, nargs=nargs, required=True)
+    parser.add_argument("--r1", type=int, default=defaults.r1)
+    parser.add_argument("--r2", type=int, default=defaults.r2)
+    parser.add_argument("--K-true", dest="K", type=int, default=defaults.K,
+                        help="prominent noise directions in the generator")
+    parser.add_argument("--delta", type=float, default=defaults.delta)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--out-dir", type=Path, default=Path("."))
+
+
+def _spec_values(args) -> dict:
+    return {f.name: getattr(args, f.name) for f in fields(DgpSpec)}
 
 
 def _json_default(obj):
@@ -183,12 +206,8 @@ def cmd_decompose(args) -> int:
         "K_hat": dec.K_hat,
         "n": panel.n,
         "p": panel.p,
-        "config": {
-            "k0": config.k0, "j0": config.j0, "c0": config.c0, "l": config.l,
-            "m": config.m, "alpha": config.alpha, "epsilon": config.epsilon,
-            "K_override": config.K_override, "absolute_acf": config.absolute_acf,
-            "reorder": config.reorder,
-        },
+        "config": {k: v for k, v in asdict(config).items()
+                   if k not in ("horizons", "window_start")},
         "diagnostics": diag,
     })
     print(f"r1={dec.r1_hat} r2={dec.r2_hat} v={dec.v_hat} K={dec.K_hat} -> {out}")
@@ -259,19 +278,13 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = DgpSpec(
-        p=args.p, n=args.n, r1=args.r1, r2=args.r2, K=args.K_true,
-        delta=args.delta, example=args.example, seed=args.seed,
-    )
+    spec = DgpSpec(**_spec_values(args))
     panel, truth = generate(spec)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "panel.csv", panel.data)
     _write_json(out / "truth.json", {
-        "spec": {
-            "p": spec.p, "n": spec.n, "r1": spec.r1, "r2": spec.r2, "K": spec.K,
-            "delta": spec.delta, "example": spec.example, "seed": spec.seed,
-        },
+        "spec": asdict(spec),
         "A1": truth.A1,
         "A2_U22_1": truth.A2 @ truth.U22_1,
         "phi": truth.phi,
@@ -320,9 +333,9 @@ def _format_benchmark_table(result) -> str:
 
 
 def cmd_benchmark(args) -> int:
+    # --seed is the base seed of the replications, not a field of the cells
     grid = [
-        DgpSpec(p=p, n=n, r1=args.r1, r2=args.r2, K=args.K_true,
-                delta=args.delta, example=args.example)
+        DgpSpec(**{**_spec_values(args), "p": p, "n": n, "seed": DgpSpec.seed})
         for p in args.p
         for n in args.n
     ]
@@ -376,31 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.set_defaults(func=cmd_forecast)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic panel")
-    p_sim.add_argument("--example", type=int, default=1, choices=(1, 2))
-    p_sim.add_argument("--p", type=int, required=True)
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--r1", type=int, default=2)
-    p_sim.add_argument("--r2", type=int, default=2)
-    p_sim.add_argument("--K-true", type=int, default=0,
-                       help="prominent noise directions in the generator")
-    p_sim.add_argument("--delta", type=float, default=0.0)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out-dir", type=Path, default=Path("."))
+    _add_spec_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bm = sub.add_parser("benchmark", help="Monte Carlo benchmark over a grid")
-    p_bm.add_argument("--example", type=int, default=1, choices=(1, 2))
-    p_bm.add_argument("--p", type=int, nargs="+", required=True)
-    p_bm.add_argument("--n", type=int, nargs="+", required=True)
-    p_bm.add_argument("--r1", type=int, default=2)
-    p_bm.add_argument("--r2", type=int, default=2)
-    p_bm.add_argument("--K-true", type=int, default=0)
-    p_bm.add_argument("--delta", type=float, default=0.0)
+    _add_spec_flags(p_bm, nargs="+")
     p_bm.add_argument("--reps", type=int, default=100)
     p_bm.add_argument("--methods", nargs="+", default=["a*w*", "aw"],
                       choices=list(VARIANTS))
-    p_bm.add_argument("--seed", type=int, default=0)
-    p_bm.add_argument("--out-dir", type=Path, default=Path("."))
     p_bm.set_defaults(func=cmd_benchmark)
     return parser
 
@@ -410,7 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArgumentError, FileNotFoundError) as exc:
+    except (ArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, np.linalg.LinAlgError) as exc:

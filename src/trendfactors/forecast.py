@@ -432,7 +432,7 @@ def evaluate_forecasts(
     if "gt" in methods or pca_nfac_levels is None or pca_nfac_diff is None:
         # every lag decompose probes (k0, j0, the Ljung-Box m and the largest
         # ACF lag) must be at most the window length minus 2
-        need = max(int(probe_lags(config.r1_params)[-1]), config.k0, config.j0, config.m) + 2
+        need = max(int(probe_lags(config.l, config.m)[-1]), config.k0, config.j0, config.m) + 2
         if w < need:
             raise ArgumentError(
                 f"window_start={w} is too short to decompose the first training "

@@ -24,7 +24,7 @@ from .stationary import (
     recover_z2,
 )
 from .tsstats import EigenDecomposition, as_panel, sym_eigen
-from .unitroot import R1Params, first_stage, null_width, scan_r1, split_spaces
+from .unitroot import first_stage, null_width, scan_r1, split_spaces
 from .whitenoise import FactorCounts, count_factors
 
 __all__ = ["PipelineConfig", "Decomposition", "decompose", "second_stage", "recover_factors"]
@@ -79,10 +79,6 @@ class PipelineConfig:
             raise ArgumentError("K override must be >= 0")
         if any(h < 1 for h in self.horizons):
             raise ArgumentError("horizons must be positive")
-
-    @property
-    def r1_params(self) -> R1Params:
-        return R1Params(c0=self.c0, l=self.l, m=self.m, absolute=self.absolute_acf)
 
 
 @dataclass(frozen=True)
@@ -231,7 +227,7 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
     """
     pan = as_panel(panel)
     null = null_width(pan.n, pan.p)
-    eig1, rho = first_stage(pan, config.k0, config.r1_params)
+    eig1, rho = first_stage(pan, config.k0, config.l, config.m)
     r1 = scan_r1(rho, config.c0, config.absolute_acf)
     split = split_spaces(pan, eig1, r1)
     d = pan.p - r1

@@ -345,7 +345,7 @@ def _replication(
     eigendecomposition and each distinct stationary panel are shared.
     """
     null = null_width(spec.n, spec.p)
-    eig1, rho = first_stage(panel, config.k0, config.r1_params)
+    eig1, rho = first_stage(panel, config.k0, config.l, config.m)
     r1_by_abs = {a: scan_r1(rho, config.c0, a) for a in {_parse_variant(v)[0] for v in variants}}
     reorders = sorted({_parse_variant(v)[1] for v in variants}, reverse=True)
     splits = {r1: split_spaces(panel, eig1, r1) for r1 in set(r1_by_abs.values())}

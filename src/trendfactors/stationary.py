@@ -70,7 +70,7 @@ def build_M2(x2, j0: int) -> np.ndarray:
         raise ArgumentError(f"j0={j0} outside [1, {pan.n - 2}] for n={pan.n}")
     m2 = np.zeros((pan.p, pan.p))
     for j in range(1, j0 + 1):
-        c = sample_autocov(pan, j).matrix
+        c = sample_autocov(pan, j)
         m2 += c @ c.T
     return (m2 + m2.T) / 2.0
 
@@ -92,7 +92,7 @@ def projected_S(x2, v1: np.ndarray) -> np.ndarray:
         gram = v1.T @ v1
         if float(np.max(np.abs(gram - np.eye(v1.shape[1])))) > 1e-8:
             raise ArgumentError("V1 is not half-orthonormal")
-    g = sample_autocov(pan, 0).matrix @ v1
+    g = sample_autocov(pan, 0) @ v1
     return g @ g.T
 
 

@@ -21,7 +21,6 @@ from .errors import ArgumentError, DegenerateSeriesError
 
 __all__ = [
     "TimeSeriesPanel",
-    "AutocovMatrix",
     "EigenDecomposition",
     "as_panel",
     "sample_autocov",
@@ -71,14 +70,6 @@ def as_panel(panel) -> TimeSeriesPanel:
 
 
 @dataclass(frozen=True)
-class AutocovMatrix:
-    """Lag-``k`` sample covariance matrix of a panel."""
-
-    lag: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class EigenDecomposition:
     """Real symmetric eigendecomposition with eigenvalues sorted descending.
 
@@ -89,7 +80,7 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def sample_autocov(panel, k: int) -> AutocovMatrix:
+def sample_autocov(panel, k: int) -> np.ndarray:
     """Lag-``k`` sample covariance matrix.
 
     Returns ``(1/n) * sum_{t=k+1..n} (y_t - ybar)(y_{t-k} - ybar)'`` with
@@ -110,8 +101,7 @@ def sample_autocov(panel, k: int) -> AutocovMatrix:
     if not 0 <= k <= n - 1:
         raise ArgumentError(f"lag k={k} outside [0, {n - 1}] for n={n}")
     yc = y - y.mean(axis=0)
-    mat = yc[k:].T @ yc[: n - k] / n
-    return AutocovMatrix(lag=k, matrix=mat)
+    return yc[k:].T @ yc[: n - k] / n
 
 
 def _centered(series) -> np.ndarray:

@@ -26,7 +26,6 @@ from .tsstats import (
 )
 
 __all__ = [
-    "R1Params",
     "UnitRootSplit",
     "null_width",
     "build_M1",
@@ -36,29 +35,6 @@ __all__ = [
     "first_stage",
     "scan_r1",
 ]
-
-
-@dataclass(frozen=True)
-class R1Params:
-    """Tuning constants for the unit-root count.
-
-    ``c0`` is the threshold on the average (absolute) autocorrelation, the
-    probed lags are ``1, 1+l, 1+2l, ...`` (``m`` of them), and ``absolute``
-    selects the absolute-value variant of the average.
-    """
-
-    c0: float = 0.3
-    l: int = 3
-    m: int = 10
-    absolute: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.c0 < 1.0:
-            raise ArgumentError(f"c0 must lie in (0, 1), got {self.c0}")
-        if self.l < 1:
-            raise ArgumentError(f"gap l must be >= 1, got {self.l}")
-        if self.m < 1:
-            raise ArgumentError(f"m must be >= 1, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -72,20 +48,21 @@ class UnitRootSplit:
     panel, and on them ``x2`` is set to the exact constant ``ybar @ A2``.
     """
 
-    r1_hat: int
     A1: np.ndarray
     A2: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
 
 
-def probe_lags(params: R1Params) -> np.ndarray:
-    """Lags ``k_j = 1 + (j-1) l`` for ``j = 1..m``."""
-    return 1 + params.l * np.arange(params.m)
+def probe_lags(l: int, m: int) -> np.ndarray:
+    """The ``m`` probed lags ``k_j = 1 + (j-1) l`` for ``j = 1..m``, gap ``l``."""
+    return 1 + l * np.arange(m)
 
 
-def _fitting_lags(params: R1Params, n: int) -> np.ndarray:
-    lags = probe_lags(params)
+def _fitting_lags(l: int, m: int, n: int) -> np.ndarray:
+    if l < 1 or m < 1:
+        raise ArgumentError(f"l and m must be >= 1, got l={l}, m={m}")
+    lags = probe_lags(l, m)
     if lags[-1] > n - 2:
         raise ArgumentError(
             f"largest probed lag {lags[-1]} exceeds n-2={n - 2}; shrink l or m"
@@ -113,7 +90,7 @@ def build_M1(panel, k0: int) -> np.ndarray:
         raise ArgumentError(f"k0={k0} outside [0, {pan.n - 2}] for n={pan.n}")
     m1 = np.zeros((pan.p, pan.p))
     for k in range(k0 + 1):
-        c = sample_autocov(pan, k).matrix
+        c = sample_autocov(pan, k)
         m1 += c @ c.T
     return (m1 + m1.T) / 2.0
 
@@ -137,7 +114,7 @@ def split_spaces(panel, m1_eig: EigenDecomposition, r1: int) -> UnitRootSplit:
         # off the row space every row of the panel projects onto its mean
         constant = pan.data.mean(axis=0) @ a2[:, lead:]
         x2 = np.hstack([x2, np.broadcast_to(constant, (pan.n, constant.size))])
-    return UnitRootSplit(r1_hat=r1, A1=a1, A2=a2, x1=pan.data @ a1, x2=x2)
+    return UnitRootSplit(A1=a1, A2=a2, x1=pan.data @ a1, x2=x2)
 
 
 def acf_profile(components: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -168,12 +145,13 @@ def scan_r1(rho: np.ndarray, c0: float, absolute: bool) -> int:
     return len(s_values)
 
 
-def first_stage(panel, k0: int, params: R1Params) -> tuple[EigenDecomposition, np.ndarray]:
+def first_stage(panel, k0: int, l: int, m: int) -> tuple[EigenDecomposition, np.ndarray]:
     """Eigendecomposition of ``M1`` and the ACF profile of the transformed panel.
 
     Returns ``(eig, rho)`` where ``rho[i]`` holds the autocorrelations of the
-    ``i``-th transformed component at the probed lags; :func:`scan_r1` turns
-    it into a count for either aggregation variant.
+    ``i``-th transformed component at the :func:`probe_lags` ``(l, m)``;
+    :func:`scan_r1` turns it into a count for either aggregation variant.
+    ``l`` and ``m`` must be at least 1, and the largest lag at most ``n - 2``.
 
     When ``p >= n``, a Householder QR of the first ``n - 1`` centered rows
     gives an orthonormal basis ``Q`` of the row space and its completion
@@ -184,7 +162,7 @@ def first_stage(panel, k0: int, params: R1Params) -> tuple[EigenDecomposition, n
     ``Q = I`` and an empty ``Q_perp``.
     """
     pan = as_panel(panel)
-    lags = _fitting_lags(params, pan.n)
+    lags = _fitting_lags(l, m, pan.n)
     null = null_width(pan.n, pan.p)
     rank = pan.p - null
     if null:

@@ -212,8 +212,8 @@ def test_criterion_8_oracle_suite(acceptance_report):
     checks["ljung_box_Q"] = abs(q - 4.5) <= 1e-6
     checks["chi2_sf_4.5_df1"] = abs(pval - 0.0338948535246852) <= 1e-6
     checks["chi2_sf_2ln2_df2"] = abs(chi2_sf(2.0 * np.log(2.0), 2) - 0.5) <= 1e-6
-    checks["autocov_lag0"] = abs(sample_autocov([[1.0], [3.0]], 0).matrix[0, 0] - 1.0) <= 1e-6
-    checks["autocov_lag1"] = abs(sample_autocov([[1.0], [3.0]], 1).matrix[0, 0] + 0.5) <= 1e-6
+    checks["autocov_lag0"] = abs(sample_autocov([[1.0], [3.0]], 0)[0, 0] - 1.0) <= 1e-6
+    checks["autocov_lag1"] = abs(sample_autocov([[1.0], [3.0]], 1)[0, 0] + 0.5) <= 1e-6
     h1 = np.array([[1.0], [0.0]])
     h2 = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     checks["Dbar_half"] = abs(metric_Dbar(h1, h2) - np.sqrt(0.5)) <= 1e-6

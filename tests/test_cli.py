@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import warnings
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,17 @@ class TestCsvIo:
         panel = read_panel_csv(buf)
         assert panel.data.shape == (2, 2)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts with a BOM
+        text = "\ufeff1.5,2.5\r\n3.5,4.5\r\n5.5,6.5\r\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = [[1.5, 2.5], [3.5, 4.5], [5.5, 6.5]]
+        assert np.array_equal(read_panel_csv(path).data, expected)
+        assert np.array_equal(read_panel_csv(io.StringIO(text, newline="")).data, expected)
+        with_header = read_panel_csv(io.StringIO("\ufeffa,b\n1,2\n3,4\n"))
+        assert np.array_equal(with_header.data, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_empty_file(self):
         with pytest.raises(CsvParseError):
             read_panel_csv(io.StringIO(""))
@@ -225,6 +237,23 @@ class TestCommands:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope.csv")]) == 1
 
+    def test_directory_input_exit_1(self, tmp_path, capsys):
+        assert main(["decompose", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_dir_below_a_file_exit_1(self, example_csv, capsys):
+        code = main(["simulate", "--p", "5", "--n", "100", "--out-dir", str(example_csv / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undecodable_csv_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff1,2\n3,4\n")
+        with pytest.raises(CsvParseError, match="not UTF-8"):
+            read_panel_csv(bad)
+        assert main(["decompose", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_flag_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "--definitely-not-a-flag"])
@@ -287,3 +316,69 @@ class TestCommands:
     def test_default_flags_are_config_defaults(self, command):
         args = build_parser().parse_args([command, "panel.csv"])
         assert _config_from_args(args) == PipelineConfig()
+
+
+# one non-default value per PipelineConfig field: its flags and the value
+CONFIG_FLAGS = {
+    "k0": (["--k0", "3"], 3),
+    "j0": (["--j0", "1"], 1),
+    "c0": (["--c0", "0.4"], 0.4),
+    "l": (["--l", "2"], 2),
+    "m": (["--m", "8"], 8),
+    "alpha": (["--alpha", "0.1"], 0.1),
+    "epsilon": (["--epsilon", "0.5"], 0.5),
+    "K_override": (["--K", "1"], 1),
+    "absolute_acf": (["--no-absolute-acf"], False),
+    "reorder": (["--no-reorder"], False),
+    "horizons": (["--horizons", "1", "3"], (1, 3)),
+    "window_start": (["--window-start", "260"], 260),
+}
+FORECAST_ONLY = ("horizons", "window_start")
+
+# one non-default generator setting per DgpSpec field, on top of SPEC_BASE
+SPEC_BASE = ["--p", "8", "--n", "60"]
+SPEC_FLAGS = {
+    "p": (["--p", "9"], {"p": 9}),
+    "n": (["--n", "70"], {"n": 70}),
+    "r1": (["--r1", "3"], {"r1": 3}),
+    "r2": (["--r2", "1"], {"r2": 1}),
+    "K": (["--example", "2", "--K-true", "1"], {"example": 2, "K": 1}),
+    "delta": (["--example", "2", "--delta", "0.3"], {"example": 2, "delta": 0.3}),
+    "example": (["--example", "2"], {"example": 2}),
+    "seed": (["--seed", "7"], {"seed": 7}),
+}
+
+
+class TestFlagBinding:
+    def test_every_field_has_a_case(self):
+        assert list(CONFIG_FLAGS) == [f.name for f in fields(PipelineConfig)]
+        assert list(SPEC_FLAGS) == [f.name for f in fields(DgpSpec)]
+
+    @pytest.mark.parametrize("command,field", [
+        (command, field) for field in CONFIG_FLAGS for command in ("decompose", "forecast")
+        if command == "forecast" or field not in FORECAST_ONLY
+    ])
+    def test_config_flag_sets_its_field(self, command, field, example_csv, tmp_path):
+        flags, value = CONFIG_FLAGS[field]
+        expected = replace(PipelineConfig(), **{field: value})
+        args = build_parser().parse_args([command, str(example_csv), *flags])
+        assert _config_from_args(args) == expected
+        if command == "decompose":
+            out = tmp_path / "dec"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main([command, str(example_csv), *flags, "--out-dir", str(out)]) == 0
+            report = json.loads((out / "decompose.json").read_text())
+            written = {k: v for k, v in asdict(expected).items() if k not in FORECAST_ONLY}
+            assert report["config"] == written
+            assert list(report["config"]) == list(written)
+
+    @pytest.mark.parametrize("field", list(SPEC_FLAGS))
+    def test_simulate_flag_sets_its_field(self, field, tmp_path):
+        flags, changes = SPEC_FLAGS[field]
+        expected = replace(DgpSpec(p=8, n=60), **changes)
+        out = tmp_path / "sim"
+        assert main(["simulate", *SPEC_BASE, *flags, "--out-dir", str(out)]) == 0
+        spec = json.loads((out / "truth.json").read_text())["spec"]
+        assert spec == asdict(expected)
+        assert list(spec) == [f.name for f in fields(DgpSpec)]

@@ -37,6 +37,12 @@ class TestDecompose:
         with pytest.raises(ArgumentError):
             PipelineConfig(c0=0.0)
         with pytest.raises(ArgumentError):
+            PipelineConfig(c0=1.0)
+        with pytest.raises(ArgumentError):
+            PipelineConfig(l=0)
+        with pytest.raises(ArgumentError):
+            PipelineConfig(m=0)
+        with pytest.raises(ArgumentError):
             PipelineConfig(alpha=1.5)
         with pytest.raises(ArgumentError):
             PipelineConfig(epsilon=0.0)
@@ -264,7 +270,7 @@ class TestWidePanel:
         y = generate(spec)[0].data
         values, vectors = np.linalg.eigh(build_M1(y, config.k0))
         values, vectors = values[::-1], vectors[:, ::-1]
-        rho = acf_profile(y @ vectors, probe_lags(config.r1_params))
+        rho = acf_profile(y @ vectors, probe_lags(config.l, config.m))
         r1 = scan_r1(rho, config.c0, config.absolute_acf)
         dec = quiet_decompose(y)
         assert dec.r1_hat == r1 >= 1

@@ -30,14 +30,14 @@ class TestBuildM2:
     def test_single_term(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(50, 3))
-        c1 = sample_autocov(x, 1).matrix
+        c1 = sample_autocov(x, 1)
         assert np.allclose(build_M2(x, 1), c1 @ c1.T, atol=1e-12)
 
     def test_iid_norm_vanishes(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(5000, 4))
         m2 = build_M2(x, 2)
-        sig0 = sample_autocov(x, 0).matrix
+        sig0 = sample_autocov(x, 0)
         assert np.linalg.norm(m2, 2) <= 0.05 * np.linalg.norm(sig0, 2) ** 2
 
     def test_psd(self):

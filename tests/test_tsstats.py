@@ -44,17 +44,17 @@ class TestPanel:
 
 class TestSampleAutocov:
     def test_lag0_hand_value(self):
-        got = sample_autocov([[1.0], [3.0]], 0).matrix
+        got = sample_autocov([[1.0], [3.0]], 0)
         assert np.allclose(got, [[1.0]], atol=1e-12)
 
     def test_lag1_hand_value(self):
-        got = sample_autocov([[1.0], [3.0]], 1).matrix
+        got = sample_autocov([[1.0], [3.0]], 1)
         assert np.allclose(got, [[-0.5]], atol=1e-12)
 
     def test_constant_panel_is_zero(self):
         panel = np.full((8, 3), 2.5)
         for k in (0, 1, 4):
-            assert np.allclose(sample_autocov(panel, k).matrix, 0.0, atol=1e-12)
+            assert np.allclose(sample_autocov(panel, k), 0.0, atol=1e-12)
 
     def test_lag_out_of_range(self):
         with pytest.raises(ArgumentError):
@@ -64,7 +64,7 @@ class TestSampleAutocov:
         rng = np.random.default_rng(1)
         for _ in range(20):
             y = rng.normal(size=(rng.integers(5, 60), rng.integers(1, 8)))
-            c = sample_autocov(y, 0).matrix
+            c = sample_autocov(y, 0)
             assert np.allclose(c, c.T, atol=1e-10 * max(1.0, np.abs(c).max()))
             w = np.linalg.eigvalsh(c)
             assert w.min() >= -1e-10 * np.trace(c)

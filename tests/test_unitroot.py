@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from trendfactors.errors import ArgumentError
+from trendfactors.pipeline import PipelineConfig
 from trendfactors.tsstats import sample_acf, sample_autocov, sym_eigen
 from trendfactors.unitroot import (
-    R1Params,
     acf_profile,
     build_M1,
     first_stage,
@@ -16,26 +16,25 @@ from trendfactors.unitroot import (
 )
 
 
-def r1_split(y, k0, params):
-    eig, rho = first_stage(y, k0, params)
-    return split_spaces(y, eig, scan_r1(rho, params.c0, params.absolute))
+def r1_split(y, config=PipelineConfig()):
+    eig, rho = first_stage(y, config.k0, config.l, config.m)
+    return split_spaces(y, eig, scan_r1(rho, config.c0, config.absolute_acf))
 
 
 def test_params_validation():
+    y = np.cumsum(np.random.default_rng(0).normal(size=(50, 2)), axis=0)
     with pytest.raises(ArgumentError):
-        R1Params(c0=1.0)
+        first_stage(y, 2, 0, 10)
     with pytest.raises(ArgumentError):
-        R1Params(l=0)
-    with pytest.raises(ArgumentError):
-        R1Params(m=0)
-    assert list(probe_lags(R1Params(l=3, m=4))) == [1, 4, 7, 10]
+        first_stage(y, 2, 3, 0)
+    assert list(probe_lags(3, 4)) == [1, 4, 7, 10]
 
 
 class TestBuildM1:
     def test_single_term_is_gram_of_lag0(self):
         rng = np.random.default_rng(0)
         y = rng.normal(size=(30, 4))
-        c0 = sample_autocov(y, 0).matrix
+        c0 = sample_autocov(y, 0)
         assert np.allclose(build_M1(y, 0), c0 @ c0.T, atol=1e-12)
 
     def test_constant_panel_zero(self):
@@ -110,17 +109,17 @@ class TestSStatistic:
     def test_matches_acf_profile(self):
         rng = np.random.default_rng(6)
         x = np.cumsum(rng.normal(size=300))
-        lags = probe_lags(R1Params(l=2, m=5))
+        lags = probe_lags(2, 5)
         rho = acf_profile(x[:, None], lags)
         assert np.allclose(rho[0], [sample_acf(x, int(k)) for k in lags], rtol=1e-12)
 
     def test_lag_overflow(self):
         with pytest.raises(ArgumentError):
-            first_stage(np.arange(10.0)[:, None], 2, R1Params(l=3, m=10))
+            first_stage(np.arange(10.0)[:, None], 2, 3, 10)
 
     def test_random_walk_high_noise_low(self):
         rng = np.random.default_rng(7)
-        lags = probe_lags(R1Params())
+        lags = probe_lags(PipelineConfig.l, PipelineConfig.m)
         walk = np.cumsum(rng.normal(size=1500))
         noise = rng.normal(size=1500)
         assert scan_r1(acf_profile(walk[:, None], lags), 0.8, absolute=True) == 1
@@ -138,15 +137,15 @@ class TestEstimateR1:
             ar[t] = 0.7 * ar[t - 1] + rng.normal()
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         y = np.column_stack([walk, ar]) @ q.T
-        split = r1_split(y, 2, R1Params())
-        assert split.r1_hat == 1
+        split = r1_split(y)
+        assert split.A1.shape[1] == 1
 
     def test_iid_panel_mostly_zero(self):
         rng = np.random.default_rng(9)
         hits = 0
         for _ in range(100):
             y = rng.normal(size=(2000, 4))
-            if r1_split(y, 2, R1Params()).r1_hat == 0:
+            if r1_split(y).A1.shape[1] == 0:
                 hits += 1
         assert hits >= 95
 
@@ -156,7 +155,7 @@ class TestEstimateR1:
         y = np.column_stack(
             [np.cumsum(rng.normal(size=n)), rng.normal(size=n), rng.normal(size=n)]
         )
-        base = r1_split(y, 2, R1Params()).r1_hat
+        base = r1_split(y).A1.shape[1]
         for seed in range(5):
             q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
-            assert r1_split(y @ q.T, 2, R1Params()).r1_hat == base
+            assert r1_split(y @ q.T).A1.shape[1] == base
