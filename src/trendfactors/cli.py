@@ -6,10 +6,12 @@ exact) and CRLF line ends; the forecast tables add a header row.  Input is
 UTF-8 text with an optional byte-order mark, LF or CRLF line ends and one
 optional header row; blank lines are skipped, and parse errors name the row
 of the file (1-based, counting the header and blank lines).  Reports are
-JSON with a top-level ``schema_version``.  Each flag's argparse ``dest`` is
-the name of its :class:`PipelineConfig` or :class:`DgpSpec` field.  Exit
-codes: 0 on success, 1 on argument errors, malformed or undecodable input
-and paths that cannot be read or written, 2 on numerical failures.
+JSON with a top-level ``schema_version``.  ``--out-dir`` is created before
+the command runs, so a run that fails can leave it empty.  Each flag's
+argparse ``dest`` is the name of its :class:`PipelineConfig` or
+:class:`DgpSpec` field.  Exit codes: 0 on success, 1 on argument errors,
+malformed or undecodable input and paths that cannot be read or written, 2
+on numerical failures.
 """
 
 from __future__ import annotations
@@ -192,7 +194,6 @@ def cmd_decompose(args) -> int:
             f"testing and counted as white noise"
         )
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     for name, mat in [
         ("loadings_A1", dec.A1), ("loadings_A2", dec.A2), ("loadings_U1", dec.U1),
         ("loadings_V1", dec.V1), ("loadings_V2", dec.V2),
@@ -225,7 +226,6 @@ def cmd_forecast(args) -> int:
         pca_nfac_diff=args.pca_nfac_diff,
     )
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     fe_rows = [[m] + [format_float(report.fe[m][h]) for h in report.horizons]
                for m in report.methods]
     with open(out / "fe.csv", "w", newline="") as fh:
@@ -281,7 +281,6 @@ def cmd_simulate(args) -> int:
     spec = DgpSpec(**_spec_values(args))
     panel, truth = generate(spec)
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "panel.csv", panel.data)
     _write_json(out / "truth.json", {
         "spec": asdict(spec),
@@ -343,7 +342,6 @@ def cmd_benchmark(args) -> int:
         grid, reps=args.reps, methods=tuple(args.methods), base_seed=args.seed,
     )
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     rows = result.rows()
     with open(out / "benchmark.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -405,6 +403,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (ArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ baseline methods over expanding-window origins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 FORECAST_METHODS = ("gt", "dfar", "pca_levels", "pca_diff")
+MIN_DM_LOSSES = 8  # the shortest loss series dm_test accepts
 
 
 class Ar1Fit(NamedTuple):
@@ -110,13 +111,14 @@ def fit_ar1(series) -> Ar1Fit:
     return Ar1Fit(phi=phi, intercept=float(intercept[0]), explosive=abs(phi) >= 1.0)
 
 
-def _var1_least_squares(f: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
     """Least-squares regression of ``f_t`` on ``(1, f_{t-1})`` by one thin SVD.
 
-    Returns ``(beta, cond, se)``: the coefficients with the intercept in row
-    0, the design condition number, and the coefficients' standard errors.
-    Singular values below ``lstsq``'s default cutoff are treated as zero, so
-    a rank-deficient design gets the minimum-norm solution.
+    Returns the fit and the ``|t|`` statistic of each ``coef`` entry (``inf``
+    where the standard error is zero).  The design condition number is
+    reported and flagged above 1e12.  Singular values below ``lstsq``'s
+    default cutoff are treated as zero, so a rank-deficient design gets the
+    minimum-norm solution.
     """
     design = np.ones((f.shape[0] - 1, f.shape[1] + 1))
     design[:, 1:] = f[:-1]
@@ -130,7 +132,12 @@ def _var1_least_squares(f: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     sigma2 = np.einsum("ij,ij->j", resid, resid) / max(design.shape[0] - design.shape[1], 1)
     # the diagonal of the pseudo-inverse of design' design
     gram_inv_diag = (vt * vt).T @ (inv_sv * inv_sv)
-    return beta, cond, np.sqrt(np.outer(gram_inv_diag, sigma2))
+    se = np.sqrt(np.outer(gram_inv_diag[1:], sigma2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstat = np.where(se > 0, np.abs(beta[1:] / se), np.inf).T
+    fit = Var1Fit(coef=beta[1:].T, intercept=beta[0], condition_number=cond,
+                  ill_conditioned=not cond < 1e12)
+    return fit, tstat
 
 
 def fit_var1_diff(panel) -> Var1Fit:
@@ -145,13 +152,7 @@ def fit_var1_diff(panel) -> Var1Fit:
     r = y.shape[1]
     if y.shape[0] < r + 3:
         raise ArgumentError(f"VAR(1)-on-differences needs n >= r + 3 = {r + 3}")
-    beta, cond, _ = _var1_least_squares(np.diff(y, axis=0))
-    return Var1Fit(
-        coef=beta[1:].T,
-        intercept=beta[0],
-        condition_number=cond,
-        ill_conditioned=not cond < 1e12,
-    )
+    return _var1_least_squares(np.diff(y, axis=0))[0]
 
 
 def fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
@@ -165,18 +166,12 @@ def fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
     return FactorModelFit(nonstat=nonstat, stat=stat)
 
 
-def _trend_forecast(x1: np.ndarray, fit: Var1Fit | None, h_max: int) -> np.ndarray:
-    """Iterate the differenced VAR forecast and re-integrate, all horizons."""
-    r = x1.shape[1]
-    out = np.zeros((h_max, r))
-    if r == 0 or fit is None:
-        return out
-    level = x1[-1].copy()
-    delta = x1[-1] - x1[-2]
+def _var1_path(fit: Var1Fit, state: np.ndarray, h_max: int) -> np.ndarray:
+    """Iterate ``x <- intercept + coef @ x`` from ``state``; row ``j`` is step ``j + 1``."""
+    out = np.empty((h_max, state.size))
     for j in range(h_max):
-        delta = fit.intercept + fit.coef @ delta
-        level = level + delta
-        out[j] = level
+        state = fit.intercept + fit.coef @ state
+        out[j] = state
     return out
 
 
@@ -190,15 +185,18 @@ def _ar1_path(phi: np.ndarray, intercept: np.ndarray, last: np.ndarray, h_max: i
     return out
 
 
+def _integrate(level: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Levels after each row of ``steps``, accumulated row by row from ``level``."""
+    return np.cumsum(np.vstack([level, steps]), axis=0)[1:]
+
+
 def _dfar_path(y: np.ndarray, h_max: int) -> np.ndarray:
     """AR(1) on the first differences of every column, re-integrated."""
     if len(y) < 4:  # the fit regresses n - 2 differences on their lags
         raise ArgumentError(f"differenced AR(1) needs a panel of n >= 4, got n = {len(y)}")
     d = np.diff(y, axis=0)
     phi, intercept, _ = _ar1_columns(d)
-    deltas = _ar1_path(phi, intercept, d[-1], h_max)
-    # accumulate row by row from the last level, as the recursion does
-    return np.cumsum(np.vstack([y[-1], deltas]), axis=0)[1:]
+    return _integrate(y[-1], _ar1_path(phi, intercept, d[-1], h_max))
 
 
 def forecast_path(split, fit: FactorModelFit, sf, h_max: int) -> np.ndarray:
@@ -212,7 +210,9 @@ def forecast_path(split, fit: FactorModelFit, sf, h_max: int) -> np.ndarray:
     """
     if h_max < 1:
         raise ArgumentError(f"horizon must be >= 1, got {h_max}")
-    x1f = _trend_forecast(split.x1, fit.nonstat, h_max)
+    x1 = split.x1
+    x1f = (np.zeros((h_max, x1.shape[1])) if fit.nonstat is None
+           else _integrate(x1[-1], _var1_path(fit.nonstat, x1[-1] - x1[-2], h_max)))
     phi = np.array([f.phi for f in fit.stat])
     z2f = _ar1_path(phi, np.array([f.intercept for f in fit.stat]), sf.z2[-1], h_max)
     trend_part = x1f @ split.A1.T
@@ -273,8 +273,8 @@ def dm_test(loss_a, loss_b, bandwidth: int | None = None) -> DmResult:
     if a.shape != b.shape:
         raise ArgumentError(f"loss series lengths differ: {a.size} vs {b.size}")
     n = a.size
-    if n < 8:
-        raise ArgumentError(f"need at least 8 losses, got {n}")
+    if n < MIN_DM_LOSSES:
+        raise ArgumentError(f"need at least {MIN_DM_LOSSES} losses, got {n}")
     d = a - b
     dbar = float(d.mean())
     if bandwidth is None:
@@ -307,17 +307,6 @@ def baseline_dfar(panel, h_max: int) -> np.ndarray:
     if h_max < 1:
         raise ArgumentError(f"horizon must be >= 1, got {h_max}")
     return _dfar_path(pan.data, h_max)
-
-
-def _var1_thresholded(f: np.ndarray) -> Var1Fit:
-    """VAR(1) with intercept; coefficients with |t| < 1.96 are zeroed."""
-    beta, cond, se = _var1_least_squares(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstat = np.where(se > 0, np.abs(beta / se), np.inf)
-    coef = beta[1:].T.copy()
-    coef[(tstat[1:] < 1.96).T] = 0.0
-    return Var1Fit(coef=coef, intercept=beta[0], condition_number=cond,
-                   ill_conditioned=not cond < 1e12)
 
 
 def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
@@ -356,15 +345,9 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
     z = (d - dmean) / dsd
     loadings = sym_eigen(z.T @ z / z.shape[0]).vectors[:, :nfac]
     factors = z @ loadings
-    fit = _var1_thresholded(factors)
-    state = factors[-1].copy()
-    level = y[-1].copy()
-    out = np.empty((h_max, pan.p))
-    for j in range(h_max):
-        state = fit.intercept + fit.coef @ state
-        level = level + (state @ loadings.T) * dsd + dmean
-        out[j] = level
-    return out
+    fit, tstat = _var1_least_squares(factors)
+    fit = replace(fit, coef=np.where(tstat < 1.96, 0.0, fit.coef))
+    return _integrate(y[-1], _var1_path(fit, factors[-1], h_max) @ loadings.T * dsd + dmean)
 
 
 @dataclass(frozen=True)
@@ -411,7 +394,10 @@ def evaluate_forecasts(
     once: that decomposition gives the default PCA factor counts (the trend
     count for levels, the total factor count for differences) and the gt
     forecast at the first origin, so when it is needed ``window_start`` must
-    leave room for every lag ``decompose`` probes.
+    leave room for every lag ``decompose`` probes.  When more than one method
+    is requested, ``window_start`` must leave at least ``MIN_DM_LOSSES`` (8)
+    origins at the largest horizon, the fewest losses ``dm_test`` accepts; a
+    single method may use fewer.
     """
     pan = as_panel(panel)
     y = pan.data
@@ -421,13 +407,20 @@ def evaluate_forecasts(
     w = config.window_start if config.window_start is not None else max(int(0.8 * n), 20)
     if not 3 <= w < n:
         raise ArgumentError(f"window_start={w} outside [3, {n - 1}]")
-    if w + min(horizons) > n:
-        raise ArgumentError("window too short: no forecast origin fits before the data end")
+    if w + h_max > n:
+        raise ArgumentError(f"window too short: no forecast origin at horizon {h_max} fits "
+                            f"before the data end (window_start={w}, n={n})")
     if methods and methods[0] != "gt" and "gt" in methods:
         methods = ("gt",) + tuple(m for m in methods if m != "gt")
     for m in methods:
         if m not in FORECAST_METHODS:
             raise ArgumentError(f"unknown forecast method {m!r}; choose from {FORECAST_METHODS}")
+    if len(methods) > 1 and n - h_max - w + 1 < MIN_DM_LOSSES:
+        raise ArgumentError(
+            f"window_start={w} leaves fewer than {MIN_DM_LOSSES} forecast origins at horizon "
+            f"{h_max} to compare methods on; the largest admissible window_start is "
+            f"{n - h_max - MIN_DM_LOSSES + 1}"
+        )
     dec0 = None
     if "gt" in methods or pca_nfac_levels is None or pca_nfac_diff is None:
         # every lag decompose probes (k0, j0, the Ljung-Box m and the largest
@@ -452,45 +445,32 @@ def evaluate_forecasts(
         "pca_diff": lambda train, h: baseline_pca(train, pca_nfac_diff, "differences", h),
     }
 
-    per_origin: dict = {m: {h: [] for h in horizons} for m in methods}
-    actual_rows = {h: [] for h in horizons}
-    for tau in range(w, n - min(horizons) + 1):
-        paths = {m: forecasters[m](y[:tau], h_max) for m in methods}
-        for h in horizons:
-            if tau + h > n:
-                continue
-            actual_rows[h].append(y[tau + h - 1])
-            for m in methods:
-                per_origin[m][h].append(paths[m][h - 1])
-
+    # origin w + i forecasts row w + i + h - 1 of y, so horizon h has n - h - w + 1 origins
+    origins = {h: n - h - w + 1 for h in horizons}
+    taus = range(w, n - min(horizons) + 1)
+    paths = {m: np.stack([forecasters[m](y[:tau], h_max) for tau in taus]) for m in methods}
     fe: dict = {m: {} for m in methods}
     rmsfe_series: dict = {}
     losses: dict = {m: {} for m in methods}
     for m in methods:
         series_err = np.full((len(horizons), p), np.nan)
         for hi, h in enumerate(horizons):
-            fc = np.asarray(per_origin[m][h])
-            ac = np.asarray(actual_rows[h])
+            fc, ac = paths[m][:origins[h], h - 1], y[w + h - 1:]
             fe[m][h] = fe_h(fc, ac)
             losses[m][h] = np.linalg.norm(fc - ac, axis=1) / math.sqrt(p)
-            for i in range(p):
-                series_err[hi, i] = rmsfe(fc[:, i], ac[:, i])
+            series_err[hi] = [rmsfe(fc[:, i], ac[:, i]) for i in range(p)]
         rmsfe_series[m] = series_err
 
-    dm: dict = {}
-    if len(methods) > 1:
-        lead = methods[0]
-        for other in methods[1:]:
-            dm[(lead, other)] = {
-                h: dm_test(losses[lead][h], losses[other][h]) for h in horizons
-            }
+    lead = methods[0] if methods else None
+    dm = {(lead, other): {h: dm_test(losses[lead][h], losses[other][h]) for h in horizons}
+          for other in methods[1:]}
 
     forecasts = {m: forecasters[m](y, h_max)[[h - 1 for h in horizons]] for m in methods}
     return ForecastReport(
         horizons=horizons,
         methods=tuple(methods),
         window_start=w,
-        origins={h: len(actual_rows[h]) for h in horizons},
+        origins=origins,
         forecasts=forecasts,
         fe=fe,
         rmsfe_series=rmsfe_series,

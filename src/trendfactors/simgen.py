@@ -284,7 +284,6 @@ class CellResult:
     failure_reasons: dict
     probs: dict
     metric_quartiles: dict
-    rmse_normalization: str
 
 
 @dataclass(frozen=True)
@@ -413,6 +412,8 @@ def run_montecarlo(
     if reps < 1:
         raise ArgumentError(f"reps must be >= 1, got {reps}")
     methods = tuple(methods)
+    if not methods:
+        raise ArgumentError("methods must name at least one variant")
     for name in methods:
         _parse_variant(name)
     cells = []
@@ -457,7 +458,6 @@ def run_montecarlo(
                 failure_reasons=failure_reasons,
                 probs=probs,
                 metric_quartiles=quartiles,
-                rmse_normalization="small" if spec.example == 1 else "large",
             )
         )
     return MonteCarloResult(cells=cells, methods=methods, reps=reps, base_seed=base_seed)

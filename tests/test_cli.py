@@ -246,6 +246,17 @@ class TestCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_out_dir_checked_before_the_run(self, example_csv, monkeypatch, capsys):
+        from trendfactors import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_montecarlo", lambda *a, **k: calls.append(a))
+        code = main(["benchmark", "--p", "5", "--n", "100", "--reps", "2",
+                     "--out-dir", str(example_csv / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
     def test_undecodable_csv_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\xff1,2\n3,4\n")

@@ -80,6 +80,41 @@ def dfar_reference(y, h_max):
     return out
 
 
+def var1_thresholded_reference(f):
+    """VAR(1) with intercept by lstsq; slope coefficients with |t| < 1.96 set to zero.
+
+    The t-statistics take the diagonal of pinv(X'X) and the residual variance
+    over n - k, as the library does.
+    """
+    design = np.column_stack([np.ones(len(f) - 1), f[:-1]])
+    target = f[1:]
+    beta, *_ = np.linalg.lstsq(design, target, rcond=None)
+    resid = target - design @ beta
+    sigma2 = (resid**2).sum(axis=0) / max(design.shape[0] - design.shape[1], 1)
+    se = np.sqrt(np.outer(np.diag(np.linalg.pinv(design.T @ design)), sigma2))
+    tstat = np.abs(beta) / se
+    return beta[0], np.where(tstat[1:] < 1.96, 0.0, beta[1:]).T
+
+
+def pca_differences_reference(y, nfac, h_max):
+    """Standardized-difference PCA, thresholded VAR(1), iterated and re-integrated step by step."""
+    d = np.diff(y, axis=0)
+    dmean, dsd = d.mean(axis=0), d.std(axis=0)
+    dsd = np.where(dsd > 0, dsd, 1.0)
+    z = (d - dmean) / dsd
+    values, vectors = np.linalg.eigh(z.T @ z / len(z))
+    loadings = vectors[:, np.argsort(values)[::-1][:nfac]]
+    factors = z @ loadings
+    intercept, coef = var1_thresholded_reference(factors)
+    out = np.empty((h_max, y.shape[1]))
+    state, level = factors[-1].copy(), y[-1].copy()
+    for j in range(h_max):
+        state = intercept + coef @ state
+        level = level + (loadings @ state) * dsd + dmean
+        out[j] = level
+    return out
+
+
 def panel_with_degenerate_columns(seed):
     """Random walks and an AR(1) plus a constant column and an exact linear trend."""
     rng = np.random.default_rng(seed)
@@ -128,6 +163,14 @@ class TestAr1Columns:
         loadings = vectors[:, np.argsort(values)[::-1][:nfac]]
         expect = dfar_reference(yc @ loadings, 5) @ loadings.T + mean
         got = baseline_pca(y, nfac, "levels", 5)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+
+
+    @pytest.mark.parametrize("nfac", [1, 2, 4])
+    def test_pca_differences_matches_reference(self, nfac):
+        y = panel_with_degenerate_columns(5)
+        expect = pca_differences_reference(y, nfac, 5)
+        got = baseline_pca(y, nfac, "differences", 5)
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(y).max())
 
 
@@ -432,6 +475,66 @@ class TestEvaluateForecasts:
                                     pca_nfac_levels=nfac, pca_nfac_diff=nfac)
         assert report.window_start == 8
 
+    def test_matches_origin_loop(self):
+        spec = DgpSpec(p=5, n=170, example=1, seed=41)
+        y = generate(spec)[0].data
+        config = PipelineConfig(horizons=(1, 3), window_start=150)
+        report = evaluate_forecasts(y, config)
+        nfac_levels, nfac_diff = report.meta["pca_nfac_levels"], report.meta["pca_nfac_diff"]
+
+        def gt(train, h):
+            dec = decompose(train, config)
+            return forecast_path(dec, fit_factor_models(dec.x1, dec.z2), dec, h)
+
+        methods = {
+            "gt": gt,
+            "dfar": baseline_dfar,
+            "pca_levels": lambda train, h: baseline_pca(train, nfac_levels, "levels", h),
+            "pca_diff": lambda train, h: baseline_pca(train, nfac_diff, "differences", h),
+        }
+        assert report.methods == tuple(methods)
+        rows = {m: {h: [] for h in (1, 3)} for m in methods}
+        actual = {h: [] for h in (1, 3)}
+        for tau in range(150, 170):
+            for m, run in methods.items():
+                path = run(y[:tau], 3)
+                for h in (1, 3):
+                    if tau + h <= 170:
+                        rows[m][h].append(path[h - 1])
+            for h in (1, 3):
+                if tau + h <= 170:
+                    actual[h].append(y[tau + h - 1])
+        assert report.origins == {h: len(actual[h]) for h in (1, 3)} == {1: 20, 3: 18}
+        losses = {}
+        for m in methods:
+            for hi, h in enumerate((1, 3)):
+                fc, ac = np.array(rows[m][h]), np.array(actual[h])
+                assert report.fe[m][h] == pytest.approx(fe_h(fc, ac), rel=1e-12)
+                expect = [rmsfe(fc[:, i], ac[:, i]) for i in range(5)]
+                np.testing.assert_allclose(report.rmsfe_series[m][hi], expect, rtol=1e-12)
+                losses[m, h] = np.linalg.norm(fc - ac, axis=1) / math.sqrt(5)
+        assert list(report.dm) == [("gt", m) for m in ("dfar", "pca_levels", "pca_diff")]
+        for (_, other), per_h in report.dm.items():
+            for h in (1, 3):
+                expect = dm_test(losses["gt", h], losses[other, h])
+                got = per_h[h]
+                assert got.bandwidth == expect.bandwidth and got.degenerate == expect.degenerate
+                np.testing.assert_allclose(got[:3], expect[:3], rtol=1e-12, atol=1e-15)
+
+    def test_window_leaving_too_few_dm_losses_rejected(self):
+        y = np.cumsum(np.random.default_rng(16).normal(size=(60, 3)), axis=0)
+        config = PipelineConfig(horizons=(1, 4))
+        # horizon 4 from origins w..56 leaves 57 - w losses; dm_test needs 8
+        for w in (52, 55):
+            with pytest.raises(ArgumentError, match=rf"window_start={w} .* is 49\b"):
+                evaluate_forecasts(y, replace(config, window_start=w), methods=("gt", "dfar"))
+        report = evaluate_forecasts(y, replace(config, window_start=49), methods=("gt", "dfar"))
+        assert report.origins[4] == forecast.MIN_DM_LOSSES == 8
+        # one method runs no DM test, so fewer origins are allowed
+        report = evaluate_forecasts(y, replace(config, window_start=55), methods=("dfar",),
+                                    pca_nfac_levels=1, pca_nfac_diff=1)
+        assert report.origins == {1: 5, 4: 2}
+
     def test_window_too_short(self):
         spec = DgpSpec(p=4, n=120, example=1, seed=2)
         panel, _ = generate(spec)
@@ -443,3 +546,7 @@ class TestEvaluateForecasts:
         panel, _ = generate(spec)
         with pytest.raises(ArgumentError):
             evaluate_forecasts(panel, PipelineConfig(horizons=(30,), window_start=100))
+        # the largest horizon decides, also for one method, before any origin is run
+        with pytest.raises(ArgumentError, match=r"no forecast origin at horizon 30 .*=100, n=120"):
+            evaluate_forecasts(panel, PipelineConfig(horizons=(1, 30), window_start=100),
+                               methods=("dfar",), pca_nfac_levels=1, pca_nfac_diff=1)

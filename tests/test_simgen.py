@@ -241,6 +241,10 @@ class TestRunMontecarlo:
         assert cell.failure_reasons == {"TrendFactorsError": (1, "forced failure")}
         assert {r["failure_reasons"] for r in res.rows()} == {"TrendFactorsError x1: forced failure"}
 
+    def test_empty_methods_rejected(self):
+        with pytest.raises(ArgumentError, match="at least one variant"):
+            run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=1, methods=())
+
     def test_programming_errors_propagate(self, monkeypatch):
         from trendfactors import simgen
 
