@@ -410,7 +410,10 @@ def evaluate_forecasts(
     if w + h_max > n:
         raise ArgumentError(f"window too short: no forecast origin at horizon {h_max} fits "
                             f"before the data end (window_start={w}, n={n})")
-    if methods and methods[0] != "gt" and "gt" in methods:
+    methods = tuple(methods)
+    if not methods or len(set(methods)) < len(methods):
+        raise ArgumentError(f"methods must name at least one method, each once; got {methods}")
+    if methods[0] != "gt" and "gt" in methods:
         methods = ("gt",) + tuple(m for m in methods if m != "gt")
     for m in methods:
         if m not in FORECAST_METHODS:
@@ -461,14 +464,14 @@ def evaluate_forecasts(
             series_err[hi] = [rmsfe(fc[:, i], ac[:, i]) for i in range(p)]
         rmsfe_series[m] = series_err
 
-    lead = methods[0] if methods else None
+    lead = methods[0]
     dm = {(lead, other): {h: dm_test(losses[lead][h], losses[other][h]) for h in horizons}
           for other in methods[1:]}
 
     forecasts = {m: forecasters[m](y, h_max)[[h - 1 for h in horizons]] for m in methods}
     return ForecastReport(
         horizons=horizons,
-        methods=tuple(methods),
+        methods=methods,
         window_start=w,
         origins=origins,
         forecasts=forecasts,

@@ -24,7 +24,7 @@ from .stationary import (
     recover_z2,
 )
 from .tsstats import EigenDecomposition, as_panel, sym_eigen
-from .unitroot import first_stage, null_width, scan_r1, split_spaces
+from .unitroot import first_stage, null_width, scan_r1
 from .whitenoise import FactorCounts, count_factors
 
 __all__ = ["PipelineConfig", "Decomposition", "decompose", "second_stage", "recover_factors"]
@@ -34,6 +34,8 @@ __all__ = ["PipelineConfig", "Decomposition", "decompose", "second_stage", "reco
 SMALL_P_THRESHOLD = 10
 # Largest prominent-noise count the eigenvalue-ratio rule considers.
 MAX_K = 10
+# The spectrum of a matrix over no components.
+_NO_SPECTRUM = EigenDecomposition(values=np.zeros(0), vectors=np.zeros((0, 0)))
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,8 @@ class PipelineConfig:
             raise ArgumentError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.K_override is not None and self.K_override < 0:
             raise ArgumentError("K override must be >= 0")
-        if any(h < 1 for h in self.horizons):
-            raise ArgumentError("horizons must be positive")
+        if not self.horizons or any(h < 1 for h in self.horizons):
+            raise ArgumentError(f"horizons must be non-empty and positive, got {self.horizons}")
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,13 @@ class Decomposition:
     """Full two-stage decomposition of a panel.
 
     Loadings ``A1`` (trends) and ``A2`` (stationary block) live in the
-    observation space; ``U1``, ``V1``, ``V2`` live in the stationary
-    subspace of width ``d = p - r1_hat``.  Only the span of ``V2`` and the
-    factor paths ``z2`` are determined, not the basis of ``V2`` inside its
-    span.  The diagnostics dictionary has the same keys on every path:
-    ``M1_eigenvalues`` and ``s_statistics`` (stage one, length ``p``),
+    observation space, and the components ``x1 = y @ A1`` and ``x2 = y @ A2``
+    are the leading and trailing column blocks of one array, as ``A1`` and
+    ``A2`` are of the ``M1`` eigenbasis.  ``U1``, ``V1``, ``V2`` live in the
+    stationary subspace of width ``d = p - r1_hat``.  Only the span of ``V2``
+    and the factor paths ``z2`` are determined, not the basis of ``V2``
+    inside its span.  The diagnostics dictionary has the same keys on every
+    path: ``M1_eigenvalues`` and ``s_statistics`` (stage one, length ``p``),
     ``M2_eigenvalues``, ``lb_pvalues`` (in testing order),
     ``component_order`` (the testing order) and ``S_eigenvalues`` (each of
     length ``d``), ``truncated_components`` (components the sequential test
@@ -134,19 +138,27 @@ def second_stage(
     last ``null`` columns of ``x2`` are constant by construction (the null
     space of a wide panel): ``M2`` is built on the others, and these join
     its eigenbasis as unit vectors with eigenvalue 0 and count as white
-    noise, last in the testing order.
+    noise, last in the testing order.  A block with no other column (all of
+    ``x2`` constant, or ``x2`` empty) has nothing to test: its eigenbasis is
+    the identity with zero eigenvalues, every p-value is 1, the testing
+    order is the column order, every count is 0 and nothing is truncated.
     """
     lead = x2.shape[1] - null
-    eig2 = sym_eigen(build_M2(x2[:, :lead], config.j0))
-    counts = count_factors(
-        x2[:, :lead] @ eig2.vectors,
-        config.m,
-        config.alpha,
-        reorders,
-        config.epsilon,
-        bottom_up=x2.shape[1] <= SMALL_P_THRESHOLD,
-        null=null,
-    )
+    if lead:
+        eig2 = sym_eigen(build_M2(x2[:, :lead], config.j0))
+        counts = count_factors(
+            x2[:, :lead] @ eig2.vectors,
+            config.m,
+            config.alpha,
+            reorders,
+            config.epsilon,
+            bottom_up=x2.shape[1] <= SMALL_P_THRESHOLD,
+            null=null,
+        )
+    else:
+        eig2 = _NO_SPECTRUM
+        counts = FactorCounts(np.ones(null), dict.fromkeys(reorders, np.arange(null)),
+                              dict.fromkeys(reorders, 0), 0)
     if null:
         eig2 = EigenDecomposition(
             values=np.concatenate([eig2.values, np.zeros(null)]),
@@ -171,7 +183,7 @@ def recover_factors(
     by direct projection instead (``v2_fallback``).  ``S`` and ``V2`` are
     found among the leading ``d - null`` components, as laid out by
     :func:`second_stage`: ``V2`` is zero on the ``null`` constant ones, and
-    ``S`` has exact zero eigenvalues there.
+    ``S`` has exact zero eigenvalues there (all of them when ``d == null``).
     """
     d = x2.shape[1]
     lead = d - null
@@ -182,7 +194,7 @@ def recover_factors(
     # the constant components come last in the order and ``w`` is block
     # diagonal, so the leading rows of U1 and V1 cover the other components
     u1_lead = u1[:lead]
-    eig_s = sym_eigen(projected_S(x2[:, :lead], v1[:lead, :v_lead]))
+    eig_s = sym_eigen(projected_S(x2[:, :lead], v1[:lead, :v_lead])) if lead else _NO_SPECTRUM
     if config.K_override is not None:
         k_hat = min(config.K_override, v_lead)
     elif d <= SMALL_P_THRESHOLD or v_lead <= 1:
@@ -226,27 +238,13 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
     eigenvalues are detected or pinned via ``K_override``).
     """
     pan = as_panel(panel)
-    null = null_width(pan.n, pan.p)
-    eig1, rho = first_stage(pan, config.k0, config.l, config.m)
+    eig1, rho, x = first_stage(pan, config.k0, config.l, config.m)
     r1 = scan_r1(rho, config.c0, config.absolute_acf)
-    split = split_spaces(pan, eig1, r1)
-    d = pan.p - r1
-    if d == null:
-        # nothing left to test (on a narrow panel, no stationary block): the
-        # d constant components are white noise, and every path sets the same keys
-        eig2 = EigenDecomposition(values=np.zeros(d), vectors=np.eye(d))
-        counts = FactorCounts(pvalues=np.ones(d), order={}, r2={}, truncated=0)
-        order = np.arange(d)
-        fit = StationaryFactorFit(
-            r2_hat=0, v_hat=d, K_hat=0, U1=np.zeros((d, 0)), V1=np.eye(d),
-            V2=np.zeros((d, 0)), z2=np.zeros((pan.n, 0)), S_eigenvalues=np.zeros(d),
-        )
-    else:
-        eig2, counts = second_stage(split.x2, config, (config.reorder,), null)
-        order = counts.order[config.reorder]
-        fit = recover_factors(
-            split.x2, eig2.vectors, order, counts.r2[config.reorder], config, null
-        )
+    x2 = x[:, r1:]
+    null = null_width(pan.n, pan.p)
+    eig2, counts = second_stage(x2, config, (config.reorder,), null)
+    order = counts.order[config.reorder]
+    fit = recover_factors(x2, eig2.vectors, order, counts.r2[config.reorder], config, null)
     diagnostics = {
         "M1_eigenvalues": eig1.values,
         "s_statistics": (np.abs(rho) if config.absolute_acf else rho).mean(axis=1),
@@ -262,13 +260,13 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
         r2_hat=fit.r2_hat,
         v_hat=fit.v_hat,
         K_hat=fit.K_hat,
-        A1=split.A1,
-        A2=split.A2,
+        A1=eig1.vectors[:, :r1],
+        A2=eig1.vectors[:, r1:],
         U1=fit.U1,
         V1=fit.V1,
         V2=fit.V2,
-        x1=split.x1,
-        x2=split.x2,
+        x1=x[:, :r1],
+        x2=x2,
         z2=fit.z2,
         diagnostics=diagnostics,
     )

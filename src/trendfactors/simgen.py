@@ -21,7 +21,7 @@ from scipy.signal import lfilter
 from .errors import ArgumentError, TrendFactorsError
 from .pipeline import PipelineConfig, recover_factors, second_stage
 from .tsstats import TimeSeriesPanel
-from .unitroot import first_stage, null_width, scan_r1, split_spaces
+from .unitroot import first_stage, null_width, scan_r1
 
 __all__ = [
     "DgpSpec",
@@ -344,20 +344,17 @@ def _replication(
     eigendecomposition and each distinct stationary panel are shared.
     """
     null = null_width(spec.n, spec.p)
-    eig1, rho = first_stage(panel, config.k0, config.l, config.m)
+    eig1, rho, x = first_stage(panel, config.k0, config.l, config.m)
     r1_by_abs = {a: scan_r1(rho, config.c0, a) for a in {_parse_variant(v)[0] for v in variants}}
     reorders = sorted({_parse_variant(v)[1] for v in variants}, reverse=True)
-    splits = {r1: split_spaces(panel, eig1, r1) for r1 in set(r1_by_abs.values())}
-    eig2_by_r1, counts_by_r1 = {}, {}
-    for r1, split in splits.items():
-        if spec.p - r1 > null:  # something left to test
-            eig2_by_r1[r1], counts_by_r1[r1] = second_stage(split.x2, config, reorders, null)
+    stage2 = {r1: second_stage(x[:, r1:], config, reorders, null)
+              for r1 in set(r1_by_abs.values())}
 
     indicators = {}
     for name in variants:
         absolute, reorder = _parse_variant(name)
         r1 = r1_by_abs[absolute]
-        r2 = counts_by_r1[r1].r2[reorder] if r1 in counts_by_r1 else 0
+        r2 = stage2[r1][1].r2[reorder]
         indicators[name] = {
             "r1": float(r1 == spec.r1),
             "r2": float(r2 == spec.r2),
@@ -367,27 +364,22 @@ def _replication(
     # span/path accuracy metrics, computed under the first requested variant
     absolute, reorder = _parse_variant(variants[0])
     r1 = r1_by_abs[absolute]
-    split = splits[r1]
+    a1, a2 = eig1.vectors[:, :r1], eig1.vectors[:, r1:]
     norm = "small" if spec.example == 1 else "large"
     metrics = {
-        "Dbar_A1": _span_distance(split.A1, truth.A1),
-        "Dbar_A2": _span_distance(split.A2, truth.A2),
-        "rmse_trend": rmse_factors(split.x1 @ split.A1.T, truth.trend_paths(), norm),
+        "Dbar_A1": _span_distance(a1, truth.A1),
+        "Dbar_A2": _span_distance(a2, truth.A2),
+        "rmse_trend": rmse_factors(x[:, :r1] @ a1.T, truth.trend_paths(), norm),
         "Dbar_A2U1": np.nan,
         "rmse_stationary": np.nan,
     }
-    if r1 in counts_by_r1:
-        counts = counts_by_r1[r1]
-        r2 = counts.r2[reorder]
-        if r2 >= 1:
-            fit = recover_factors(
-                split.x2, eig2_by_r1[r1].vectors, counts.order[reorder], r2, config, null
-            )
-            a2u1_hat = split.A2 @ fit.U1
-            metrics["Dbar_A2U1"] = _span_distance(a2u1_hat, truth.A2 @ truth.U22_1)
-            metrics["rmse_stationary"] = rmse_factors(
-                fit.z2 @ a2u1_hat.T, truth.factor_paths(), norm
-            )
+    eig2, counts = stage2[r1]
+    r2 = counts.r2[reorder]
+    if r2 >= 1:
+        fit = recover_factors(x[:, r1:], eig2.vectors, counts.order[reorder], r2, config, null)
+        a2u1_hat = a2 @ fit.U1
+        metrics["Dbar_A2U1"] = _span_distance(a2u1_hat, truth.A2 @ truth.U22_1)
+        metrics["rmse_stationary"] = rmse_factors(fit.z2 @ a2u1_hat.T, truth.factor_paths(), norm)
     return indicators, metrics
 
 
@@ -412,8 +404,8 @@ def run_montecarlo(
     if reps < 1:
         raise ArgumentError(f"reps must be >= 1, got {reps}")
     methods = tuple(methods)
-    if not methods:
-        raise ArgumentError("methods must name at least one variant")
+    if not methods or len(set(methods)) < len(methods):
+        raise ArgumentError(f"methods must name at least one variant, each once; got {methods}")
     for name in methods:
         _parse_variant(name)
     cells = []

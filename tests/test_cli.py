@@ -213,6 +213,13 @@ class TestCommands:
                      "--out-dir", str(tmp_path)])
         assert code == 1
 
+    def test_forecast_repeated_method_exit_1(self, example_csv, tmp_path, capsys):
+        code = main(["forecast", str(example_csv), "--window-start", "280",
+                     "--methods", "dfar", "dfar", "--out-dir", str(tmp_path / "fc")])
+        assert code == 1
+        assert "each once" in capsys.readouterr().err
+        assert not (tmp_path / "fc" / "forecast.json").exists()
+
     def test_benchmark_emits_rows(self, tmp_path, capsys):
         out = tmp_path / "bm"
         code = main(["benchmark", "--example", "1", "--p", "5", "--n", "150",

@@ -535,6 +535,16 @@ class TestEvaluateForecasts:
                                     pca_nfac_levels=1, pca_nfac_diff=1)
         assert report.origins == {1: 5, 4: 2}
 
+    @pytest.mark.parametrize("methods", [(), ("dfar", "dfar"), ("gt", "dfar", "gt")])
+    def test_empty_or_repeated_methods_rejected(self, methods, monkeypatch):
+        def no_decompose(*args, **kwargs):
+            raise AssertionError("decompose ran before the method list was checked")
+
+        monkeypatch.setattr(forecast, "decompose", no_decompose)
+        y = np.cumsum(np.random.default_rng(17).normal(size=(60, 2)), axis=0)
+        with pytest.raises(ArgumentError, match="at least one method, each once"):
+            evaluate_forecasts(y, PipelineConfig(horizons=(1,), window_start=40), methods=methods)
+
     def test_window_too_short(self):
         spec = DgpSpec(p=4, n=120, example=1, seed=2)
         panel, _ = generate(spec)

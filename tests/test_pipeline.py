@@ -48,6 +48,8 @@ class TestDecompose:
             PipelineConfig(epsilon=0.0)
         with pytest.raises(ArgumentError):
             PipelineConfig(horizons=(0,))
+        with pytest.raises(ArgumentError, match="horizons must be non-empty"):
+            PipelineConfig(horizons=())
 
     def test_example1_counts_and_invariants(self):
         spec = DgpSpec(p=6, n=2000, example=1, seed=5)
@@ -130,9 +132,12 @@ class TestDecompose:
             "wide": generate(DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=1))[0],
             "no stationary block": walks,
         }
+        # a wide panel whose row space is all trends leaves only the constants
+        wide_walks = np.cumsum(np.random.default_rng(0).normal(size=(40, 60)), axis=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             decs = {name: decompose(y) for name, y in panels.items()}
+            decs["wide, all trends"] = decompose(wide_walks, PipelineConfig(c0=1e-6, l=1, m=5))
         widths = {name: dec.p - dec.r1_hat for name, dec in decs.items()}
         assert widths["small"] <= 10 < widths["large"] < 400
         assert widths["wide"] >= 100 and widths["no stationary block"] == 0
@@ -143,6 +148,17 @@ class TestDecompose:
         assert empty["truncated_components"] == 0 and empty["v2_fallback"] is False
         for key in ("M2_eigenvalues", "lb_pvalues", "component_order", "S_eigenvalues"):
             assert empty[key].shape == (0,)
+        trends = decs["wide, all trends"]
+        assert (trends.r1_hat, trends.r2_hat, trends.v_hat, trends.K_hat) == (39, 0, 21, 0)
+        assert np.array_equal(trends.V1, np.eye(21)) and trends.U1.shape == (21, 0)
+        assert trends.V2.shape == (21, 0) and trends.z2.shape == (40, 0)
+        diag = trends.diagnostics
+        assert diag["truncated_components"] == 0 and diag["v2_fallback"] is False
+        assert np.array_equal(diag["M2_eigenvalues"], np.zeros(21))
+        assert np.array_equal(diag["S_eigenvalues"], np.zeros(21))
+        assert np.array_equal(diag["lb_pvalues"], np.ones(21))
+        assert np.array_equal(diag["component_order"], np.arange(21))
+        check_decomposition_invariants(as_panel(wide_walks), trends)
 
     def test_probe_lags_must_fit(self):
         rng = np.random.default_rng(12)

@@ -245,6 +245,10 @@ class TestRunMontecarlo:
         with pytest.raises(ArgumentError, match="at least one variant"):
             run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=1, methods=())
 
+    def test_repeated_methods_rejected(self):
+        with pytest.raises(ArgumentError, match="each once"):
+            run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=1, methods=("aw", "aw"))
+
     def test_programming_errors_propagate(self, monkeypatch):
         from trendfactors import simgen
 
@@ -256,20 +260,26 @@ class TestRunMontecarlo:
             run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=1)
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, config",
         [
-            DgpSpec(p=6, n=200, example=1),  # bottom-up count, d <= 10
-            DgpSpec(p=38, n=81, r1=0, r2=3, delta=0.5, example=2),  # d < n
-            DgpSpec(p=120, n=100, r1=4, r2=6, K=2, example=2),  # d >= n, truncated
+            (DgpSpec(p=6, n=200, example=1), PipelineConfig()),  # bottom-up count, d <= 10
+            (DgpSpec(p=38, n=81, r1=0, r2=3, delta=0.5, example=2), PipelineConfig()),  # d < n
+            # d >= n, truncated
+            (DgpSpec(p=120, n=100, r1=4, r2=6, K=2, example=2), PipelineConfig()),
+            # wide; at this threshold the a*w* row space is all trends, leaving only constants
+            (DgpSpec(p=60, n=40, r1=2, r2=3, K=1, example=2), PipelineConfig(c0=1e-6, l=1, m=5)),
         ],
+        ids=["spec0", "spec1", "spec2", "spec3"],
     )
-    def test_counts_match_decompose(self, spec):
+    def test_counts_match_decompose(self, spec, config):
         reps, base = 12, 11
-        cell = run_montecarlo([spec], reps=reps, methods=("a*w*", "aw"), base_seed=base).cells[0]
+        cell = run_montecarlo(
+            [spec], reps=reps, methods=("a*w*", "aw"), base_seed=base, config=config
+        ).cells[0]
         assert cell.failures == 0
-        assert cell.probs["a*w*"] == _library_counts(spec, reps, base, PipelineConfig())
+        assert cell.probs["a*w*"] == _library_counts(spec, reps, base, config)
         assert cell.probs["aw"] == _library_counts(
-            spec, reps, base, PipelineConfig(absolute_acf=False, reorder=False)
+            spec, reps, base, replace(config, absolute_acf=False, reorder=False)
         )
 
     def test_ill_conditioned_recovery_falls_back(self, monkeypatch):

@@ -1,24 +1,23 @@
-"""First-stage eigenanalysis: M1 construction, splits, and the r1 scan."""
+"""First-stage eigenanalysis: M1, the transformed panel, and the r1 scan."""
 
 import numpy as np
 import pytest
 
 from trendfactors.errors import ArgumentError
 from trendfactors.pipeline import PipelineConfig
-from trendfactors.tsstats import sample_acf, sample_autocov, sym_eigen
+from trendfactors.tsstats import sample_acf, sample_autocov
 from trendfactors.unitroot import (
     acf_profile,
     build_M1,
     first_stage,
     probe_lags,
     scan_r1,
-    split_spaces,
 )
 
 
-def r1_split(y, config=PipelineConfig()):
-    eig, rho = first_stage(y, config.k0, config.l, config.m)
-    return split_spaces(y, eig, scan_r1(rho, config.c0, config.absolute_acf))
+def r1_count(y, config=PipelineConfig()):
+    _, rho, _ = first_stage(y, config.k0, config.l, config.m)
+    return scan_r1(rho, config.c0, config.absolute_acf)
 
 
 def test_params_validation():
@@ -55,40 +54,48 @@ class TestBuildM1:
 
 
 class TestSplitSpaces:
+    """The unit-root / stationary split is a column slice of ``first_stage``'s ``x``."""
+
     @pytest.mark.parametrize("r1", [0, 1, 2, 3])
     def test_reconstruction_every_split(self, r1):
         rng = np.random.default_rng(2)
         y = rng.normal(size=(25, 3))
-        eig = sym_eigen(build_M1(y, 1))
-        split = split_spaces(y, eig, r1)
-        basis = np.hstack([split.A1, split.A2])
+        eig, _, x = first_stage(y, 1, 1, 5)
+        assert np.allclose(x, y @ eig.vectors, rtol=0.0, atol=1e-12)
+        a1, a2 = eig.vectors[:, :r1], eig.vectors[:, r1:]
+        basis = np.hstack([a1, a2])
         assert np.max(np.abs(basis.T @ basis - np.eye(3))) <= 1e-8
-        recon = split.x1 @ split.A1.T + split.x2 @ split.A2.T
+        recon = x[:, :r1] @ a1.T + x[:, r1:] @ a2.T
         assert np.max(np.abs(recon - y)) <= 1e-8 * max(1.0, np.abs(y).max())
 
     def test_degenerate_ends(self):
         rng = np.random.default_rng(3)
         y = rng.normal(size=(20, 4))
-        eig = sym_eigen(build_M1(y, 1))
-        lo = split_spaces(y, eig, 0)
-        assert lo.A1.shape == (4, 0) and lo.x2.shape == (20, 4)
-        hi = split_spaces(y, eig, 4)
-        assert hi.A2.shape == (4, 0) and hi.x1.shape == (20, 4)
-
-    def test_r1_out_of_range(self):
-        rng = np.random.default_rng(4)
-        y = rng.normal(size=(20, 4))
-        eig = sym_eigen(build_M1(y, 1))
-        with pytest.raises(ArgumentError):
-            split_spaces(y, eig, 5)
+        eig, _, x = first_stage(y, 1, 1, 5)
+        assert eig.vectors[:, :0].shape == (4, 0) and x[:, 0:].shape == (20, 4)
+        assert eig.vectors[:, 4:].shape == (4, 0) and x[:, :4].shape == (20, 4)
+        assert x[:, :0].shape == x[:, 4:].shape == (20, 0)
 
     def test_random_walk_direction_found(self):
         rng = np.random.default_rng(5)
         n = 2000
         y = np.column_stack([np.cumsum(rng.normal(size=n)), rng.normal(size=n)])
-        eig = sym_eigen(build_M1(y, 2))
-        split = split_spaces(y, eig, 1)
-        assert abs(split.A1[0, 0]) >= 0.99
+        eig, rho, x = first_stage(y, 2, 3, 10)
+        assert scan_r1(rho, 0.3, absolute=True) == 1
+        assert abs(eig.vectors[0, 0]) >= 0.99
+        assert abs(np.corrcoef(x[:, 0], y[:, 0])[0, 1]) >= 0.99
+
+    def test_wide_null_columns_constant(self):
+        rng = np.random.default_rng(4)
+        n, p = 20, 30
+        y = rng.normal(size=(n, p)) + rng.normal(size=p)
+        eig, rho, x = first_stage(y, 1, 1, 5)
+        null = p - n + 1
+        assert np.array_equal(x[:, -null:], np.broadcast_to(x[0, -null:], (n, null)))
+        assert np.array_equal(x[0, -null:], y.mean(axis=0) @ eig.vectors[:, -null:])
+        assert np.array_equal(rho[-null:], np.zeros((null, 5)))
+        assert np.max(np.abs(x - y @ eig.vectors)) <= 1e-12 * np.abs(y).max()
+        assert np.max(np.abs(x @ eig.vectors.T - y)) <= 1e-10 * np.abs(y).max()
 
 
 class TestSStatistic:
@@ -137,15 +144,14 @@ class TestEstimateR1:
             ar[t] = 0.7 * ar[t - 1] + rng.normal()
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
         y = np.column_stack([walk, ar]) @ q.T
-        split = r1_split(y)
-        assert split.A1.shape[1] == 1
+        assert r1_count(y) == 1
 
     def test_iid_panel_mostly_zero(self):
         rng = np.random.default_rng(9)
         hits = 0
         for _ in range(100):
             y = rng.normal(size=(2000, 4))
-            if r1_split(y).A1.shape[1] == 0:
+            if r1_count(y) == 0:
                 hits += 1
         assert hits >= 95
 
@@ -155,7 +161,7 @@ class TestEstimateR1:
         y = np.column_stack(
             [np.cumsum(rng.normal(size=n)), rng.normal(size=n), rng.normal(size=n)]
         )
-        base = r1_split(y).A1.shape[1]
+        base = r1_count(y)
         for seed in range(5):
             q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
-            assert r1_split(y @ q.T).A1.shape[1] == base
+            assert r1_count(y @ q.T) == base
