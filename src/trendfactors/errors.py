@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: argument/input problems exit with 1,
-numerical failures (degenerate data, ill-conditioned recovery) exit with 2.
+numerical failures (an ill-conditioned recovery) exit with 2.
 """
 
 
@@ -30,7 +30,12 @@ class NumericalError(TrendFactorsError):
 
 
 class DegenerateSeriesError(NumericalError):
-    """A series has zero variance where variation is required."""
+    """A series has zero variance where variation is required.
+
+    No library call raises it: constant components get zero autocorrelations
+    in the first stage and count as white noise in the second.  It stays
+    exported so that existing ``except`` clauses keep working.
+    """
 
 
 class IllConditionedError(NumericalError):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ArgumentError, DegenerateSeriesError
+from .errors import ArgumentError
 from .pipeline import PipelineConfig, decompose
 from .tsstats import as_panel, sym_eigen
 from .unitroot import probe_lags
@@ -26,7 +26,6 @@ __all__ = [
     "FactorModelFit",
     "DmResult",
     "ForecastReport",
-    "fit_ar1",
     "fit_var1_diff",
     "fit_factor_models",
     "forecast_path",
@@ -91,24 +90,6 @@ def _ar1_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     phi = np.where(degenerate, 0.0, sxy / np.where(degenerate, 1.0, sxx))
     intercept = np.where(degenerate, xt.mean(axis=1), cur_mean - phi * lag_mean)
     return phi, intercept, degenerate
-
-
-def fit_ar1(series) -> Ar1Fit:
-    """OLS regression of ``x_t`` on ``(1, x_{t-1})``.
-
-    No stationarity clamp is applied; an explosive estimate (``|phi| >= 1``)
-    is flagged rather than truncated.
-    """
-    x = np.asarray(series, dtype=float).ravel()
-    if x.size < 3:
-        raise ArgumentError(f"AR(1) fit needs n >= 3, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise ArgumentError("series contains non-finite entries")
-    phi, intercept, degenerate = _ar1_columns(x[:, None])
-    if degenerate[0]:
-        raise DegenerateSeriesError("constant regressor in AR(1) fit")
-    phi = float(phi[0])
-    return Ar1Fit(phi=phi, intercept=float(intercept[0]), explosive=abs(phi) >= 1.0)
 
 
 def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:

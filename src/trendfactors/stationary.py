@@ -17,6 +17,7 @@ from .tsstats import (
     EigenDecomposition,
     TimeSeriesPanel,
     as_panel,
+    autocov_gram,
     fix_signs,
     sample_autocov,
 )
@@ -68,11 +69,7 @@ def build_M2(x2, j0: int) -> np.ndarray:
     pan = as_panel(x2)
     if not 1 <= j0 <= pan.n - 2:
         raise ArgumentError(f"j0={j0} outside [1, {pan.n - 2}] for n={pan.n}")
-    m2 = np.zeros((pan.p, pan.p))
-    for j in range(1, j0 + 1):
-        c = sample_autocov(pan, j)
-        m2 += c @ c.T
-    return (m2 + m2.T) / 2.0
+    return autocov_gram(pan, range(1, j0 + 1))
 
 
 def projected_S(x2, v1: np.ndarray) -> np.ndarray:

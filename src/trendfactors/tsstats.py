@@ -1,8 +1,8 @@
 """Foundational time-series statistics.
 
-Sample autocovariances (divisor ``n`` at every lag), autocorrelations,
-the Ljung-Box portmanteau test with its chi-square tail, and the dense
-symmetric eigensolver contract used by every downstream stage.
+The panel type, sample autocovariances (divisor ``n`` at every lag) and
+their Gram sums, centered columns with their constant-column mask, and the
+dense symmetric eigensolver contract used by every downstream stage.
 
 All functions are pure: they never mutate their inputs and hold no state,
 so they are safe to call concurrently.
@@ -10,24 +10,18 @@ so they are safe to call concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.special import chdtrc
 
-from .errors import ArgumentError, DegenerateSeriesError
+from .errors import ArgumentError
 
 __all__ = [
     "TimeSeriesPanel",
     "EigenDecomposition",
     "as_panel",
     "sample_autocov",
-    "sample_acf",
-    "ljung_box",
-    "chi2_sf",
-    "is_degenerate",
+    "autocov_gram",
     "centered_columns",
     "sym_eigen",
     "fix_signs",
@@ -104,92 +98,30 @@ def sample_autocov(panel, k: int) -> np.ndarray:
     return yc[k:].T @ yc[: n - k] / n
 
 
-def _centered(series) -> np.ndarray:
-    x = np.asarray(series, dtype=float).ravel()
-    if x.size < 2:
-        raise ArgumentError("series needs at least 2 observations")
-    if not np.all(np.isfinite(x)):
-        raise ArgumentError("series contains non-finite entries")
-    return x - x.mean()
-
-
-def is_degenerate(xc: np.ndarray, gamma0):
-    """Mask of centered columns treated as constant.
-
-    A column is degenerate when its divisor-``n`` variance ``gamma0`` is at
-    most ``(1e-13 * max(1, max |xc|))^2``.  The floor is absolute unless the
-    centered column exceeds 1 in magnitude, which a column of rounding noise
-    does not, so whether such a column is flagged depends on the scale of
-    the data it came from; the null space of a panel with ``p >= n`` is
-    therefore handled without it.  Works column-wise on an ``n x d`` array
-    with a length-``d`` ``gamma0``, and on a single series with a scalar
-    ``gamma0``.
-    """
-    scale = np.maximum(1.0, np.max(np.abs(xc), axis=0, initial=0.0))
-    return gamma0 <= (1e-13 * scale) ** 2
+def autocov_gram(pan: TimeSeriesPanel, lags) -> np.ndarray:
+    """Symmetrized ``sum_{k in lags} C(k) C(k)'`` of :func:`sample_autocov`."""
+    gram = np.zeros((pan.p, pan.p))
+    for k in lags:
+        c = sample_autocov(pan, k)
+        gram += c @ c.T
+    return (gram + gram.T) / 2.0
 
 
 def centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centered columns of an ``n x d`` array, their divisor-``n`` variances and
-    the :func:`is_degenerate` mask."""
+    """Centered columns of an ``n x d`` array, their divisor-``n`` variances
+    ``gamma0`` and the mask of columns treated as constant.
+
+    A column is constant when ``gamma0`` is at most
+    ``(1e-13 * max(1, max |xc|))^2``.  The floor is absolute unless the
+    centered column exceeds 1 in magnitude, which a column of rounding noise
+    does not, so whether such a column is flagged depends on the scale of
+    the data it came from; the null space of a panel with ``p >= n`` is
+    therefore handled without it.
+    """
     xc = x - x.mean(axis=0)
     gamma0 = np.einsum("ti,ti->i", xc, xc) / x.shape[0]
-    return xc, gamma0, is_degenerate(xc, gamma0)
-
-
-def sample_acf(series, k: int) -> float:
-    """Lag-``k`` sample autocorrelation of a univariate series.
-
-    Uses divisor-``n`` autocovariances, so the value always lies in [-1, 1].
-    Raises :class:`DegenerateSeriesError` for a constant series.
-    """
-    xc = _centered(series)
-    n = xc.size
-    if not 0 <= k <= n - 2:
-        raise ArgumentError(f"lag k={k} outside [0, {n - 2}] for n={n}")
-    gamma0 = float(xc @ xc) / n
-    if is_degenerate(xc, gamma0):
-        raise DegenerateSeriesError("constant series has no autocorrelation")
-    if k == 0:
-        return 1.0
-    gamma_k = float(xc[k:] @ xc[: n - k]) / n
-    return gamma_k / gamma0
-
-
-class LjungBoxResult(NamedTuple):
-    statistic: float
-    pvalue: float
-
-
-def ljung_box(series, m: int) -> LjungBoxResult:
-    """Ljung-Box portmanteau statistic ``Q(m)`` and its chi-square p-value.
-
-    ``Q = n(n+2) * sum_{k=1..m} acf(k)^2 / (n-k)``; the p-value is the
-    upper tail of a chi-square with ``m`` degrees of freedom.
-    """
-    xc = _centered(series)
-    n = xc.size
-    if not 1 <= m <= n - 2:
-        raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
-    gamma0 = float(xc @ xc) / n
-    if is_degenerate(xc, gamma0):
-        raise DegenerateSeriesError("constant series: Ljung-Box undefined")
-    q = 0.0
-    for k in range(1, m + 1):
-        rho = (float(xc[k:] @ xc[: n - k]) / n) / gamma0
-        q += rho * rho / (n - k)
-    q *= n * (n + 2)
-    return LjungBoxResult(statistic=q, pvalue=chi2_sf(q, m))
-
-
-def chi2_sf(x: float, df: int) -> float:
-    """Upper-tail probability of a chi-square distribution with ``df`` degrees of freedom."""
-    if df < 1 or int(df) != df:
-        raise ArgumentError(f"df must be a positive integer, got {df}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise ArgumentError(f"x must be finite and >= 0, got {x}")
-    return float(chdtrc(df, x))
+    scale = np.maximum(1.0, np.max(np.abs(xc), axis=0, initial=0.0))
+    return xc, gamma0, gamma0 <= (1e-13 * scale) ** 2
 
 
 def sym_eigen(matrix) -> EigenDecomposition:

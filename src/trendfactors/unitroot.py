@@ -19,9 +19,9 @@ from .errors import ArgumentError
 from .tsstats import (
     EigenDecomposition,
     as_panel,
+    autocov_gram,
     centered_columns,
     fix_signs,
-    sample_autocov,
     sym_eigen,
 )
 
@@ -69,11 +69,7 @@ def build_M1(panel, k0: int) -> np.ndarray:
     pan = as_panel(panel)
     if not 0 <= k0 <= pan.n - 2:
         raise ArgumentError(f"k0={k0} outside [0, {pan.n - 2}] for n={pan.n}")
-    m1 = np.zeros((pan.p, pan.p))
-    for k in range(k0 + 1):
-        c = sample_autocov(pan, k)
-        m1 += c @ c.T
-    return (m1 + m1.T) / 2.0
+    return autocov_gram(pan, range(k0 + 1))
 
 
 def acf_profile(components: np.ndarray, lags: np.ndarray) -> np.ndarray:

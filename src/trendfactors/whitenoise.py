@@ -1,23 +1,23 @@
 """Counting white-noise components among the transformed stationary series.
 
-Two procedures determine how many of the eigen-transformed components are
-white noise (and hence how many stationary factors remain): a bottom-up
-per-component Ljung-Box scan for low dimensions, and a sequential
-high-dimensional multi-series test for larger panels, optionally preceded by
-reordering the components by their Ljung-Box p-values so the most serially
-dependent ones are examined first.
+:func:`count_factors` determines how many of the eigen-transformed
+components are white noise (and hence how many stationary factors remain)
+by one of two procedures: a bottom-up per-component Ljung-Box scan for low
+dimensions, or a sequential high-dimensional multi-series test for larger
+panels, optionally preceded by reordering the components by their Ljung-Box
+statistics so the most serially dependent ones are examined first.
 
-The multi-series statistic is the scaled maximum absolute cross-correlation
-over all component pairs and lags, compared against a Bonferroni-Gaussian
-threshold.  It is conservative by construction; its empirical size is pinned
-by the test suite.
+The multi-series statistic is ``sqrt(n)`` times the maximum absolute
+cross-correlation over all component pairs and lags ``1..m``, compared
+against the Bonferroni-Gaussian threshold at ``1 - alpha / (2 d^2 m)``.  It
+is conservative by construction; its empirical size is pinned by the test
+suite.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc, ndtri
@@ -25,7 +25,7 @@ from scipy.special import chdtrc, ndtri
 from .errors import ArgumentError
 from .tsstats import centered_columns
 
-__all__ = ["FactorCounts", "hd_wn_test", "count_factors"]
+__all__ = ["FactorCounts", "count_factors"]
 
 
 @dataclass(frozen=True)
@@ -47,33 +47,12 @@ class FactorCounts:
     truncated: int
 
 
-def _component_panel(xi) -> np.ndarray:
-    x = np.asarray(xi, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ArgumentError(f"component panel must be n x d with d >= 1, got {x.shape}")
-    return x
-
-
-def _check_lags(m: int, n: int) -> None:
-    if not 1 <= m <= n - 2:
-        raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ArgumentError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def _warn_degenerate(degenerate: np.ndarray, treatment: str) -> None:
-    if degenerate.any():
-        warnings.warn(f"{int(degenerate.sum())} constant component(s) {treatment}", stacklevel=3)
-
-
 def _ljung_box(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-column Ljung-Box statistics ``Q(m)``, their p-values (1 for constant
     columns) and the degenerate-column mask."""
     n, d = x.shape
-    _check_lags(m, n)
+    if not 1 <= m <= n - 2:
+        raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
     xc, gamma0, degenerate = centered_columns(x)
     safe_gamma0 = np.where(degenerate, 1.0, gamma0)
     q = np.zeros(d)
@@ -93,17 +72,11 @@ def _testing_order(q: np.ndarray, degenerate: np.ndarray, reorder: bool) -> np.n
     return np.lexsort((index, -q, degenerate) if reorder else (index, degenerate))
 
 
-class HdWnResult(NamedTuple):
-    reject: bool
-    statistic: float
-    threshold: float
-
-
-def _peak_abs_corr(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _peak_abs_corr(x: np.ndarray, m: int) -> np.ndarray:
     """Largest absolute cross-correlation ``max_k |rho_ij(k)|`` over lags 1..m.
 
-    Returns ``(d x d array, degenerate column mask)``; rows and columns of
-    degenerate components are zeroed so they never enter a max.
+    Returns a ``d x d`` array whose rows and columns of degenerate components
+    are zeroed, so they never enter a max.
     """
     n, d = x.shape
     xc, gamma0, degenerate = centered_columns(x)
@@ -114,31 +87,12 @@ def _peak_abs_corr(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         np.maximum(peak, np.abs(cov / np.outer(sd, sd)), out=peak)
     peak[degenerate, :] = 0.0
     peak[:, degenerate] = 0.0
-    return peak, degenerate
+    return peak
 
 
 def _bonferroni_threshold(d, m: int, alpha: float):
     """Gaussian quantile at ``1 - alpha / (2 d^2 m)``; ``d`` may be an array."""
     return ndtri(1.0 - alpha / (2.0 * d * d * m))
-
-
-def hd_wn_test(xi, m: int, alpha: float) -> HdWnResult:
-    """Multi-series white-noise test via the maximum cross-correlation.
-
-    The statistic is ``sqrt(n) * max |rho_ij(k)|`` over lags ``1..m`` and all
-    ``d^2`` component pairs; the threshold is the Gaussian quantile at
-    ``1 - alpha / (2 d^2 m)``.  Degenerate components are excluded from the
-    max (with a warning) but still count toward ``d`` in the threshold.
-    """
-    x = _component_panel(xi)
-    n, d = x.shape
-    _check_lags(m, n)
-    _check_alpha(alpha)
-    peak, degenerate = _peak_abs_corr(x, m)
-    _warn_degenerate(degenerate, "excluded from the test statistic")
-    statistic = float(np.sqrt(n) * peak.max(initial=0.0))
-    threshold = float(_bonferroni_threshold(d, m, alpha))
-    return HdWnResult(reject=statistic > threshold, statistic=statistic, threshold=threshold)
 
 
 def _kept_width(n: int, d: int, epsilon: float) -> int:
@@ -202,8 +156,11 @@ def count_factors(
     truncation and the threshold.  The constant-component warning concerns
     the columns of ``xi`` only.
     """
-    x = _component_panel(xi)
-    _check_alpha(alpha)
+    x = np.asarray(xi, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ArgumentError(f"component panel must be n x d with d >= 1, got {x.shape}")
+    if not 0.0 < alpha < 1.0:
+        raise ArgumentError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < epsilon <= 1.0:
         raise ArgumentError(f"epsilon must lie in (0, 1], got {epsilon}")
     n, tested = x.shape
@@ -214,7 +171,9 @@ def count_factors(
         r2 = next((i for i in range(tested, 0, -1) if pvalues[i - 1] < alpha), 0)
         return FactorCounts(pvalues, dict.fromkeys(reorders, np.arange(d)),
                             dict.fromkeys(reorders, r2), 0)
-    _warn_degenerate(degenerate, "treated as white noise")
+    if degenerate.any():
+        warnings.warn(f"{int(degenerate.sum())} constant component(s) treated as white noise",
+                      stacklevel=2)
     keep = _kept_width(n, d, epsilon)
     orders = {
         reorder: np.concatenate([_testing_order(q, degenerate, reorder), np.arange(tested, d)])
@@ -226,7 +185,7 @@ def count_factors(
     columns = columns[columns < tested]
     # the constant components read the appended row and column of zeros
     peak = np.zeros((columns.size + 1, columns.size + 1))
-    peak[:-1, :-1] = _peak_abs_corr(x[:, columns], m)[0]
+    peak[:-1, :-1] = _peak_abs_corr(x[:, columns], m)
     position = np.full(d, columns.size)
     position[columns] = np.arange(columns.size)
     counts = {}

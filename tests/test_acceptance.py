@@ -203,15 +203,18 @@ def test_criterion_7_invariant_suite(acceptance_report):
 
 
 def test_criterion_8_oracle_suite(acceptance_report):
+    from scipy.special import chdtrc
+
     from trendfactors.forecast import dm_test, fe_h, rmsfe
     from trendfactors.simgen import metric_Dbar
-    from trendfactors.tsstats import chi2_sf, ljung_box, sample_autocov
+    from trendfactors.tsstats import sample_autocov
+    from trendfactors.whitenoise import _ljung_box
 
     checks = {}
-    q, pval = ljung_box([1.0, -1.0, 1.0, -1.0], 1)
+    (q,), (pval,), _ = _ljung_box(np.array([[1.0], [-1.0], [1.0], [-1.0]]), 1)
     checks["ljung_box_Q"] = abs(q - 4.5) <= 1e-6
     checks["chi2_sf_4.5_df1"] = abs(pval - 0.0338948535246852) <= 1e-6
-    checks["chi2_sf_2ln2_df2"] = abs(chi2_sf(2.0 * np.log(2.0), 2) - 0.5) <= 1e-6
+    checks["chi2_sf_2ln2_df2"] = abs(chdtrc(2, 2.0 * np.log(2.0)) - 0.5) <= 1e-6
     checks["autocov_lag0"] = abs(sample_autocov([[1.0], [3.0]], 0)[0, 0] - 1.0) <= 1e-6
     checks["autocov_lag1"] = abs(sample_autocov([[1.0], [3.0]], 1)[0, 0] + 0.5) <= 1e-6
     h1 = np.array([[1.0], [0.0]])

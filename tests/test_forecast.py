@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from trendfactors import forecast
-from trendfactors.errors import ArgumentError, DegenerateSeriesError
+from trendfactors.errors import ArgumentError
 from trendfactors.forecast import (
     baseline_dfar,
     baseline_pca,
     dm_test,
     evaluate_forecasts,
     fe_h,
-    fit_ar1,
     fit_factor_models,
     fit_var1_diff,
     forecast_path,
@@ -25,17 +24,19 @@ from trendfactors.pipeline import PipelineConfig, decompose
 from trendfactors.simgen import DgpSpec, generate
 
 
+def stationary_fits(z2):
+    """The per-factor AR(1) fits of :func:`fit_factor_models` without trends."""
+    return fit_factor_models(np.zeros((z2.shape[0], 0)), z2).stat
+
+
 class TestFitAr1:
     def test_exact_geometric(self):
         x = 0.9 ** np.arange(30)
-        fit = fit_ar1(x)
-        assert fit.phi == pytest.approx(0.9, abs=1e-10)
-        assert fit.intercept == pytest.approx(0.0, abs=1e-10)
-        assert not fit.explosive
-
-    def test_constant_raises(self):
-        with pytest.raises(DegenerateSeriesError):
-            fit_ar1(np.full(20, 1.3))
+        phi, intercept, degenerate = forecast._ar1_columns(x[:, None])
+        assert phi[0] == pytest.approx(0.9, abs=1e-10)
+        assert intercept[0] == pytest.approx(0.0, abs=1e-10)
+        assert not degenerate[0]
+        assert not stationary_fits(x[:, None])[0].explosive
 
     def test_seeded_ar_recovered(self):
         rng = np.random.default_rng(0)
@@ -43,12 +44,12 @@ class TestFitAr1:
         x[0] = 0.0
         for t in range(1, 5000):
             x[t] = 0.5 * x[t - 1] + rng.normal()
-        fit = fit_ar1(x)
-        assert 0.45 <= fit.phi <= 0.55
+        phi = forecast._ar1_columns(x[:, None])[0][0]
+        assert 0.45 <= phi <= 0.55
 
     def test_explosive_flagged(self):
-        x = 1.2 ** np.arange(40)
-        assert fit_ar1(x).explosive
+        x = np.column_stack([1.2 ** np.arange(40), 0.9 ** np.arange(40)])
+        assert [fit.explosive for fit in stationary_fits(x)] == [True, False]
 
 
 def ols_ar1_reference(x):
@@ -140,14 +141,12 @@ class TestAr1Columns:
         assert degenerate.tolist() == [c in (2, 4) for c in range(6)]
 
     def test_fit_ar1_matches_reference(self):
+        # the AR(1) fits that fit_factor_models hands to the forecasts
         y = panel_with_degenerate_columns(3)
         ref_phi, ref_intercept = ols_ar1_reference(y)
-        for i in (0, 1, 3, 4, 5):
-            fit = fit_ar1(y[:, i])
+        for i, fit in enumerate(stationary_fits(y)):
             assert fit.phi == pytest.approx(ref_phi[i], rel=1e-12, abs=1e-12)
             assert fit.intercept == pytest.approx(ref_intercept[i], rel=1e-12, abs=1e-12)
-        with pytest.raises(DegenerateSeriesError):
-            fit_ar1(y[:, 2])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dfar_matches_reference(self, seed):
@@ -196,9 +195,9 @@ class TestFitVar1Diff:
         rng = np.random.default_rng(2)
         y = np.cumsum(rng.normal(size=200))
         var_fit = fit_var1_diff(y[:, None])
-        ar_fit = fit_ar1(np.diff(y))
-        assert var_fit.coef[0, 0] == pytest.approx(ar_fit.phi, abs=1e-10)
-        assert var_fit.intercept[0] == pytest.approx(ar_fit.intercept, abs=1e-10)
+        (phi,), (intercept,) = ols_ar1_reference(np.diff(y)[:, None])
+        assert var_fit.coef[0, 0] == pytest.approx(phi, abs=1e-10)
+        assert var_fit.intercept[0] == pytest.approx(intercept, abs=1e-10)
 
 
 class TestForecastY:

@@ -1,11 +1,17 @@
-"""The package surface: the README's library example and the exported names."""
+"""The package surface: the README's library example, the exported names, and
+no dead definitions or imports in the package source."""
 
+import ast
 import re
 from pathlib import Path
 
 import trendfactors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(trendfactors.__file__).resolve().parent
+# public names that the package itself need not call: the exports and the
+# paper's eigenvalue-ratio comparator
+UNCALLED = set(trendfactors.__all__) | {"lam_yao_ratio"}
 
 PUBLIC = [
     # entry points
@@ -35,3 +41,52 @@ def test_readme_library_example_runs():
     assert dec.r1_hat + dec.r2_hat + dec.v_hat == 6
     assert namespace["yhat"].shape == (6,)
     assert len(namespace["result"].cells) == 1
+
+
+def parsed_modules():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def referenced_names(node):
+    """Names read in ``node``, as bare names or as attributes of a module."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_definition_has_a_library_reference():
+    modules = parsed_modules()
+    unreferenced = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in UNCALLED:
+                continue
+            # every module, with this definition's own body left out
+            elsewhere = set()
+            for other in modules.values():
+                for top in other.body:
+                    if top is not node:
+                        elsewhere |= referenced_names(top)
+            if node.name not in elsewhere:
+                unreferenced.append(f"{name}:{node.name}")
+    assert unreferenced == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in parsed_modules().items():
+        if name == "__init__.py":
+            continue
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{name}:{alias}" for alias in imported if alias not in used]
+    assert unused == []

@@ -5,16 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from trendfactors.errors import ArgumentError, DegenerateSeriesError
-from trendfactors.tsstats import (
-    TimeSeriesPanel,
-    chi2_sf,
-    fix_signs,
-    ljung_box,
-    sample_acf,
-    sample_autocov,
-    sym_eigen,
-)
+from trendfactors.errors import ArgumentError
+from trendfactors.tsstats import TimeSeriesPanel, fix_signs, sample_autocov, sym_eigen
+from trendfactors.unitroot import acf_profile
+from trendfactors.whitenoise import _ljung_box
 
 
 def chi2_sf_quadrature(x, df):
@@ -71,16 +65,21 @@ class TestSampleAutocov:
 
 
 class TestSampleAcf:
+    """The autocorrelations of :func:`acf_profile`, against the scalar definition."""
+
     def test_lag0_is_one(self):
         rng = np.random.default_rng(2)
-        assert sample_acf(rng.normal(size=40), 0) == 1.0
+        assert np.all(acf_profile(rng.normal(size=(40, 3)), np.array([0])) == 1.0)
 
     def test_alternating_hand_value(self):
-        assert sample_acf([1.0, -1.0, 1.0, -1.0], 1) == pytest.approx(-0.75, abs=1e-12)
+        rho = acf_profile(np.array([[1.0], [-1.0], [1.0], [-1.0]]), np.array([1]))
+        assert rho[0, 0] == pytest.approx(-0.75, abs=1e-12)
 
-    def test_constant_raises(self):
-        with pytest.raises(DegenerateSeriesError):
-            sample_acf([2.0, 2.0, 2.0], 1)
+    def test_constant_column_gives_zeros(self):
+        x = np.column_stack([np.full(12, 2.0), np.arange(12.0)])
+        rho = acf_profile(x, np.array([1, 2, 3]))
+        assert np.all(rho[0] == 0.0)
+        assert np.all(rho[1] > 0.0)
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(3)
@@ -88,66 +87,97 @@ class TestSampleAcf:
             n = int(rng.integers(4, 100))
             x = np.cumsum(rng.normal(size=n)) if rng.random() < 0.5 else rng.normal(size=n)
             k = int(rng.integers(0, n - 1))
-            assert abs(sample_acf(x, k)) <= 1.0 + 1e-12
+            xc = x - x.mean()
+            rho = acf_profile(x[:, None], np.array([k]))[0, 0]
+            assert rho == pytest.approx(xc[k:] @ xc[: n - k] / (xc @ xc), rel=1e-12, abs=1e-15)
+            assert abs(rho) <= 1.0 + 1e-12
 
 
 class TestLjungBox:
+    """The per-column Ljung-Box statistics of ``whitenoise._ljung_box``."""
+
     def test_alternating_hand_values(self):
-        q, p = ljung_box([1.0, -1.0, 1.0, -1.0], 1)
-        assert q == pytest.approx(4.5, abs=1e-12)
-        assert p == pytest.approx(0.0338948535246852, abs=1e-6)
+        q, p, _ = _ljung_box(np.array([[1.0], [-1.0], [1.0], [-1.0]]), 1)
+        assert q[0] == pytest.approx(4.5, abs=1e-12)
+        assert p[0] == pytest.approx(0.0338948535246852, abs=1e-6)
 
     def test_zero_autocorrelation_gives_unit_pvalue(self):
-        # orthogonal-by-construction series: acf(1) = acf(2) = 0
-        x = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
-        rho1 = sample_acf(x, 1)
-        if abs(rho1) < 1e-12:
-            q, p = ljung_box(x, 1)
-            assert q == pytest.approx(0.0, abs=1e-12)
-            assert p == pytest.approx(1.0, abs=1e-12)
+        # every lag-1 product has a zero factor, so acf(1) = 0 exactly
+        x = np.array([1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0])
+        q, p, _ = _ljung_box(x[:, None], 1)
+        assert q[0] == pytest.approx(0.0, abs=1e-12)
+        assert p[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_m(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=60)
-        qs = [ljung_box(x, m).statistic for m in range(1, 20)]
-        assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
+        x = rng.normal(size=(60, 5))
+        qs = np.array([_ljung_box(x, m)[0] for m in range(1, 20)])
+        assert np.all(np.diff(qs, axis=0) >= -1e-12)
+        # the definition on the first column: Q from the scalar ACF
+        xc, n = x[:, 0] - x[:, 0].mean(), 60
+        acf = np.array([xc[k:] @ xc[: n - k] / (xc @ xc) for k in range(1, 20)])
+        q = n * (n + 2) * np.cumsum(acf**2 / (n - np.arange(1, 20)))
+        assert np.allclose(qs[:, 0], q, rtol=1e-12)
 
-    def test_degenerate_propagates(self):
-        with pytest.raises(DegenerateSeriesError):
-            ljung_box(np.ones(10), 2)
+    def test_constant_column_unit_pvalue(self):
+        rng = np.random.default_rng(5)
+        x = np.column_stack([np.ones(10), rng.normal(size=10)])
+        q, p, degenerate = _ljung_box(x, 2)
+        assert p[0] == 1.0 and degenerate.tolist() == [True, False]
+        assert np.all(np.isfinite(q))
 
 
 class TestChi2Sf:
+    """The chi-square tail behind the p-values of ``whitenoise._ljung_box``."""
+
     def test_zero_is_one(self):
-        assert chi2_sf(0.0, 2) == 1.0
+        # acf(1) = acf(2) = 0 exactly, so Q(2) = 0
+        x = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
+        q, p, _ = _ljung_box(x[:, None], 2)
+        assert q[0] == 0.0
+        assert p[0] == 1.0
 
     def test_df2_closed_form(self):
-        x = 2.0 * np.log(2.0)
-        assert chi2_sf(x, 2) == pytest.approx(0.5, abs=1e-12)
-        for x in (0.2, 1.0, 5.0, 40.0):
-            assert chi2_sf(x, 2) == pytest.approx(np.exp(-x / 2.0), rel=1e-12)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(40, 30)) + 0.5 * np.cumsum(rng.normal(size=(40, 30)), axis=0)
+        q, p, _ = _ljung_box(x, 2)
+        assert q.min() < 1.0 and q.max() > 40.0
+        assert np.allclose(p, np.exp(-q / 2.0), rtol=1e-12, atol=0.0)
 
     def test_hand_value_df1(self):
-        assert chi2_sf(4.5, 1) == pytest.approx(0.0338948535246852, abs=1e-6)
+        # the alternating series, shifted and scaled in a second column
+        x = np.array([[1.0, 3.0], [-1.0, -1.0], [1.0, 3.0], [-1.0, -1.0]])
+        q, p, _ = _ljung_box(x, 1)
+        assert q == pytest.approx([4.5, 4.5], abs=1e-12)
+        assert p == pytest.approx([0.0338948535246852] * 2, abs=1e-6)
 
     def test_against_quadrature_grid(self):
+        rng = np.random.default_rng(7)
+        n = 120
+        x = rng.normal(size=(n, 8))
+        for i, phi in enumerate((0.05, 0.1, 0.2, 0.3, 0.5, 0.9), start=2):
+            for t in range(1, n):
+                x[t, i] += phi * x[t - 1, i]
         for df in (1, 2, 3, 7, 15, 30, 50):
-            for x in (0.0, 0.05, 0.8, 3.0, 11.0, 27.0, 64.0, 100.0):
-                assert chi2_sf(x, df) == pytest.approx(
-                    chi2_sf_quadrature(x, df), abs=1e-6
-                ), (df, x)
+            q, p, _ = _ljung_box(x, df)
+            for qi, pi in zip(q, p):
+                assert pi == pytest.approx(chi2_sf_quadrature(qi, df), abs=1e-6), (df, qi)
 
     def test_monotone_nonincreasing(self):
-        xs = np.linspace(0.0, 80.0, 161)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(200, 161))
+        x[1:] += np.linspace(0.0, 0.6, 161) * x[:-1]
         for df in (1, 4, 9):
-            vals = [chi2_sf(x, df) for x in xs]
-            assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+            q, p, _ = _ljung_box(x, df)
+            order = np.argsort(q)
+            assert np.all(np.diff(p[order]) <= 1e-12)
 
     def test_rejects_bad_args(self):
+        x = np.random.default_rng(9).normal(size=(10, 2))
         with pytest.raises(ArgumentError):
-            chi2_sf(-1.0, 2)
+            _ljung_box(x, 0)
         with pytest.raises(ArgumentError):
-            chi2_sf(1.0, 0)
+            _ljung_box(x, 9)
 
 
 class TestSymEigen:

@@ -5,9 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy.stats import chi2
+
 from trendfactors.errors import ArgumentError
-from trendfactors.tsstats import ljung_box
-from trendfactors.whitenoise import count_factors, hd_wn_test
+from trendfactors.whitenoise import _bonferroni_threshold, _peak_abs_corr, count_factors
+
+
+def lb_statistic(x, m):
+    """Ljung-Box Q(m) of one series from its scalar ACF ``xc[k:] @ xc[:n-k] / (xc @ xc)``."""
+    xc, n = x - x.mean(), x.size
+    acf = [xc[k:] @ xc[: n - k] / (xc @ xc) for k in range(1, m + 1)]
+    return n * (n + 2) * sum(rho**2 / (n - k) for k, rho in enumerate(acf, start=1))
 
 
 def ar1(rng, n, phi):
@@ -48,7 +56,7 @@ class TestLbOrder:
         x = np.column_stack([rng.normal(size=400) for _ in range(4)] + [ar1(rng, 400, 0.9)])
         counts = count_factors(x, 10, 0.05)
         assert np.all(np.diff(counts.pvalues[counts.order[True]]) >= 0)
-        scalar = [ljung_box(x[:, i], 10).pvalue for i in range(x.shape[1])]
+        scalar = [chi2.sf(lb_statistic(x[:, i], 10), 10) for i in range(x.shape[1])]
         assert np.allclose(counts.pvalues, scalar)
 
     def test_underflowing_pvalues_order_by_statistic(self):
@@ -57,7 +65,7 @@ class TestLbOrder:
         x = np.column_stack([ar1(rng, 2000, 0.9), ar1(rng, 2000, 0.99), rng.normal(size=2000)])
         counts = count_factors(x, 10, 0.05)
         assert counts.pvalues[0] == 0.0 and counts.pvalues[1] == 0.0
-        assert ljung_box(x[:, 1], 10).statistic > ljung_box(x[:, 0], 10).statistic
+        assert lb_statistic(x[:, 1], 10) > lb_statistic(x[:, 0], 10)
         assert list(counts.order[True]) == [1, 0, 2]
 
     def test_degenerate_last_with_warning(self):
@@ -70,49 +78,50 @@ class TestLbOrder:
 
 
 class TestHdWnTest:
+    """The multi-series statistic and threshold behind the sequential count."""
+
     def test_threshold_single_series(self):
-        res = hd_wn_test(np.random.default_rng(5).normal(size=(100, 1)), 1, 0.05)
-        assert res.threshold == pytest.approx(1.959963984540054, abs=1e-9)
+        assert _bonferroni_threshold(1, 1, 0.05) == pytest.approx(1.959963984540054, abs=1e-9)
 
     def test_alternating_statistic_exact(self):
         n = 400
         x = np.tile([1.0, -1.0], n // 2)[:, None]
-        res = hd_wn_test(x, 1, 0.05)
-        assert res.statistic == pytest.approx(np.sqrt(n) * (n - 1) / n, rel=1e-12)
-        assert res.reject
+        statistic = np.sqrt(n) * _peak_abs_corr(x, 1).max()
+        assert statistic == pytest.approx(np.sqrt(n) * (n - 1) / n, rel=1e-12)
+        assert statistic > _bonferroni_threshold(1, 1, 0.05)
 
     def test_statistic_matches_acf_oracle(self):
-        from trendfactors.tsstats import sample_acf
-
         rng = np.random.default_rng(6)
         x = rng.normal(size=(200, 1))
-        res = hd_wn_test(x, 3, 0.05)
-        oracle = np.sqrt(200) * max(abs(sample_acf(x[:, 0], k)) for k in (1, 2, 3))
-        assert res.statistic == pytest.approx(oracle, rel=1e-12)
+        xc = x[:, 0] - x[:, 0].mean()
+        oracle = np.sqrt(200) * max(abs(xc[k:] @ xc[: 200 - k] / (xc @ xc)) for k in (1, 2, 3))
+        assert np.sqrt(200) * _peak_abs_corr(x, 3).max() == pytest.approx(oracle, rel=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(300, 5))
         scaled = x * np.array([1e-3, 1.0, 40.0, 7.0, 0.2])
-        a = hd_wn_test(x, 5, 0.05)
-        b = hd_wn_test(scaled, 5, 0.05)
-        assert a.statistic == pytest.approx(b.statistic, rel=1e-10)
+        a = _peak_abs_corr(x, 5)
+        b = _peak_abs_corr(scaled, 5)
+        assert a.max() == pytest.approx(b.max(), rel=1e-10)
+        assert np.allclose(a, b, rtol=1e-10, atol=0.0)
 
     def test_empirical_size_conservative(self):
+        # the count is positive exactly when the test on all components rejects
         rng = np.random.default_rng(8)
         rejections = 0
         for _ in range(200):
             x = rng.normal(size=(1000, 20))
-            if hd_wn_test(x, 10, 0.05).reject:
+            if count_factors(x, 10, 0.05).r2[True] > 0:
                 rejections += 1
         assert rejections / 200 <= 0.08
 
     def test_degenerate_excluded(self):
         rng = np.random.default_rng(9)
         x = np.column_stack([np.full(100, 2.0), rng.normal(size=100)])
-        with pytest.warns(UserWarning):
-            res = hd_wn_test(x, 2, 0.05)
-        assert np.isfinite(res.statistic)
+        peak = _peak_abs_corr(x, 2)
+        assert np.all(peak[0] == 0.0) and np.all(peak[:, 0] == 0.0)
+        assert np.all(np.isfinite(peak)) and peak[1, 1] > 0.0
 
 
 class TestEstimateR2Small:
@@ -198,13 +207,15 @@ class TestCountFactors:
         # the definition: order by the scalar Ljung-Box statistic (descending,
         # stable) or keep the given order, then drop the leading component
         # until the rest tests white
+        n = x.shape[0]
         order = np.arange(x.shape[1])
         if reorder:
-            q = [ljung_box(x[:, i], m).statistic for i in order]
+            q = [lb_statistic(x[:, i], m) for i in order]
             order = np.argsort(-np.asarray(q), kind="stable")
         ordered = x[:, order[:keep]]
         for j in range(keep):
-            if not hd_wn_test(ordered[:, j:], m, alpha).reject:
+            statistic = np.sqrt(n) * _peak_abs_corr(ordered[:, j:], m).max()
+            if not statistic > _bonferroni_threshold(keep - j, m, alpha):
                 return j
         return keep
 
@@ -237,7 +248,7 @@ class TestCountFactors:
         x = np.column_stack([ar1(rng, 500, 0.8), rng.normal(size=500), rng.normal(size=500)])
         counts = count_factors(x, 10, 0.05, (True, False), bottom_up=True)
         # the definition: the position of the last component that rejects white noise
-        scalar = [ljung_box(x[:, i], 10).pvalue for i in range(3)]
+        scalar = [chi2.sf(lb_statistic(x[:, i], 10), 10) for i in range(3)]
         expected = max((i + 1 for i in range(3) if scalar[i] < 0.05), default=0)
         for reorder in (True, False):
             assert list(counts.order[reorder]) == [0, 1, 2]
