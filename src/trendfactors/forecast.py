@@ -183,9 +183,9 @@ def _dfar_path(y: np.ndarray, h_max: int) -> np.ndarray:
 def forecast_path(split, fit: FactorModelFit, sf, h_max: int) -> np.ndarray:
     """Forecasts of the observed panel for every horizon ``1..h_max``.
 
-    ``split`` supplies the loadings and trend paths (``A1``, ``A2``, ``x1``),
-    ``sf`` the stationary-factor pieces (``U1``, ``z2``); a ``Decomposition``
-    can serve as both.  Each row is
+    ``split`` supplies the loadings and trend paths (``A1``, ``x1``, and
+    ``A2_times(u)`` for ``A2 @ u``), ``sf`` the stationary-factor pieces
+    (``U1``, ``z2``); a ``Decomposition`` can serve as both.  Each row is
     ``A1 x1_{n+h} + A2 U1 z2_{n+h}`` with the factor forecasts iterated from
     the fitted recursions (trend differences re-integrated).
     """
@@ -197,7 +197,7 @@ def forecast_path(split, fit: FactorModelFit, sf, h_max: int) -> np.ndarray:
     phi = np.array([f.phi for f in fit.stat])
     z2f = _ar1_path(phi, np.array([f.intercept for f in fit.stat]), sf.z2[-1], h_max)
     trend_part = x1f @ split.A1.T
-    factor_part = z2f @ (split.A2 @ sf.U1).T if sf.U1.shape[1] else 0.0
+    factor_part = z2f @ split.A2_times(sf.U1).T if sf.U1.shape[1] else 0.0
     return trend_part + factor_part
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ArgumentError, IllConditionedError
 from .stationary import (
@@ -24,7 +24,7 @@ from .stationary import (
     recover_z2,
 )
 from .tsstats import EigenDecomposition, as_panel, sym_eigen
-from .unitroot import first_stage, null_width, scan_r1
+from .unitroot import M1Eigen, first_stage, null_width, scan_r1
 from .whitenoise import FactorCounts, count_factors
 
 __all__ = ["PipelineConfig", "Decomposition", "decompose", "second_stage", "recover_factors"]
@@ -104,9 +104,17 @@ class Decomposition:
     When ``p >= n`` the last ``p - n + 1`` columns of ``A2`` are orthogonal
     to the centered panel (see :func:`trendfactors.unitroot.null_width`):
     their components in ``x2`` are constant, they are white noise, last in
-    the testing order with Ljung-Box p-value 1, ``V2`` is zero on them, and
-    their ``M1``, ``M2`` and ``S`` eigenvalues and s-statistics are exact
-    zeros.
+    the testing order with Ljung-Box p-value 1, ``U1`` and ``V2`` are zero
+    on them, ``V1`` ends in an identity block over them, and their ``M1``,
+    ``M2`` and ``S`` eigenvalues and s-statistics are exact zeros.
+
+    ``A2`` and ``V1`` are built on first read and then kept: ``A2`` from
+    ``eig1``, the :class:`~trendfactors.unitroot.M1Eigen` that
+    :func:`~trendfactors.unitroot.first_stage` returns, and ``V1`` from
+    ``V1_lead``, its block over all but the null-space components.  On a
+    wide panel that forms ``A2``'s null-space completion (a ``p x p``
+    array) and ``V1``'s identity block, which no stage reads;
+    :meth:`A2_times` gives ``A2 U1`` without the completion.
     """
 
     r1_hat: int
@@ -114,18 +122,37 @@ class Decomposition:
     v_hat: int
     K_hat: int
     A1: np.ndarray
-    A2: np.ndarray
     U1: np.ndarray
-    V1: np.ndarray
     V2: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     z2: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+    eig1: M1Eigen = field(kw_only=True, repr=False)
+    V1_lead: np.ndarray = field(kw_only=True, repr=False)
 
     @property
     def p(self) -> int:
         return self.A1.shape[0]
+
+    @cached_property
+    def A2(self) -> np.ndarray:
+        return self.eig1.basis()[:, self.r1_hat:]
+
+    @cached_property
+    def V1(self) -> np.ndarray:
+        lead, v_lead = self.V1_lead.shape
+        if v_lead == self.v_hat:
+            return self.V1_lead
+        v1 = np.zeros((lead + self.v_hat - v_lead, self.v_hat))
+        v1[:lead, :v_lead] = self.V1_lead
+        # the null-space components are last in every order
+        v1[np.arange(lead, len(v1)), np.arange(v_lead, self.v_hat)] = 1.0
+        return v1
+
+    def A2_times(self, u: np.ndarray) -> np.ndarray:
+        """``A2 @ u`` for a ``u`` that is zero on the null-space rows, such as ``U1``."""
+        return self.eig1.trailing_times(self.r1_hat, u)
 
 
 def second_stage(
@@ -136,12 +163,14 @@ def second_stage(
     Counts are returned for each reorder variant in ``reorders``; panels no
     wider than ``SMALL_P_THRESHOLD`` use the bottom-up Ljung-Box scan.  The
     last ``null`` columns of ``x2`` are constant by construction (the null
-    space of a wide panel): ``M2`` is built on the others, and these join
-    its eigenbasis as unit vectors with eigenvalue 0 and count as white
-    noise, last in the testing order.  A block with no other column (all of
-    ``x2`` constant, or ``x2`` empty) has nothing to test: its eigenbasis is
-    the identity with zero eigenvalues, every p-value is 1, the testing
-    order is the column order, every count is 0 and nothing is truncated.
+    space of a wide panel): ``M2`` is built on the others, and the
+    returned eigendecomposition covers the others only (on the constant
+    columns ``M2``'s eigenvalues are exact zeros and its eigenvectors unit
+    vectors).  The constant columns count as white noise, last in the
+    testing order.  A block with no other column (all of ``x2`` constant,
+    or ``x2`` empty) has nothing to test: the eigendecomposition is empty,
+    every p-value is 1, the testing order is the column order, every count
+    is 0 and nothing is truncated.
     """
     lead = x2.shape[1] - null
     if lead:
@@ -159,11 +188,6 @@ def second_stage(
         eig2 = _NO_SPECTRUM
         counts = FactorCounts(np.ones(null), dict.fromkeys(reorders, np.arange(null)),
                               dict.fromkeys(reorders, 0), 0)
-    if null:
-        eig2 = EigenDecomposition(
-            values=np.concatenate([eig2.values, np.zeros(null)]),
-            vectors=block_diag(eig2.vectors, np.eye(null)),
-        )
     return eig2, counts
 
 
@@ -177,24 +201,22 @@ def recover_factors(
 ) -> StationaryFactorFit:
     """Projected-PCA recovery of the stationary factors at a given count.
 
-    ``w`` is the ``M2`` eigenbasis; the first ``r2`` of its columns in the
-    testing ``order`` span the factor directions and the rest the white
-    noise.  When the recovery is ill conditioned the factors are read off
-    by direct projection instead (``v2_fallback``).  ``S`` and ``V2`` are
-    found among the leading ``d - null`` components, as laid out by
-    :func:`second_stage`: ``V2`` is zero on the ``null`` constant ones, and
-    ``S`` has exact zero eigenvalues there (all of them when ``d == null``).
+    ``w`` is the ``M2`` eigenbasis of the leading ``d - null`` components,
+    as :func:`second_stage` returns it.  In the testing ``order`` the first
+    ``r2`` components span the factor directions and the rest the white
+    noise; the ``null`` constant components come last.  When the recovery
+    is ill conditioned the factors are read off by direct projection
+    instead (``v2_fallback``).  ``S`` and ``V2`` are found among the leading
+    components: ``U1`` and ``V2`` are zero on the constant ones, and ``S``
+    has exact zero eigenvalues there (all of them when ``d == null``).
     """
     d = x2.shape[1]
     lead = d - null
     v = d - r2
     v_lead = lead - r2
-    u1 = w[:, order[:r2]]
-    v1 = w[:, order[r2:]]
-    # the constant components come last in the order and ``w`` is block
-    # diagonal, so the leading rows of U1 and V1 cover the other components
-    u1_lead = u1[:lead]
-    eig_s = sym_eigen(projected_S(x2[:, :lead], v1[:lead, :v_lead])) if lead else _NO_SPECTRUM
+    u1_lead = w[:, order[:r2]]
+    v1_lead = w[:, order[r2:lead]]
+    eig_s = sym_eigen(projected_S(x2[:, :lead], v1_lead)) if lead else _NO_SPECTRUM
     if config.K_override is not None:
         k_hat = min(config.K_override, v_lead)
     elif d <= SMALL_P_THRESHOLD or v_lead <= 1:
@@ -220,8 +242,8 @@ def recover_factors(
         r2_hat=r2,
         v_hat=v,
         K_hat=k_hat,
-        U1=u1,
-        V1=v1,
+        U1=np.concatenate([u1_lead, np.zeros((null, r2))]) if null else u1_lead,
+        V1_lead=v1_lead,
         V2=np.concatenate([v2, np.zeros((null, r2))]),
         z2=recover_z2(v2, u1_lead, x2[:, :lead]),
         S_eigenvalues=np.concatenate([eig_s.values, np.zeros(null)]),
@@ -248,7 +270,7 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
     diagnostics = {
         "M1_eigenvalues": eig1.values,
         "s_statistics": (np.abs(rho) if config.absolute_acf else rho).mean(axis=1),
-        "M2_eigenvalues": eig2.values,
+        "M2_eigenvalues": np.concatenate([eig2.values, np.zeros(null)]),
         "lb_pvalues": counts.pvalues[order],
         "component_order": order,
         "S_eigenvalues": fit.S_eigenvalues,
@@ -260,13 +282,13 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
         r2_hat=fit.r2_hat,
         v_hat=fit.v_hat,
         K_hat=fit.K_hat,
-        A1=eig1.vectors[:, :r1],
-        A2=eig1.vectors[:, r1:],
+        A1=eig1.lead[:, :r1],
         U1=fit.U1,
-        V1=fit.V1,
         V2=fit.V2,
         x1=x[:, :r1],
         x2=x2,
         z2=fit.z2,
         diagnostics=diagnostics,
+        eig1=eig1,
+        V1_lead=fit.V1_lead,
     )

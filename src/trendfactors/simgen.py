@@ -330,6 +330,22 @@ def _span_distance(h1: np.ndarray, h2: np.ndarray) -> float:
     return metric_Dbar(h1, h2) if min(h1.shape[1], h2.shape[1]) else np.nan
 
 
+def _complement_distance(a1: np.ndarray, b1: np.ndarray) -> float:
+    """:func:`metric_Dbar` of the orthogonal complements of two orthonormal bases.
+
+    For ``p x a`` and ``p x b`` orthonormal ``a1`` and ``b1`` with complements
+    ``a2`` and ``b2``, ``||a2' b2||_F^2 = p - a - b + ||a1' b1||_F^2``, so
+    neither complement is formed.  An empty complement gives NaN, as in
+    :func:`_span_distance`.
+    """
+    p, a = a1.shape
+    b = b1.shape[1]
+    if max(a, b) == p:
+        return np.nan
+    overlap = p - a - b + float(np.sum((a1.T @ b1) ** 2))
+    return float(np.sqrt(max(0.0, 1.0 - overlap / (p - min(a, b)))))
+
+
 def _replication(
     panel: TimeSeriesPanel,
     truth: GroundTruth,
@@ -364,11 +380,12 @@ def _replication(
     # span/path accuracy metrics, computed under the first requested variant
     absolute, reorder = _parse_variant(variants[0])
     r1 = r1_by_abs[absolute]
-    a1, a2 = eig1.vectors[:, :r1], eig1.vectors[:, r1:]
+    a1 = eig1.lead[:, :r1]
     norm = "small" if spec.example == 1 else "large"
     metrics = {
         "Dbar_A1": _span_distance(a1, truth.A1),
-        "Dbar_A2": _span_distance(a2, truth.A2),
+        # A2 and truth.A2 complete A1 and truth.A1 to orthonormal bases
+        "Dbar_A2": _complement_distance(a1, truth.A1),
         "rmse_trend": rmse_factors(x[:, :r1] @ a1.T, truth.trend_paths(), norm),
         "Dbar_A2U1": np.nan,
         "rmse_stationary": np.nan,
@@ -377,7 +394,7 @@ def _replication(
     r2 = counts.r2[reorder]
     if r2 >= 1:
         fit = recover_factors(x[:, r1:], eig2.vectors, counts.order[reorder], r2, config, null)
-        a2u1_hat = a2 @ fit.U1
+        a2u1_hat = eig1.trailing_times(r1, fit.U1)
         metrics["Dbar_A2U1"] = _span_distance(a2u1_hat, truth.A2 @ truth.U22_1)
         metrics["rmse_stationary"] = rmse_factors(fit.z2 @ a2u1_hat.T, truth.factor_paths(), norm)
     return indicators, metrics

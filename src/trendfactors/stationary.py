@@ -39,11 +39,13 @@ _SV_TOL = 1e-10
 class StationaryFactorFit:
     """Second-stage estimates on the stationary panel of width ``p - r1``.
 
-    ``U1`` spans the factor directions and ``V1`` the white-noise directions
-    (mutually orthonormal, jointly a full basis); ``V2`` is the projected-PCA
-    matrix used to invert the factor mixing, and ``z2`` holds the recovered
-    factor paths.  Only the span of ``V2`` is determined, not its basis
-    inside the span, and ``z2`` does not depend on that basis.
+    ``U1`` spans the factor directions and ``V1_lead`` the white-noise
+    directions over all but a wide panel's null-space components (mutually
+    orthonormal; with those components they make a full basis, see
+    ``Decomposition.V1``); ``V2`` is the projected-PCA matrix used to invert
+    the factor mixing, and ``z2`` holds the recovered factor paths.  Only
+    the span of ``V2`` is determined, not its basis inside the span, and
+    ``z2`` does not depend on that basis.
     ``r2_hat + v_hat`` always equals the panel width.  ``v2_fallback`` marks
     an ill-conditioned recovery where ``V2 = U1``.
     """
@@ -52,7 +54,7 @@ class StationaryFactorFit:
     v_hat: int
     K_hat: int
     U1: np.ndarray
-    V1: np.ndarray
+    V1_lead: np.ndarray
     V2: np.ndarray
     z2: np.ndarray
     S_eigenvalues: np.ndarray

@@ -13,19 +13,16 @@ rows' span (see :func:`first_stage`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ArgumentError
-from .tsstats import (
-    EigenDecomposition,
-    as_panel,
-    autocov_gram,
-    centered_columns,
-    fix_signs,
-    sym_eigen,
-)
+from .tsstats import as_panel, autocov_gram, centered_columns, fix_signs, sym_eigen
 
 __all__ = [
+    "M1Eigen",
     "null_width",
     "build_M1",
     "probe_lags",
@@ -100,12 +97,65 @@ def scan_r1(rho: np.ndarray, c0: float, absolute: bool) -> int:
     return len(s_values)
 
 
+def _lapack(routine, *args, **kwargs) -> np.ndarray:
+    """First output of a LAPACK routine called with its queried optimal workspace."""
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, info = routine(*args, lwork=lwork, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info={info}")
+    return out[0]
+
+
+@dataclass(frozen=True)
+class M1Eigen:
+    """``M1``'s eigendecomposition as :func:`first_stage` returns it.
+
+    ``values`` holds all ``p`` eigenvalues, sorted descending, and ``lead``
+    the orthonormal eigenvectors paired with the leading ones: all ``p`` of
+    them when ``p < n``.  When ``p >= n``, ``lead`` is only the ``n - 1``
+    row-space eigenvectors ``Q W``, and the last :func:`null_width`
+    eigenvalues are exact zeros.  Their eigenvectors, the orthonormal
+    completion ``Q_perp`` of ``Q``, are kept implicit as the Householder QR
+    of the first ``n - 1`` centered rows: ``reflectors`` is LAPACK's
+    ``p x (n - 1)`` array (``R`` on and above the diagonal, the reflectors
+    below it) and ``tau`` their scale factors; both are ``None`` when
+    ``p < n``.  :meth:`basis` forms the complete eigenbasis, and
+    :meth:`trailing_times` multiplies by its trailing columns without it.
+    """
+
+    values: np.ndarray
+    lead: np.ndarray
+    reflectors: np.ndarray | None = None
+    tau: np.ndarray | None = None
+
+    def basis(self) -> np.ndarray:
+        """The ``p x p`` eigenbasis; when ``p >= n``, ``[Q W, Q_perp]`` formed on every call."""
+        if self.reflectors is None:
+            return self.lead
+        p, rank = self.lead.shape
+        q = np.zeros((p, p), order="F")
+        q[:, :rank] = self.reflectors
+        q = _lapack(lapack.dorgqr, q, self.tau, overwrite_a=1)
+        q[:, :rank] = self.lead
+        return q
+
+    def trailing_times(self, r1: int, u: np.ndarray) -> np.ndarray:
+        """``basis()[:, r1:] @ u`` for a ``u`` that is zero on the null-space rows.
+
+        Only the columns ``lead[:, r1:]`` are read, so ``Q_perp`` is not
+        formed; the rows of ``u`` past them must be zero, as they are in
+        ``U1``.
+        """
+        trailing = self.lead[:, r1:]
+        return trailing @ u[: trailing.shape[1]]
+
+
 def first_stage(
     panel, k0: int, l: int, m: int
-) -> tuple[EigenDecomposition, np.ndarray, np.ndarray]:
+) -> tuple[M1Eigen, np.ndarray, np.ndarray]:
     """Eigendecomposition of ``M1``, the ACF profile and the transformed panel.
 
-    Returns ``(eig, rho, x)`` with ``x = y @ eig.vectors`` the panel in the
+    Returns ``(eig, rho, x)`` with ``x = y @ eig.basis()`` the panel in the
     ``M1`` eigenbasis and ``rho[i]`` the autocorrelations of its ``i``-th
     column at the :func:`probe_lags` ``(l, m)``; :func:`scan_r1` turns
     ``rho`` into a count ``r1`` for either aggregation variant, and the
@@ -114,12 +164,14 @@ def first_stage(
     lag at most ``n - 2``.
 
     When ``p >= n``, a Householder QR of the first ``n - 1`` centered rows
-    gives an orthonormal basis ``Q`` of the row space and its completion
-    ``Q_perp``.  ``M1`` is built and diagonalised in the coordinates
-    ``yc @ Q``, and ``eig`` holds ``[Q W, Q_perp]`` with ``W`` the small
-    eigenbasis; the :func:`null_width` trailing eigenvalues and ACF rows
-    are exact zeros, and the trailing columns of ``x`` are the exact
-    constants ``ybar @ Q_perp``.
+    gives an orthonormal basis ``Q`` of the row space.  ``M1`` is built and
+    diagonalised in the coordinates ``yc @ Q``, read off ``R``, and only the
+    thin ``Q`` is formed: ``eig.lead`` is ``Q W`` for the small eigenbasis
+    ``W``, and the completion ``Q_perp`` stays in the Householder reflectors
+    that ``eig`` keeps (see :class:`M1Eigen`).  The :func:`null_width`
+    trailing eigenvalues and ACF rows are exact zeros, and the trailing
+    columns of ``x`` are the exact constants ``ybar @ Q_perp``, found by
+    applying the reflectors to ``ybar``.
     """
     pan = as_panel(panel)
     lags = _fitting_lags(l, m, pan.n)
@@ -127,23 +179,26 @@ def first_stage(
     if not null:
         eig = sym_eigen(build_M1(pan.data, k0))
         x = pan.data @ eig.vectors
-        return eig, acf_profile(x, lags), x
+        return M1Eigen(eig.values, eig.vectors), acf_profile(x, lags), x
     rank = pan.p - null
     yc = pan.data - pan.data.mean(axis=0)
-    q, r = np.linalg.qr(yc[:-1].T, mode="complete")
+    # the transpose of LAPACK's geqrf output, so ``reflectors`` is Fortran-ordered
+    raw, tau = np.linalg.qr(yc[:-1].T, mode="raw")
+    del yc
+    reflectors = raw.T
+    r = np.triu(reflectors[:rank])
     # yc[:-1] = r' q', and the centered rows sum to zero
-    coords = np.vstack([r[:rank].T, -r[:rank].sum(axis=1)])
-    # the QR temporaries are released before the n x p transformed panel is
-    # allocated, which keeps the wide-panel memory peak down
-    del yc, r
+    coords = np.vstack([r.T, -r.sum(axis=1)])
+    del r
     w = sym_eigen(build_M1(coords, k0))
     # autocorrelations ignore the mean and the sign fix
     rho = acf_profile(coords @ w.vectors, lags)
     del coords
-    q[:, :rank] = fix_signs(q[:, :rank] @ w.vectors)
+    vectors = fix_signs(_lapack(lapack.dorgqr, reflectors, tau) @ w.vectors)
     x = np.empty((pan.n, pan.p))
-    x[:, :rank] = pan.data @ q[:, :rank]
+    x[:, :rank] = pan.data @ vectors
     # off the row space every row of the panel projects onto its mean
-    x[:, rank:] = pan.data.mean(axis=0) @ q[:, rank:]
-    eig = EigenDecomposition(values=np.concatenate([w.values, np.zeros(null)]), vectors=q)
+    ybar = pan.data.mean(axis=0)[:, None]
+    x[:, rank:] = _lapack(lapack.dormqr, "L", "T", reflectors, tau, ybar)[rank:, 0]
+    eig = M1Eigen(np.concatenate([w.values, np.zeros(null)]), vectors, reflectors, tau)
     return eig, np.concatenate([rho, np.zeros((null, len(lags)))]), x

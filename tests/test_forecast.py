@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from trendfactors.forecast import (
 )
 from trendfactors.pipeline import PipelineConfig, decompose
 from trendfactors.simgen import DgpSpec, generate
+from trendfactors.unitroot import M1Eigen
 
 
 def stationary_fits(z2):
@@ -229,12 +231,34 @@ class TestForecastY:
                           + fit.nonstat.coef @ (dec.x1[-1] - dec.x1[-2]))
             assert np.allclose(got, dec.A1 @ trend_only, atol=1e-10)
 
+    def test_wide_panel_forecasts_skip_the_completion(self, monkeypatch):
+        # A2 U1 is read off A2's row-space block, where U1 has its nonzero rows
+        spec = DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=1)
+        y = generate(spec)[0].data
+        config = PipelineConfig(window_start=80)
+
+        def refuse(self):
+            raise AssertionError("a forecast formed A2's null-space completion")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(M1Eigen, "basis", refuse)
+            report = evaluate_forecasts(y, config, methods=("gt",))
+        dec, fit = self._decomp(y, config)
+        assert dec.eig1.reflectors is not None and dec.r2_hat >= 1
+        dense = SimpleNamespace(A1=dec.A1, A2_times=lambda u: dec.A2 @ u, x1=dec.x1)
+        expected = forecast_path(dense, fit, dec, max(config.horizons))
+        assert np.max(np.abs(report.forecasts["gt"] - expected)) <= 1e-12 * np.abs(expected).max()
+
     def test_constant_stationary_factor_continues(self):
         # hand-built split: one trend plus one exactly constant factor path
         class Split:
             A1 = np.array([[1.0], [0.0]])
             A2 = np.array([[0.0], [1.0]])
             x1 = np.linspace(0.0, 9.0, 10)[:, None]
+
+            @staticmethod
+            def A2_times(u):
+                return Split.A2 @ u
 
         class Sf:
             U1 = np.array([[1.0]])

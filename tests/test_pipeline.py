@@ -1,5 +1,6 @@
 """End-to-end decomposition invariants on randomized instances."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -265,6 +266,46 @@ class TestInvariance:
 
 class TestWidePanel:
     """Panels with p >= n run in the coordinates of the centered panel's row space."""
+
+    def test_completion_built_only_when_read(self):
+        # with p = 20 n the complete QR alone would be a p x p array
+        spec = DgpSpec(p=1000, n=50, r1=4, r2=6, K=2, example=2, seed=1)
+        y = generate(spec)[0].data
+        n, p = y.shape
+        tracemalloc.start()
+        try:
+            dec = quiet_decompose(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8
+        null = p - n + 1
+        yc = y - y.mean(axis=0)
+        assert np.array_equal(dec.A2[:, -null:],
+                              np.linalg.qr(yc[:-1].T, mode="complete")[0][:, n - 1:])
+        tail = np.zeros((dec.p - dec.r1_hat, null))
+        tail[-null:] = np.eye(null)
+        assert np.array_equal(dec.V1[:, -null:], tail)
+        assert np.array_equal(dec.V1[-null:, :-null], np.zeros((null, dec.v_hat - null)))
+        assert dec.A2 is dec.A2 and dec.V1 is dec.V1
+
+    def test_stage_results_cover_the_row_space_only(self):
+        # A2 is the complete basis past r1; the kept blocks stop at the row space
+        from trendfactors.pipeline import second_stage
+        from trendfactors.unitroot import first_stage, null_width, scan_r1
+
+        config = PipelineConfig()
+        y = generate(WIDE[0])[0].data
+        n, p = y.shape
+        eig1, rho, x = first_stage(y, config.k0, config.l, config.m)
+        assert not hasattr(eig1, "vectors")
+        assert eig1.lead.shape == (p, n - 1) and eig1.basis().shape == (p, p)
+        r1 = scan_r1(rho, config.c0, config.absolute_acf)
+        null = null_width(n, p)
+        eig2, counts = second_stage(x[:, r1:], config, (True,), null)
+        lead = p - r1 - null
+        assert eig2.values.shape == (lead,) and eig2.vectors.shape == (lead, lead)
+        assert counts.pvalues.shape == (p - r1,)
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_no_v2_fallback_with_K_pinned_to_zero(self, seed):

@@ -13,6 +13,8 @@ from trendfactors.errors import ArgumentError, TrendFactorsError
 from trendfactors.pipeline import PipelineConfig, decompose
 from trendfactors.simgen import (
     DgpSpec,
+    _complement_distance,
+    _replication,
     derive_seed,
     draw_mixing,
     draw_panel,
@@ -165,6 +167,38 @@ class TestMetricDbar:
         h2 = np.linalg.qr(rng.normal(size=(7, 3)))[0]
         d = np.sqrt(1.0 - np.sum((h1.T @ h2) ** 2) / 3)
         assert metric_Dbar(h1, h2) == pytest.approx(d, rel=1e-10)
+
+
+class TestComplementDistance:
+    """``Dbar_A2`` is read off the leading blocks ``A1`` of two orthonormal bases."""
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (0, 3), (3, 0), (2, 2), (1, 4), (4, 1), (6, 6)])
+    def test_matches_dense_complements(self, a, b):
+        rng = np.random.default_rng(10 * a + b)
+        p = 9
+        est = random_orthonormal(p, rng)
+        # a small rotation of est, so the spans are close and the identity cancels most
+        truth = np.linalg.qr(est + 1e-3 * rng.normal(size=(p, p)))[0]
+        for other in (truth, random_orthonormal(p, rng)):
+            got = _complement_distance(est[:, :a], other[:, :b])
+            assert abs(got - metric_Dbar(est[:, a:], other[:, b:])) <= 1e-12
+
+    def test_empty_complement_is_nan(self):
+        q = random_orthonormal(5, 0)
+        assert np.isnan(_complement_distance(q, q[:, :2]))
+        assert np.isnan(_complement_distance(q[:, :2], q))
+
+    def test_replication_matches_dense_A2(self):
+        spec = DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=4)
+        panel, truth = generate(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, metrics = _replication(panel, truth, spec, PipelineConfig(), ["a*w*"])
+            dec = decompose(panel)
+        assert dec.r2_hat >= 1
+        assert abs(metrics["Dbar_A2"] - metric_Dbar(dec.A2, truth.A2)) <= 1e-12
+        dense = metric_Dbar(dec.A2 @ dec.U1, truth.A2 @ truth.U22_1)
+        assert abs(metrics["Dbar_A2U1"] - dense) <= 1e-12
 
 
 class TestRmseFactors:
