@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg import solve_banded
 
 from .errors import ArgumentError, TrendFactorsError
 from .pipeline import PipelineConfig, recover_factors, second_stage
@@ -177,9 +177,24 @@ def draw_panel(spec: DgpSpec, mixing: Mixing, seed) -> tuple[TimeSeriesPanel, Gr
     stationary factors follow the diagonal AR(1) recursion from zero; the
     idiosyncratic noise is i.i.d. standard normal.  Draw order: trend
     increments, factor innovations, noise.
+
+    The AR(1) paths solve ``(I - phi L) f = eta``, all factors in one
+    block-diagonal system with unit diagonal, ``-phi`` on the subdiagonal and
+    a zero between factors, by ``scipy.linalg.solve_banded((1, 1), ...)``,
+    i.e. LAPACK ``gtsv``.  With ``|phi| < 1`` (required here) ``gtsv`` never
+    pivots; with the zero superdiagonal its elimination does the recursion's
+    one multiply and one add per step, ``f_t = eta_t + phi f_{t-1}``, and its
+    back substitution only divides by the unit diagonal, so the paths equal
+    the recursion's to the last bit.
     """
-    rng = _as_rng(seed)
     n, r1, r2 = spec.n, spec.r1, spec.r2
+    phi = np.asarray(mixing.phi, dtype=float)[:r2]
+    for i, value in enumerate(phi):
+        if not abs(value) < 1.0:
+            raise ArgumentError(
+                f"factor {i} has AR coefficient phi = {value}; stationary factors need |phi| < 1"
+            )
+    rng = _as_rng(seed)
     x1 = np.cumsum(rng.standard_normal((n, r1)), axis=0) if r1 else np.zeros((n, 0))
     if spec.example == 2:
         # the trend block carries the strength exponent: increment scale
@@ -187,13 +202,15 @@ def draw_panel(spec: DgpSpec, mixing: Mixing, seed) -> tuple[TimeSeriesPanel, Gr
         # eigenvalues separated from the factor block as the dimension grows
         x1 = x1 * spec.p ** ((1.0 - spec.delta) / 2.0)
     eta2 = rng.standard_normal((n, r2))
-    f2 = np.empty((n, r2))
-    for i in range(r2):
-        # innovation variance 1 - phi^2 gives unit stationary factor variance,
-        # the normalization the model identifies the factors under
-        f2[:, i] = lfilter([1.0], [1.0, -mixing.phi[i]], eta2[:, i]) * np.sqrt(
-            1.0 - mixing.phi[i] ** 2
-        )
+    # band rows: superdiagonal, diagonal, subdiagonal; the subdiagonal entry
+    # that closes each factor's block of n stays 0, so factors do not couple
+    band = np.zeros((3, n * r2))
+    band[1] = 1.0
+    band[2].reshape(r2, n)[:, :-1] = -phi[:, None]
+    paths = solve_banded((1, 1), band, eta2.T.ravel()).reshape(r2, n)
+    # innovation variance 1 - phi^2 gives unit stationary factor variance,
+    # the normalization the model identifies the factors under
+    f2 = (paths * np.sqrt(1.0 - phi[:, None] ** 2)).T.copy()
     eps = rng.standard_normal((n, spec.v))
     a1, a2 = mixing.A[:, :r1], mixing.A[:, r1:]
     x2 = f2 @ mixing.U22_1.T + eps @ mixing.U22_2.T

@@ -1,8 +1,11 @@
-"""The package surface: the README's library example, the exported names, and
-no dead definitions or imports in the package source."""
+"""The package surface: the README's library example, the exported names, the
+scipy subpackages an import loads, and no dead definitions or imports in the
+package source."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import trendfactors
@@ -41,6 +44,24 @@ def test_readme_library_example_runs():
     assert dec.r1_hat + dec.r2_hat + dec.v_hat == 6
     assert namespace["yhat"].shape == (6,)
     assert len(namespace["result"].cells) == 1
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # scipy.signal alone pulls in stats, optimize, sparse and more: about 0.7 s
+    # and 40 MB of every process that imports the package
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import trendfactors, trendfactors.cli; "
+        "print(trendfactors.__file__); "
+        "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert Path(out[0]).resolve().parent == PACKAGE
+    loaded = set(out[1].split())
+    heavy = {"scipy.signal", "scipy.stats", "scipy.optimize", "scipy.sparse"}
+    assert loaded & heavy == set()
 
 
 def parsed_modules():

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from trendfactors import stationary
 from trendfactors.errors import ArgumentError, TrendFactorsError
 from trendfactors.pipeline import PipelineConfig, decompose
 from trendfactors.simgen import (
     DgpSpec,
+    Mixing,
     _complement_distance,
     _replication,
     derive_seed,
@@ -107,6 +109,63 @@ class TestGenerators:
         _, truth = generate(spec)
         w = np.sort(np.linalg.eigvalsh(truth.U22_2 @ truth.U22_2.T))[::-1]
         assert w[1] > 100 * w[2]
+
+
+def lfilter_paths(spec, mixing, seed):
+    """The AR(1) factor paths of ``draw_panel`` by ``scipy.signal.lfilter``."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((spec.n, spec.r1))
+    eta = rng.standard_normal((spec.n, spec.r2))
+    f2 = np.empty((spec.n, spec.r2))
+    for i in range(spec.r2):
+        phi = mixing.phi[i]
+        f2[:, i] = lfilter([1.0], [1.0, -phi], eta[:, i]) * np.sqrt(1.0 - phi**2)
+    return f2
+
+
+def with_phi(spec, phi):
+    m = draw_mixing(spec, spec.seed)
+    return Mixing(A=m.A, U22_1=m.U22_1, U22_2=m.U22_2, phi=np.asarray(phi, dtype=float))
+
+
+class TestFactorPaths:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DgpSpec(p=6, n=200, example=1, seed=1),
+            DgpSpec(p=6, n=3000, example=1, seed=2),
+            DgpSpec(p=50, n=500, r1=4, r2=6, K=2, delta=0.5, example=2, seed=3),
+            DgpSpec(p=30, n=20, r1=2, r2=3, K=1, example=2, seed=4),
+            DgpSpec(p=6, n=100, r1=2, r2=0, example=1, seed=5),
+            DgpSpec(p=8, n=100, r1=0, r2=3, K=1, example=2, seed=5),
+            DgpSpec(p=6, n=2, example=1, seed=6),
+            DgpSpec(p=6, n=2, r1=1, r2=1, example=2, seed=6),
+        ],
+    )
+    def test_equal_to_lfilter(self, spec):
+        mixing = draw_mixing(spec, spec.seed)
+        _, truth = draw_panel(spec, mixing, 77)
+        assert truth.f2.shape == (spec.n, spec.r2)
+        assert np.array_equal(truth.f2, lfilter_paths(spec, mixing, 77))
+
+    @pytest.mark.parametrize("n", [2, 500])
+    def test_hand_built_phi_equal_to_lfilter(self, n):
+        spec = DgpSpec(p=6, n=n, r1=1, r2=3, example=1, seed=8)
+        mixing = with_phi(spec, [0.0, -0.9, 0.7])
+        _, truth = draw_panel(spec, mixing, 9)
+        assert np.array_equal(truth.f2, lfilter_paths(spec, mixing, 9))
+        # phi = 0 leaves the innovations themselves
+        rng = np.random.default_rng(9)
+        rng.standard_normal((n, 1))
+        assert np.array_equal(truth.f2[:, 0], rng.standard_normal((n, 3))[:, 0])
+
+    @pytest.mark.parametrize("phi", [1.0, -1.0, 1.5, -2.0, np.nan])
+    def test_nonstationary_phi_rejected(self, phi):
+        spec = DgpSpec(p=6, n=50, r1=1, r2=3, example=1, seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match=r"factor 1 .*\|phi\| < 1"):
+                draw_panel(spec, with_phi(spec, [0.5, phi, 0.6]), 1)
 
 
 class TestMetricD:
