@@ -187,7 +187,7 @@ def second_stage(
     else:
         eig2 = _NO_SPECTRUM
         counts = FactorCounts(np.ones(null), dict.fromkeys(reorders, np.arange(null)),
-                              dict.fromkeys(reorders, 0), 0)
+                              dict.fromkeys(reorders, 0), 0, dict.fromkeys(reorders, 0))
     return eig2, counts
 
 
@@ -216,7 +216,8 @@ def recover_factors(
     v_lead = lead - r2
     u1_lead = w[:, order[:r2]]
     v1_lead = w[:, order[r2:lead]]
-    eig_s = sym_eigen(projected_S(x2[:, :lead], v1_lead)) if lead else _NO_SPECTRUM
+    g = projected_S(x2[:, :lead], v1_lead) if lead else np.zeros((0, 0))
+    eig_g = sym_eigen(g.T @ g) if v_lead else _NO_SPECTRUM
     if config.K_override is not None:
         k_hat = min(config.K_override, v_lead)
     elif d <= SMALL_P_THRESHOLD or v_lead <= 1:
@@ -224,14 +225,14 @@ def recover_factors(
         # only runs in the wide regime, and only on the nonzero spectrum
         k_hat = 0
     else:
-        k_hat = estimate_K(eig_s.values, max_k=min(MAX_K, v_lead - 1))
+        k_hat = estimate_K(eig_g.values, max_k=min(MAX_K, v_lead - 1))
     fallback = False
     try:
-        v2 = estimate_V2(eig_s, u1_lead, r2, k_hat)
+        v2, v2u1 = estimate_V2(g, eig_g, u1_lead, r2, k_hat)
     except IllConditionedError:
         # an ill-conditioned projected-PCA inversion falls back to the direct
         # projection recovery so the decomposition still completes
-        v2 = u1_lead
+        v2, v2u1 = u1_lead, u1_lead.T @ u1_lead
         fallback = True
         warnings.warn(
             "projected PCA recovery is ill conditioned; using the direct "
@@ -245,8 +246,8 @@ def recover_factors(
         U1=np.concatenate([u1_lead, np.zeros((null, r2))]) if null else u1_lead,
         V1_lead=v1_lead,
         V2=np.concatenate([v2, np.zeros((null, r2))]),
-        z2=recover_z2(v2, u1_lead, x2[:, :lead]),
-        S_eigenvalues=np.concatenate([eig_s.values, np.zeros(null)]),
+        z2=recover_z2(v2, v2u1, x2[:, :lead]),
+        S_eigenvalues=np.concatenate([eig_g.values, np.zeros(d - v_lead)]),
         v2_fallback=fallback,
     )
 
@@ -275,6 +276,7 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
         "component_order": order,
         "S_eigenvalues": fit.S_eigenvalues,
         "truncated_components": counts.truncated,
+        "scanned_components": counts.scanned_components[config.reorder],
         "v2_fallback": fit.v2_fallback,
     }
     return Decomposition(

@@ -188,6 +188,13 @@ def draw_panel(spec: DgpSpec, mixing: Mixing, seed) -> tuple[TimeSeriesPanel, Gr
     the recursion's to the last bit.
     """
     n, r1, r2 = spec.n, spec.r1, spec.r2
+    d = spec.p - r1
+    for name, shape in (("A", (spec.p, spec.p)), ("U22_1", (d, r2)), ("U22_2", (d, spec.v))):
+        if np.shape(getattr(mixing, name)) != shape:
+            raise ArgumentError(f"mixing.{name} must be {shape} for this spec, "
+                                f"got {np.shape(getattr(mixing, name))}")
+    if np.size(mixing.phi) < r2:
+        raise ArgumentError(f"mixing.phi needs r2 = {r2} values, got {np.size(mixing.phi)}")
     phi = np.asarray(mixing.phi, dtype=float)[:r2]
     for i, value in enumerate(phi):
         if not abs(value) < 1.0:

@@ -3,7 +3,10 @@
 Builds ``M2`` from lagged autocovariances of the stationary panel, splits the
 factor and noise subspaces, runs the projected PCA (with the rotated variant
 when the idiosyncratic covariance has prominent, diverging eigenvalues), and
-recovers the stationary factor paths.
+recovers the stationary factor paths.  The projected PCA works on the factor
+``G = C(0) V1`` of ``S = G G'``: an eigendecomposition of the ``v x v``
+matrix ``G' G`` and QRs of ``d x v`` (``K = 0``) or ``d x K`` and ``d x r2``
+blocks, never a ``d x d`` eigenproblem.
 """
 
 from __future__ import annotations
@@ -11,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ArgumentError, IllConditionedError
 from .tsstats import (
     EigenDecomposition,
     TimeSeriesPanel,
+    _lapack,
     as_panel,
     autocov_gram,
-    fix_signs,
     sample_autocov,
 )
 
@@ -75,11 +79,12 @@ def build_M2(x2, j0: int) -> np.ndarray:
 
 
 def projected_S(x2, v1: np.ndarray) -> np.ndarray:
-    """Projected-PCA matrix ``S = C(0) V1 V1' C(0)``.
+    """Factor ``G = C(0) V1`` of the projected-PCA matrix ``S = G G'``.
 
-    Its null space (up to estimation error) is spanned by the directions that
-    expose the factors, because the noise directions are uncorrelated with
-    the factor content of the panel.
+    The null space of ``S`` (up to estimation error) is spanned by the
+    directions that expose the factors, because the noise directions are
+    uncorrelated with the factor content of the panel.  The spectrum of
+    ``S`` is that of the ``v x v`` matrix ``G' G``, then ``d - v`` zeros.
     """
     pan = as_panel(x2)
     v1 = np.asarray(v1, dtype=float)
@@ -91,8 +96,7 @@ def projected_S(x2, v1: np.ndarray) -> np.ndarray:
         gram = v1.T @ v1
         if float(np.max(np.abs(gram - np.eye(v1.shape[1])))) > 1e-8:
             raise ArgumentError("V1 is not half-orthonormal")
-    g = sample_autocov(pan, 0) @ v1
-    return g @ g.T
+    return sample_autocov(pan, 0) @ v1
 
 
 def estimate_K(s_eigenvalues, max_k: int, tau: float = 10.0) -> int:
@@ -114,43 +118,49 @@ def estimate_K(s_eigenvalues, max_k: int, tau: float = 10.0) -> int:
     return j + 1 if ratios[j] > tau else 0
 
 
-def estimate_V2(s_eig: EigenDecomposition, u1: np.ndarray, r2: int, K: int) -> np.ndarray:
-    """Directions used to invert the factor mixing, from the eigendecomposition of ``S``.
+def estimate_V2(
+    g: np.ndarray, gram_eig: EigenDecomposition, u1: np.ndarray, r2: int, K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Directions ``V2`` used to invert the factor mixing, and ``V2' U1``.
 
-    With ``K = 0`` these are simply the eigenvectors of ``S`` attached to its
-    ``r2`` smallest eigenvalues.  With ``K > 0`` the ``K`` diverging noise
-    eigenvalues are dropped first and the remaining eigenvectors ``V2*`` are
-    rotated toward the factor space, which keeps ``V2' U1`` well conditioned:
-    the rotation is the left singular vectors of ``V2*' U1``, which span the
-    top-``r2`` eigenspace of ``V2*' U1 U1' V2*``.  Only the span of the result
-    is determined, not its basis inside the span.
+    ``g`` is :func:`projected_S`'s factor of ``S = g g'`` (``d - r2`` columns
+    wide) and ``gram_eig`` the eigendecomposition of ``g' g``.  With ``K = 0``
+    ``V2`` spans the null space of ``S``, the complement of ``g``'s columns
+    from a Householder QR.  With ``K > 0`` it spans ``(I - P P') U1`` for the
+    ``K`` diverging eigenvectors ``P = g q_k / sqrt(lam_k)`` of ``S``: its
+    other eigenvectors rotated toward the factor space, which keeps
+    ``V2' U1`` well conditioned.  Only the span of ``V2`` is determined.
     """
     u1 = np.asarray(u1, dtype=float)
     d = u1.shape[0]
     if K < 0 or r2 < 0 or K + r2 > d:
         raise ArgumentError(f"need K + r2 <= dim, got K={K}, r2={r2}, dim={d}")
     if r2 == 0:
-        return np.zeros((d, 0))
-    if s_eig.vectors.shape[0] != d:
+        return np.zeros((d, 0)), np.zeros((0, 0))
+    if g.shape[0] != d or K > g.shape[1]:
         raise ArgumentError("S and U1 dimensions do not match")
     if K == 0:
-        v2 = s_eig.vectors[:, d - r2 :]
+        v2 = np.zeros((d, r2))
+        v2[d - r2:] = np.eye(r2)
+        if g.shape[1]:
+            raw, tau = np.linalg.qr(g, mode="raw")
+            v2 = _lapack(lapack.dormqr, "L", "N", raw.T, tau, v2)
     else:
-        v2_star = s_eig.vectors[:, K:]
-        rot = fix_signs(np.linalg.svd(v2_star.T @ u1, full_matrices=False)[0])
-        v2 = v2_star @ rot
-    smin = np.linalg.svd(v2.T @ u1, compute_uv=False)[-1]
+        # g q_k are orthogonal with norms sqrt(lam_k); the QR normalizes them
+        p = np.linalg.qr(g @ gram_eig.vectors[:, :K])[0]
+        v2 = np.linalg.qr(u1 - p @ (p.T @ u1))[0]
+    v2u1 = v2.T @ u1
+    smin = np.linalg.svd(v2u1, compute_uv=False)[-1]
     if smin <= _SV_TOL:
         raise IllConditionedError(
             f"V2'U1 is numerically singular (smallest singular value {smin:.3e})"
         )
-    return v2
+    return v2, v2u1
 
 
-def recover_z2(v2: np.ndarray, u1: np.ndarray, x2) -> np.ndarray:
-    """Recovered stationary factor paths ``z2_t = (V2'U1)^{-1} V2' x2_t``."""
+def recover_z2(v2: np.ndarray, v2u1: np.ndarray, x2) -> np.ndarray:
+    """Recovered stationary factor paths ``z2_t = (V2'U1)^{-1} V2' x2_t``, given ``V2'U1``."""
     v2 = np.asarray(v2, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
     x = np.asarray(x2.data if isinstance(x2, TimeSeriesPanel) else x2, dtype=float)
     if x.ndim != 2 or x.shape[1] != v2.shape[0]:
         raise ArgumentError(
@@ -158,13 +168,7 @@ def recover_z2(v2: np.ndarray, u1: np.ndarray, x2) -> np.ndarray:
         )
     if v2.shape[1] == 0:
         return np.zeros((x.shape[0], 0))
-    g = v2.T @ u1
-    smin = np.linalg.svd(g, compute_uv=False)[-1]
-    if smin <= _SV_TOL:
-        raise IllConditionedError(
-            f"V2'U1 is numerically singular (smallest singular value {smin:.3e})"
-        )
-    return np.linalg.solve(g, v2.T @ x.T).T
+    return np.linalg.solve(v2u1, v2.T @ x.T).T
 
 
 def lam_yao_ratio(m2_eigenvalues, R: int) -> int:

@@ -89,8 +89,7 @@ def sample_autocov(panel, k: int) -> np.ndarray:
         Lag, ``0 <= k <= n - 2``.
     """
     pan = as_panel(panel)
-    y = pan.data
-    n = pan.n
+    y, n = pan.data, pan.n
     # k = n - 1 keeps exactly one summand and stays well defined
     if not 0 <= k <= n - 1:
         raise ArgumentError(f"lag k={k} outside [0, {n - 1}] for n={n}")
@@ -99,10 +98,12 @@ def sample_autocov(panel, k: int) -> np.ndarray:
 
 
 def autocov_gram(pan: TimeSeriesPanel, lags) -> np.ndarray:
-    """Symmetrized ``sum_{k in lags} C(k) C(k)'`` of :func:`sample_autocov`."""
+    """Symmetrized ``sum_{k in lags} C(k) C(k)'`` of :func:`sample_autocov`,
+    centering the panel once for all lags."""
+    yc = pan.data - pan.data.mean(axis=0)
     gram = np.zeros((pan.p, pan.p))
     for k in lags:
-        c = sample_autocov(pan, k)
+        c = yc[k:].T @ yc[: pan.n - k] / pan.n
         gram += c @ c.T
     return (gram + gram.T) / 2.0
 
@@ -144,6 +145,15 @@ def sym_eigen(matrix) -> EigenDecomposition:
     sym = (m + m.T) / 2.0
     values, vectors = np.linalg.eigh(sym)
     return EigenDecomposition(values=values[::-1].copy(), vectors=fix_signs(vectors[:, ::-1]))
+
+
+def _lapack(routine, *args, **kwargs) -> np.ndarray:
+    """First output of a LAPACK routine called with its queried optimal workspace."""
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, info = routine(*args, lwork=lwork, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info={info}")
+    return out[0]
 
 
 def fix_signs(vectors: np.ndarray) -> np.ndarray:

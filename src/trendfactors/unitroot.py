@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ArgumentError
-from .tsstats import as_panel, autocov_gram, centered_columns, fix_signs, sym_eigen
+from .tsstats import _lapack, as_panel, autocov_gram, centered_columns, fix_signs, sym_eigen
 
 __all__ = [
     "M1Eigen",
@@ -95,15 +95,6 @@ def scan_r1(rho: np.ndarray, c0: float, absolute: bool) -> int:
         if s < c0:
             return i
     return len(s_values)
-
-
-def _lapack(routine, *args, **kwargs) -> np.ndarray:
-    """First output of a LAPACK routine called with its queried optimal workspace."""
-    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
-    *out, info = routine(*args, lwork=lwork, **kwargs)
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info={info}")
-    return out[0]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@ The multi-series statistic is ``sqrt(n)`` times the maximum absolute
 cross-correlation over all component pairs and lags ``1..m``, compared
 against the Bonferroni-Gaussian threshold at ``1 - alpha / (2 d^2 m)``.  It
 is conservative by construction; its empirical size is pinned by the test
-suite.
+suite.  The count is exact although the cross-correlations are computed
+from the end of the testing order, a block of components at a time: the
+statistic after ``j`` drops never increases with ``j`` and the threshold
+is largest at ``j = 0``, so once the trailing block's statistic exceeds it
+no earlier ``j`` tests white.  The cost follows the white block, not ``d^2``.
 """
 
 from __future__ import annotations
@@ -27,33 +31,39 @@ from .tsstats import centered_columns
 
 __all__ = ["FactorCounts", "count_factors"]
 
+# Components whose cross-correlations the trailing scan adds per step.
+_SCAN_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class FactorCounts:
     """Factor counts of one component panel, per requested reorder variant.
 
     ``pvalues`` are the Ljung-Box p-values in input column order (1 for
-    constant components).  For a
-    variant ``reorder``, ``order[reorder]`` is its testing order (a
-    permutation of the columns) and ``r2[reorder]`` the number of leading
-    components in that order counted as factors; the other ``d - r2`` are
-    white noise.  ``truncated`` is the number of trailing components the
-    sequential test left out because the panel is wide.
+    constant components).  For a variant ``reorder``, ``order[reorder]`` is
+    its testing order (a permutation of the columns) and ``r2[reorder]`` the
+    number of leading components in that order counted as factors; the
+    other ``d - r2`` are white noise.  ``truncated`` is the number of
+    trailing components the sequential test left out because the panel is
+    wide; its statistic after ``j`` drops was computed for the last
+    ``scanned_components[reorder]`` values of ``j`` only.
     """
 
     pvalues: np.ndarray
     order: dict
     r2: dict
     truncated: int
+    scanned_components: dict
 
 
-def _ljung_box(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ljung_box(x: np.ndarray, m: int, centered=None) -> tuple[np.ndarray, ...]:
     """Per-column Ljung-Box statistics ``Q(m)``, their p-values (1 for constant
-    columns) and the degenerate-column mask."""
+    columns) and the degenerate-column mask; ``centered`` may pass in
+    ``centered_columns(x)``."""
     n, d = x.shape
     if not 1 <= m <= n - 2:
         raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
-    xc, gamma0, degenerate = centered_columns(x)
+    xc, gamma0, degenerate = centered_columns(x) if centered is None else centered
     safe_gamma0 = np.where(degenerate, 1.0, gamma0)
     q = np.zeros(d)
     for k in range(1, m + 1):
@@ -72,22 +82,36 @@ def _testing_order(q: np.ndarray, degenerate: np.ndarray, reorder: bool) -> np.n
     return np.lexsort((index, -q, degenerate) if reorder else (index, degenerate))
 
 
-def _peak_abs_corr(x: np.ndarray, m: int) -> np.ndarray:
+def _peak_abs_corr(xc: np.ndarray, sd: np.ndarray, m: int, rows, cols) -> np.ndarray:
     """Largest absolute cross-correlation ``max_k |rho_ij(k)|`` over lags 1..m.
 
-    Returns a ``d x d`` array whose rows and columns of degenerate components
-    are zeroed, so they never enter a max.
+    ``xc`` holds centered columns with standard deviations ``sd``; entry
+    ``(i, j)`` of the ``len(rows) x len(cols)`` result pairs column
+    ``rows[i]`` at time ``t + k`` with column ``cols[j]`` at time ``t``.
     """
-    n, d = x.shape
-    xc, gamma0, degenerate = centered_columns(x)
-    sd = np.sqrt(np.where(degenerate, 1.0, gamma0))
-    peak = np.zeros((d, d))
+    n = xc.shape[0]
+    lead, lag = xc[:, rows], xc[:, cols]
+    peak = np.zeros((lead.shape[1], lag.shape[1]))
     for k in range(1, m + 1):
-        cov = xc[k:].T @ xc[: n - k] / n
-        np.maximum(peak, np.abs(cov / np.outer(sd, sd)), out=peak)
-    peak[degenerate, :] = 0.0
-    peak[:, degenerate] = 0.0
-    return peak
+        cov = lead[k:].T @ lag[: n - k]
+        np.maximum(peak, np.abs(cov, out=cov), out=peak)
+    return peak / n / np.outer(sd[rows], sd[cols])
+
+
+def _fill_peak(peak, xc, sd, m, rows, cols) -> None:
+    """Compute the NaN entries of the symmetric ``peak[rows, cols]``, for ``rows``
+    among ``cols``; ``peak``'s last row and column are the constants' zeros."""
+    rows = rows[np.isnan(peak[np.ix_(rows, cols)]).any(axis=1)]
+    if not rows.size:
+        return
+    rest = np.setdiff1d(cols, np.append(rows, len(peak) - 1))
+    both = np.concatenate([rows, rest])
+    block = _peak_abs_corr(xc, sd, m, rows, both)
+    own, other = block[:, : rows.size], block[:, rows.size:]
+    np.maximum(own, own.T, out=own)
+    np.maximum(other, _peak_abs_corr(xc, sd, m, rest, rows).T, out=other)
+    peak[np.ix_(rows, both)] = block
+    peak[np.ix_(both, rows)] = block.T
 
 
 def _bonferroni_threshold(d, m: int, alpha: float):
@@ -105,20 +129,13 @@ def _kept_width(n: int, d: int, epsilon: float) -> int:
     return keep
 
 
-def _count_drops(peak: np.ndarray, n: int, m: int, alpha: float) -> int:
-    """Leading components dropped before the remainder tests white.
-
-    ``peak`` holds the lag-maximal absolute cross-correlations of the kept
-    components in testing order; after ``j`` drops the statistic is
-    ``sqrt(n)`` times the largest entry of ``peak[j:, j:]``, which is the
-    largest ``head[t]`` over ``t >= j`` when ``head[t]`` is the largest entry
-    whose smaller index is ``t``.
-    """
-    kept = peak.shape[0]
-    head = np.triu(np.maximum(peak, peak.T)).max(axis=1, initial=0.0)
+def _count_drops(head: np.ndarray, n: int, thresholds: np.ndarray) -> int:
+    """Leading components dropped before the remainder tests white: the first
+    ``j`` with ``sqrt(n) max(head[j:]) <= thresholds[j]``, where ``head[t]`` is
+    the largest peak of kept component ``t`` with itself or a later one."""
     statistic = np.sqrt(n) * np.maximum.accumulate(head[::-1])[::-1]
-    white = statistic <= _bonferroni_threshold(kept - np.arange(kept), m, alpha)
-    return int(np.argmax(white)) if white.any() else kept
+    white = statistic <= thresholds
+    return int(np.argmax(white)) if white.any() else head.size
 
 
 def count_factors(
@@ -146,8 +163,9 @@ def count_factors(
     only the leading ``floor(epsilon * n)`` components of each order enter
     the test and the truncated tail counts as white noise.
 
-    The Ljung-Box p-values and the cross-correlations are computed once, the
-    latter only over the components that some variant keeps.
+    The Ljung-Box p-values are computed once; the cross-correlations only
+    over each order's trailing kept components that its scan reaches (see
+    the module docstring), and once for all variants.
 
     ``null`` further components, constant by construction (the null space
     of a wide panel), follow the ``t`` columns of ``xi`` as columns
@@ -165,12 +183,13 @@ def count_factors(
         raise ArgumentError(f"epsilon must lie in (0, 1], got {epsilon}")
     n, tested = x.shape
     d = tested + null
-    q, pvalues, degenerate = _ljung_box(x, m)
+    xc, gamma0, degenerate = centered = centered_columns(x)
+    q, pvalues, _ = _ljung_box(x, m, centered)
     pvalues = np.concatenate([pvalues, np.ones(null)])
     if bottom_up:
         r2 = next((i for i in range(tested, 0, -1) if pvalues[i - 1] < alpha), 0)
         return FactorCounts(pvalues, dict.fromkeys(reorders, np.arange(d)),
-                            dict.fromkeys(reorders, r2), 0)
+                            dict.fromkeys(reorders, r2), 0, dict.fromkeys(reorders, 0))
     if degenerate.any():
         warnings.warn(f"{int(degenerate.sum())} constant component(s) treated as white noise",
                       stacklevel=2)
@@ -179,17 +198,24 @@ def count_factors(
         reorder: np.concatenate([_testing_order(q, degenerate, reorder), np.arange(tested, d)])
         for reorder in reorders
     }
-    # the first variant's kept components, then any further ones the others keep
-    kept = np.concatenate([order[:keep] for order in orders.values()])
-    columns = np.array(list(dict.fromkeys(kept.tolist())), dtype=int)
-    columns = columns[columns < tested]
-    # the constant components read the appended row and column of zeros
-    peak = np.zeros((columns.size + 1, columns.size + 1))
-    peak[:-1, :-1] = _peak_abs_corr(x[:, columns], m)
-    position = np.full(d, columns.size)
-    position[columns] = np.arange(columns.size)
-    counts = {}
+    constant = np.append(degenerate, np.ones(null, dtype=bool))
+    # lag-maximal absolute cross-correlations, computed as the scans reach
+    # them; the constant components read the appended row and column of zeros
+    peak = np.full((tested + 1, tested + 1), np.nan)
+    peak[-1] = peak[:, -1] = 0.0
+    thresholds = _bonferroni_threshold(keep - np.arange(keep), m, alpha)
+    counts, scanned = {}, {}
     for reorder, order in orders.items():
-        idx = position[order[:keep]]
-        counts[reorder] = _count_drops(peak[np.ix_(idx, idx)], n, m, alpha)
-    return FactorCounts(pvalues, orders, counts, d - keep)
+        idx = np.where(constant[order[:keep]], tested, order[:keep])
+        head, start = np.full(keep, np.inf), keep
+        # scan from the end; once the trailing statistic exceeds every
+        # threshold, no earlier number of drops can test white
+        while start > 0:
+            stop, start = start, max(start - _SCAN_BLOCK, 0)
+            _fill_peak(peak, xc, np.sqrt(gamma0), m, idx[start:stop], idx[start:])
+            head[start:stop] = np.triu(peak[np.ix_(idx[start:stop], idx[start:])]).max(axis=1)
+            if np.sqrt(n) * head[start:].max() > thresholds.max():
+                break
+        counts[reorder] = _count_drops(head, n, thresholds)
+        scanned[reorder] = keep - start
+    return FactorCounts(pvalues, orders, counts, d - keep, scanned)

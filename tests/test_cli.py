@@ -327,6 +327,8 @@ class TestCommands:
             data, tmp_path, "--m", "5", "--l", "2")
         truncated = report["diagnostics"]["truncated_components"]
         assert report["p"] - report["r1_hat"] >= report["n"] and truncated > 0
+        scanned = report["diagnostics"]["scanned_components"]
+        assert 0 < scanned <= report["p"] - report["r1_hat"] - truncated
         assert [m for m in messages
                 if f"{truncated} components were left out of white-noise testing" in m]
 

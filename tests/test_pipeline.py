@@ -145,6 +145,11 @@ class TestDecompose:
         keys = set(decs["small"].diagnostics)
         assert all(set(dec.diagnostics) == keys for dec in decs.values())
         assert decs["wide"].diagnostics["truncated_components"] > 0
+        for dec in decs.values():
+            kept = dec.p - dec.r1_hat - dec.diagnostics["truncated_components"]
+            assert 0 <= dec.diagnostics["scanned_components"] <= kept
+        assert decs["small"].diagnostics["scanned_components"] == 0
+        assert decs["large"].diagnostics["scanned_components"] > 0
         empty = decs["no stationary block"].diagnostics
         assert empty["truncated_components"] == 0 and empty["v2_fallback"] is False
         for key in ("M2_eigenvalues", "lb_pvalues", "component_order", "S_eigenvalues"):
@@ -155,6 +160,7 @@ class TestDecompose:
         assert trends.V2.shape == (21, 0) and trends.z2.shape == (40, 0)
         diag = trends.diagnostics
         assert diag["truncated_components"] == 0 and diag["v2_fallback"] is False
+        assert diag["scanned_components"] == 0
         assert np.array_equal(diag["M2_eigenvalues"], np.zeros(21))
         assert np.array_equal(diag["S_eigenvalues"], np.zeros(21))
         assert np.array_equal(diag["lb_pvalues"], np.ones(21))

@@ -168,6 +168,21 @@ class TestFactorPaths:
                 draw_panel(spec, with_phi(spec, [0.5, phi, 0.6]), 1)
 
 
+    @pytest.mark.parametrize("field, trim", [
+        ("phi", lambda m: m.phi[:2]),
+        ("A", lambda m: m.A[:, :5]),
+        ("U22_1", lambda m: m.U22_1[:, :2]),
+        ("U22_2", lambda m: m.U22_2[1:]),
+    ])
+    def test_mismatched_mixing_rejected(self, field, trim):
+        # ex1 (6, 50) with r1 = 1, r2 = 3: a hand-built field of the wrong shape
+        spec = DgpSpec(p=6, n=50, r1=1, r2=3, example=1, seed=8)
+        mixing = draw_mixing(spec, spec.seed)
+        mixing = replace(mixing, **{field: trim(mixing)})
+        with pytest.raises(ArgumentError, match=f"mixing.{field}"):
+            draw_panel(spec, mixing, 1)
+
+
 class TestMetricD:
     def test_equal_spans_zero(self):
         q = random_orthonormal(5, 0)[:, :2]

@@ -69,6 +69,24 @@ class TestSplitU1V1:
         assert metric_Dbar(u1_hat, u1_true) <= 0.1
 
 
+def factor_of(s):
+    """A ``g`` with ``g g' = s`` for a symmetric positive semidefinite ``s``, one
+    column per nonzero eigenvalue, with the eigendecomposition of ``g' g``."""
+    values, vectors = np.linalg.eigh(s)
+    live = values > 1e-12 * max(values.max(), 1.0)
+    g = vectors[:, live] * np.sqrt(values[live])
+    return g, sym_eigen(g.T @ g)
+
+
+def v2_of(s, u1, r2, K):
+    g, gram_eig = factor_of(s)
+    return estimate_V2(g, gram_eig, u1, r2=r2, K=K)[0]
+
+
+def projector(v):
+    return v @ np.linalg.pinv(v)
+
+
 class TestProjectedS:
     def test_projector_spectrum_with_identity_cov(self):
         # x2 pre-whitened: lag-0 covariance exactly the identity
@@ -78,23 +96,37 @@ class TestProjectedS:
         cov = xc.T @ xc / x.shape[0]
         white = xc @ np.linalg.inv(np.linalg.cholesky(cov)).T
         v1 = np.eye(4)[:, :3]
-        s = projected_S(white, v1)
-        w = np.sort(np.linalg.eigvalsh(s))[::-1]
+        g = projected_S(white, v1)
+        w = np.sort(np.linalg.eigvalsh(g @ g.T))[::-1]
         assert np.allclose(w[:3], 1.0, atol=1e-8)
         assert np.allclose(w[3:], 0.0, atol=1e-8)
 
     def test_empty_v1_gives_zero(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(50, 3))
-        assert np.allclose(projected_S(x, np.zeros((3, 0))), 0.0)
+        g = projected_S(x, np.zeros((3, 0)))
+        assert g.shape == (3, 0) and np.allclose(g @ g.T, 0.0)
 
     def test_psd_and_sign_invariance(self):
         rng = np.random.default_rng(8)
         x = ar_panel(rng, 150, [0.6, 0.4, 0.2])
         v1 = np.linalg.qr(rng.normal(size=(3, 2)))[0]
-        s = projected_S(x, v1)
+        g = projected_S(x, v1)
+        s = g @ g.T
         assert np.linalg.eigvalsh(s).min() >= -1e-10 * np.trace(s)
-        assert np.allclose(projected_S(x, -v1), s, atol=1e-12)
+        g_flipped = projected_S(x, -v1)
+        assert np.allclose(g_flipped @ g_flipped.T, s, atol=1e-12)
+
+    def test_gram_spectrum_matches_dense_eigenvalues(self):
+        # S = g g' has g' g's spectrum followed by exact zeros
+        rng = np.random.default_rng(15)
+        for d, v in ((6, 4), (40, 31), (80, 1)):
+            x = ar_panel(rng, 300, rng.uniform(-0.5, 0.9, d))
+            v1 = np.linalg.qr(rng.normal(size=(d, v)))[0]
+            g = projected_S(x, v1)
+            padded = np.concatenate([sym_eigen(g.T @ g).values, np.zeros(d - v)])
+            dense = np.sort(np.linalg.eigvalsh(g @ g.T))[::-1]
+            assert np.max(np.abs(padded - dense)) <= 1e-10 * dense[0]
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(9)
@@ -123,7 +155,7 @@ class TestEstimateV2:
     def test_small_p_diagonal(self):
         s = np.diag([5.0, 4.0, 0.0, 0.0])
         u1 = np.eye(4)[:, 2:]
-        v2 = estimate_V2(sym_eigen(s), u1, r2=2, K=0)
+        v2 = v2_of(s, u1, r2=2, K=0)
         proj = v2 @ v2.T
         expect = np.diag([0.0, 0.0, 1.0, 1.0])
         assert np.allclose(proj, expect, atol=1e-10)
@@ -135,7 +167,7 @@ class TestEstimateV2:
         # S has exact null space spanned by u1: well-posed recovery
         rest = q[:, 2:]
         s = rest @ np.diag([3.0, 2.0, 1.0]) @ rest.T
-        v2 = estimate_V2(sym_eigen(s), u1, r2=2, K=0)
+        v2 = v2_of(s, u1, r2=2, K=0)
         smin = np.linalg.svd(v2.T @ u1, compute_uv=False)[-1]
         assert smin > 0.1
 
@@ -145,41 +177,71 @@ class TestEstimateV2:
         u1 = q[:, :2]
         spike = q[:, 2:3]
         s = 50.0 * spike @ spike.T + q[:, 3:] @ np.diag([0.5, 0.3, 0.1]) @ q[:, 3:].T
-        v2 = estimate_V2(sym_eigen(s), u1, r2=2, K=1)
+        v2 = v2_of(s, u1, r2=2, K=1)
         smin = np.linalg.svd(v2.T @ u1, compute_uv=False)[-1]
         assert smin >= 0.9
 
     def test_singular_recovery_raises(self):
         u1 = np.eye(4)[:, :2]
         s = np.diag([0.0, 0.0, 3.0, 2.0])
-        # smallest eigenvectors of S span exactly u1's orthogonal complement...
-        # actually span(e1,e2) = span(u1): V2'U1 invertible; build the broken
-        # case instead with S null space orthogonal to u1
+        # S's null space span(e3, e4) is orthogonal to u1: V2'U1 is singular
         s_bad = np.diag([3.0, 2.0, 0.0, 0.0])
         with pytest.raises(IllConditionedError):
-            estimate_V2(sym_eigen(s_bad), u1, r2=2, K=0)
-        assert estimate_V2(sym_eigen(s), u1, r2=2, K=0).shape == (4, 2)
+            v2_of(s_bad, u1, r2=2, K=0)
+        assert v2_of(s, u1, r2=2, K=0).shape == (4, 2)
+
+    def test_returns_v2_times_u1(self):
+        rng = np.random.default_rng(16)
+        q = np.linalg.qr(rng.normal(size=(7, 7)))[0]
+        u1 = np.linalg.qr(q[:, :2] + 0.1 * rng.normal(size=(7, 2)))[0]
+        for K in (0, 2):
+            g, gram_eig = factor_of(q[:, 2:] @ np.diag([40.0, 30.0, 2.0, 1.5, 1.0]) @ q[:, 2:].T)
+            v2, v2u1 = estimate_V2(g, gram_eig, u1, r2=2, K=K)
+            assert np.allclose(v2.T @ v2, np.eye(2), atol=1e-12)
+            assert np.array_equal(v2u1, v2.T @ u1)
 
     def test_rotation_spans_top_eigenvectors_of_gram(self):
-        # the thin-SVD rotation spans what the eigenvectors of g g' span
+        # the projection spans what S's other eigenvectors rotated toward U1 span
         rng = np.random.default_rng(14)
         for _ in range(20):
             d = int(rng.integers(4, 40))
             K = int(rng.integers(1, d // 2))
             r2 = int(rng.integers(1, d - K + 1))
             a = rng.normal(size=(d, d))
-            s = a @ np.diag(rng.exponential(size=d)) @ a.T
+            g = a @ np.diag(np.sqrt(rng.exponential(size=d)))
+            s = g @ g.T
             u1 = np.linalg.qr(rng.normal(size=(d, r2)))[0]
-            eig = sym_eigen(s)
-            v2_star = eig.vectors[:, K:]
-            g = v2_star.T @ u1
-            expected = v2_star @ sym_eigen(g @ g.T).vectors[:, :r2]
-            v2 = estimate_V2(eig, u1, r2=r2, K=K)
+            v2_star = sym_eigen(s).vectors[:, K:]
+            h = v2_star.T @ u1
+            expected = v2_star @ sym_eigen(h @ h.T).vectors[:, :r2]
+            v2 = estimate_V2(g, sym_eigen(g.T @ g), u1, r2=r2, K=K)[0]
             assert v2.shape == (d, r2)
             assert np.max(np.abs(v2 @ v2.T - expected @ expected.T)) <= 1e-10
 
+    @pytest.mark.parametrize("K", [0, 1, 3])
+    def test_projector_matches_eigenvector_route(self, K):
+        # K = 0: S's r2 smallest eigenvectors; K > 0: its eigenvectors past the
+        # K largest, rotated by the left singular vectors of their product with U1
+        rng = np.random.default_rng(17 + K)
+        for d, r2 in ((12, 3), (60, 10), (150, 40)):
+            x = ar_panel(rng, 400, rng.uniform(0.0, 0.8, d))
+            x[:, :K] *= 30.0
+            v1 = np.linalg.qr(rng.normal(size=(d, d - r2)))[0]
+            u1 = np.linalg.qr(rng.normal(size=(d, r2)))[0]
+            g = projected_S(x, v1)
+            eig = sym_eigen(g @ g.T)
+            if K == 0:
+                expected = eig.vectors[:, d - r2:]
+            else:
+                rot = np.linalg.svd(eig.vectors[:, K:].T @ u1, full_matrices=False)[0]
+                expected = eig.vectors[:, K:] @ rot
+            v2 = estimate_V2(g, sym_eigen(g.T @ g), u1, r2=r2, K=K)[0]
+            assert np.max(np.abs(projector(v2) - projector(expected))) <= 1e-10
+
     def test_r2_zero_empty(self):
-        assert estimate_V2(sym_eigen(np.eye(3)), np.zeros((3, 0)), r2=0, K=0).shape == (3, 0)
+        g, gram_eig = factor_of(np.eye(3))
+        v2, v2u1 = estimate_V2(g, gram_eig, np.zeros((3, 0)), r2=0, K=0)
+        assert v2.shape == (3, 0) and v2u1.shape == (0, 0)
 
 
 class TestRecoverZ2:
@@ -188,12 +250,12 @@ class TestRecoverZ2:
         u1 = np.linalg.qr(rng.normal(size=(5, 2)))[0]
         z = rng.normal(size=(40, 2))
         x2 = z @ u1.T
-        got = recover_z2(u1, u1, x2)
+        got = recover_z2(u1, u1.T @ u1, x2)
         assert np.max(np.abs(got - z)) <= 1e-10
 
     def test_zero_panel(self):
         u1 = np.eye(3)[:, :1]
-        assert np.allclose(recover_z2(u1, u1, np.zeros((10, 3))), 0.0)
+        assert np.allclose(recover_z2(u1, u1.T @ u1, np.zeros((10, 3))), 0.0)
 
     def test_roundtrip_any_invertible_mixing(self):
         rng = np.random.default_rng(13)
@@ -203,7 +265,7 @@ class TestRecoverZ2:
             z = rng.normal(size=(25, 3))
             x2 = z @ u1.T
             v2 = q[:, :3] @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
-            got = recover_z2(v2, u1, x2)
+            got = recover_z2(v2, v2.T @ u1, x2)
             assert np.max(np.abs(got - z)) <= 1e-9
 
 

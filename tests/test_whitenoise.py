@@ -8,7 +8,13 @@ import pytest
 from scipy.stats import chi2
 
 from trendfactors.errors import ArgumentError
-from trendfactors.whitenoise import _bonferroni_threshold, _peak_abs_corr, count_factors
+from trendfactors.tsstats import centered_columns
+from trendfactors.whitenoise import (
+    _SCAN_BLOCK,
+    _bonferroni_threshold,
+    _peak_abs_corr,
+    count_factors,
+)
 
 
 def lb_statistic(x, m):
@@ -16,6 +22,16 @@ def lb_statistic(x, m):
     xc, n = x - x.mean(), x.size
     acf = [xc[k:] @ xc[: n - k] / (xc @ xc) for k in range(1, m + 1)]
     return n * (n + 2) * sum(rho**2 / (n - k) for k, rho in enumerate(acf, start=1))
+
+
+def peak_abs_corr(x, m):
+    """All ``d x d`` lag-maximal absolute cross-correlations in one pass, zero on
+    the constant columns (the matrix the sequential test reads)."""
+    xc, gamma0, degenerate = centered_columns(x)
+    live = np.flatnonzero(~degenerate)
+    peak = np.zeros((x.shape[1], x.shape[1]))
+    peak[np.ix_(live, live)] = _peak_abs_corr(xc, np.sqrt(gamma0), m, live, live)
+    return peak
 
 
 def ar1(rng, n, phi):
@@ -86,7 +102,7 @@ class TestHdWnTest:
     def test_alternating_statistic_exact(self):
         n = 400
         x = np.tile([1.0, -1.0], n // 2)[:, None]
-        statistic = np.sqrt(n) * _peak_abs_corr(x, 1).max()
+        statistic = np.sqrt(n) * peak_abs_corr(x, 1).max()
         assert statistic == pytest.approx(np.sqrt(n) * (n - 1) / n, rel=1e-12)
         assert statistic > _bonferroni_threshold(1, 1, 0.05)
 
@@ -95,14 +111,14 @@ class TestHdWnTest:
         x = rng.normal(size=(200, 1))
         xc = x[:, 0] - x[:, 0].mean()
         oracle = np.sqrt(200) * max(abs(xc[k:] @ xc[: 200 - k] / (xc @ xc)) for k in (1, 2, 3))
-        assert np.sqrt(200) * _peak_abs_corr(x, 3).max() == pytest.approx(oracle, rel=1e-12)
+        assert np.sqrt(200) * peak_abs_corr(x, 3).max() == pytest.approx(oracle, rel=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(300, 5))
         scaled = x * np.array([1e-3, 1.0, 40.0, 7.0, 0.2])
-        a = _peak_abs_corr(x, 5)
-        b = _peak_abs_corr(scaled, 5)
+        a = peak_abs_corr(x, 5)
+        b = peak_abs_corr(scaled, 5)
         assert a.max() == pytest.approx(b.max(), rel=1e-10)
         assert np.allclose(a, b, rtol=1e-10, atol=0.0)
 
@@ -117,11 +133,15 @@ class TestHdWnTest:
         assert rejections / 200 <= 0.08
 
     def test_degenerate_excluded(self):
+        # rounding noise on a constant would correlate perfectly at lag 1
         rng = np.random.default_rng(9)
-        x = np.column_stack([np.full(100, 2.0), rng.normal(size=100)])
-        peak = _peak_abs_corr(x, 2)
-        assert np.all(peak[0] == 0.0) and np.all(peak[:, 0] == 0.0)
-        assert np.all(np.isfinite(peak)) and peak[1, 1] > 0.0
+        flat = 2.0 + 1e-15 * np.tile([1.0, -1.0], 50)
+        x = np.column_stack([flat, rng.normal(size=100)])
+        assert centered_columns(x)[2].tolist() == [True, False]
+        with pytest.warns(UserWarning):
+            counts = count_factors(x, 2, 0.05, (True, False))
+        assert counts.r2 == {True: 0, False: 0}
+        assert list(counts.order[False]) == [1, 0]
 
 
 class TestEstimateR2Small:
@@ -205,16 +225,16 @@ class TestCountFactors:
     @staticmethod
     def sequential_reference(x, m, alpha, reorder, keep):
         # the definition: order by the scalar Ljung-Box statistic (descending,
-        # stable) or keep the given order, then drop the leading component
-        # until the rest tests white
+        # stable) or keep the given order, constant columns last either way,
+        # then drop the leading component until the rest tests white
         n = x.shape[0]
-        order = np.arange(x.shape[1])
-        if reorder:
-            q = [lb_statistic(x[:, i], m) for i in order]
-            order = np.argsort(-np.asarray(q), kind="stable")
+        constant = centered_columns(x)[2]
+        q = np.array([-np.inf if c else lb_statistic(x[:, i], m) if reorder else 0.0
+                      for i, c in enumerate(constant)])
+        order = np.argsort(-q, kind="stable")
         ordered = x[:, order[:keep]]
         for j in range(keep):
-            statistic = np.sqrt(n) * _peak_abs_corr(ordered[:, j:], m).max()
+            statistic = np.sqrt(n) * peak_abs_corr(ordered[:, j:], m).max()
             if not statistic > _bonferroni_threshold(keep - j, m, alpha):
                 return j
         return keep
@@ -242,6 +262,47 @@ class TestCountFactors:
         for reorder in (True, False):
             assert counts.r2[reorder] == self.sequential_reference(x, 5, 0.05, reorder, 80)
         assert counts.r2[True] >= 50
+
+    def test_trailing_scan_with_many_drops_matches_reference(self):
+        # both variants in one call, each scanning past two blocks, over kept
+        # sets that differ because the panel is wide
+        rng = np.random.default_rng(23)
+        n, d = 300, 320
+        x = np.hstack([np.column_stack([ar1(rng, n, rng.uniform(0.3, 0.9)) for _ in range(220)]),
+                       rng.normal(size=(n, d - 220))])
+        x[:, :240] = x[:, rng.permutation(240)]
+        keep = int(0.9 * n)
+        assert keep > 2 * _SCAN_BLOCK
+        counts = count_factors(x, 5, 0.05, (True, False), epsilon=0.9)
+        for reorder in (True, False):
+            assert counts.r2[reorder] == self.sequential_reference(x, 5, 0.05, reorder, keep)
+            assert 0 < counts.r2[reorder] < keep
+        assert counts.r2[True] >= 150
+        scanned = counts.scanned_components
+        assert all(keep - scanned[r] <= counts.r2[r] for r in scanned)
+        assert min(scanned.values()) < keep
+
+    @pytest.mark.parametrize("width", [_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1,
+                                       2 * _SCAN_BLOCK + 1])
+    def test_trailing_scan_at_block_edges(self, width):
+        # two constant columns and three null components close the kept width
+        rng = np.random.default_rng(width)
+        n, null = 400, 3
+        tested = width - null
+        dependent = np.column_stack([ar1(rng, n, 0.5) for _ in range(tested // 2)])
+        x = np.hstack([dependent, rng.normal(size=(n, tested - 2 - dependent.shape[1]))])
+        x = np.hstack([x[:, rng.permutation(x.shape[1])], np.full((n, 2), 1.5)])
+        with pytest.warns(UserWarning, match="2 constant"):
+            counts = count_factors(x, 5, 0.05, (True, False), null=null)
+        reference = np.hstack([x, np.zeros((n, null))])
+        for reorder in (True, False):
+            assert counts.r2[reorder] == self.sequential_reference(reference, 5, 0.05, reorder,
+                                                                   width)
+            assert list(counts.order[reorder][-5:]) == [tested - 2, tested - 1] + list(
+                range(tested, width))
+            start = width - counts.scanned_components[reorder]
+            assert start % _SCAN_BLOCK == width % _SCAN_BLOCK or start == 0
+        assert counts.truncated == 0
 
     def test_bottom_up_keeps_input_order(self):
         rng = np.random.default_rng(19)
