@@ -40,7 +40,7 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path_or_buf, matrix: np.ndarray, header: list[str] | None = None) -> None:
+def write_csv(path_or_buf, matrix: np.ndarray) -> None:
     """Write a 2-D array as CSV with round-trip-exact float formatting.
 
     Each cell is ``%.17g`` (the text of :func:`format_float`) and each line
@@ -48,17 +48,12 @@ def write_csv(path_or_buf, matrix: np.ndarray, header: list[str] | None = None) 
     """
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
     row_format = ",".join(["%.17g"] * mat.shape[1]) + "\r\n"
-
-    def _emit(fh):
-        if header is not None:
-            csv.writer(fh).writerow(header)
-        fh.writelines(row_format % tuple(row) for row in mat.tolist())
-
+    lines = (row_format % tuple(row) for row in mat.tolist())
     if hasattr(path_or_buf, "write"):
-        _emit(path_or_buf)
+        path_or_buf.writelines(lines)
     else:
         with open(path_or_buf, "w", newline="") as fh:
-            _emit(fh)
+            fh.writelines(lines)
 
 
 def read_panel_csv(path_or_buf) -> TimeSeriesPanel:

@@ -180,30 +180,31 @@ def _dfar_path(y: np.ndarray, h_max: int) -> np.ndarray:
     return _integrate(y[-1], _ar1_path(phi, intercept, d[-1], h_max))
 
 
-def forecast_path(split, fit: FactorModelFit, sf, h_max: int) -> np.ndarray:
+def forecast_path(dec, fit: FactorModelFit, h_max: int) -> np.ndarray:
     """Forecasts of the observed panel for every horizon ``1..h_max``.
 
-    ``split`` supplies the loadings and trend paths (``A1``, ``x1``, and
-    ``A2_times(u)`` for ``A2 @ u``), ``sf`` the stationary-factor pieces
-    (``U1``, ``z2``); a ``Decomposition`` can serve as both.  Each row is
-    ``A1 x1_{n+h} + A2 U1 z2_{n+h}`` with the factor forecasts iterated from
-    the fitted recursions (trend differences re-integrated).
+    ``dec`` is the :class:`~trendfactors.pipeline.Decomposition` that ``fit``
+    was fitted to; the forecast reads its ``A1``, ``x1``, ``U1``, ``z2`` and
+    ``A2_times(U1)`` (``A2 @ U1`` without a wide panel's null-space
+    completion).  Each row is ``A1 x1_{n+h} + A2 U1 z2_{n+h}`` with the
+    factor forecasts iterated from the fitted recursions (trend differences
+    re-integrated).
     """
     if h_max < 1:
         raise ArgumentError(f"horizon must be >= 1, got {h_max}")
-    x1 = split.x1
+    x1 = dec.x1
     x1f = (np.zeros((h_max, x1.shape[1])) if fit.nonstat is None
            else _integrate(x1[-1], _var1_path(fit.nonstat, x1[-1] - x1[-2], h_max)))
     phi = np.array([f.phi for f in fit.stat])
-    z2f = _ar1_path(phi, np.array([f.intercept for f in fit.stat]), sf.z2[-1], h_max)
-    trend_part = x1f @ split.A1.T
-    factor_part = z2f @ split.A2_times(sf.U1).T if sf.U1.shape[1] else 0.0
+    z2f = _ar1_path(phi, np.array([f.intercept for f in fit.stat]), dec.z2[-1], h_max)
+    trend_part = x1f @ dec.A1.T
+    factor_part = z2f @ dec.A2_times(dec.U1).T if dec.U1.shape[1] else 0.0
     return trend_part + factor_part
 
 
-def forecast_y(split, fit: FactorModelFit, sf, h: int) -> np.ndarray:
+def forecast_y(dec, fit: FactorModelFit, h: int) -> np.ndarray:
     """The ``h``-step-ahead forecast vector of the observed panel."""
-    return forecast_path(split, fit, sf, h)[h - 1]
+    return forecast_path(dec, fit, h)[h - 1]
 
 
 def fe_h(forecasts, actuals) -> float:
@@ -354,8 +355,7 @@ class ForecastReport:
 
 
 def _gt_forecast(dec, h_max: int) -> np.ndarray:
-    fit = fit_factor_models(dec.x1, dec.z2)
-    return forecast_path(dec, fit, dec, h_max)
+    return forecast_path(dec, fit_factor_models(dec.x1, dec.z2), h_max)
 
 
 def evaluate_forecasts(

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ArgumentError, IllConditionedError
 from .stationary import (
-    StationaryFactorFit,
     build_M2,
     estimate_K,
     estimate_V2,
@@ -36,6 +35,10 @@ SMALL_P_THRESHOLD = 10
 MAX_K = 10
 # The spectrum of a matrix over no components.
 _NO_SPECTRUM = EigenDecomposition(values=np.zeros(0), vectors=np.zeros((0, 0)))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,13 @@ class PipelineConfig:
     window_start: int | None = None
 
     def __post_init__(self):
+        optional = ("K_override", "window_start")
+        for name in ("k0", "j0", "l", "m") + optional:
+            value = getattr(self, name)
+            if not _is_int(value) and not (value is None and name in optional):
+                raise ArgumentError(f"{name} must be an integer, got {value!r}")
+        if not all(_is_int(h) for h in self.horizons):
+            raise ArgumentError(f"horizons must be integers, got {self.horizons}")
         if self.k0 < 0:
             raise ArgumentError(f"k0 must be >= 0, got {self.k0}")
         if self.j0 < 1:
@@ -87,6 +97,11 @@ class PipelineConfig:
 class Decomposition:
     """Full two-stage decomposition of a panel.
 
+    :func:`recover_factors` assembles it from the two stages' results; the
+    same object is what :func:`decompose` returns, what the Monte Carlo reads
+    its accuracy metrics from and what
+    :func:`~trendfactors.forecast.forecast_path` forecasts from.
+
     Loadings ``A1`` (trends) and ``A2`` (stationary block) live in the
     observation space, and the components ``x1 = y @ A1`` and ``x2 = y @ A2``
     are the leading and trailing column blocks of one array, as ``A1`` and
@@ -98,8 +113,10 @@ class Decomposition:
     ``M2_eigenvalues``, ``lb_pvalues`` (in testing order),
     ``component_order`` (the testing order) and ``S_eigenvalues`` (each of
     length ``d``), ``truncated_components`` (components the sequential test
-    left out because ``d >= n``) and ``v2_fallback`` (an ill-conditioned
-    recovery).  Without a stationary block the arrays are empty.
+    left out because ``d >= n``), ``scanned_components`` (trailing kept
+    components the white-noise scan reached) and ``v2_fallback`` (an
+    ill-conditioned recovery, where ``V2 = U1``).  Without a stationary
+    block the arrays are empty.
 
     When ``p >= n`` the last ``p - n + 1`` columns of ``A2`` are orthogonal
     to the centered panel (see :func:`trendfactors.unitroot.null_width`):
@@ -151,8 +168,13 @@ class Decomposition:
         return v1
 
     def A2_times(self, u: np.ndarray) -> np.ndarray:
-        """``A2 @ u`` for a ``u`` that is zero on the null-space rows, such as ``U1``."""
-        return self.eig1.trailing_times(self.r1_hat, u)
+        """``A2 @ u`` for a ``u`` that is zero on the null-space rows, such as ``U1``.
+
+        Only ``A2``'s columns in ``eig1.lead`` are read, so the null-space
+        completion is not formed.
+        """
+        trailing = self.eig1.lead[:, self.r1_hat:]
+        return trailing @ u[: trailing.shape[1]]
 
 
 def second_stage(
@@ -192,27 +214,36 @@ def second_stage(
 
 
 def recover_factors(
-    x2: np.ndarray,
-    w: np.ndarray,
-    order: np.ndarray,
-    r2: int,
+    eig1: M1Eigen,
+    rho: np.ndarray,
+    x: np.ndarray,
+    stage2: tuple[EigenDecomposition, FactorCounts],
     config: PipelineConfig,
-    null: int = 0,
-) -> StationaryFactorFit:
-    """Projected-PCA recovery of the stationary factors at a given count.
+) -> Decomposition:
+    """Projected-PCA recovery of the stationary factors, and the :class:`Decomposition`.
 
-    ``w`` is the ``M2`` eigenbasis of the leading ``d - null`` components,
-    as :func:`second_stage` returns it.  In the testing ``order`` the first
-    ``r2`` components span the factor directions and the rest the white
-    noise; the ``null`` constant components come last.  When the recovery
-    is ill conditioned the factors are read off by direct projection
-    instead (``v2_fallback``).  ``S`` and ``V2`` are found among the leading
-    components: ``U1`` and ``V2`` are zero on the constant ones, and ``S``
-    has exact zero eigenvalues there (all of them when ``d == null``).
+    ``(eig1, rho, x)`` is :func:`~trendfactors.unitroot.first_stage`'s
+    output and ``stage2`` :func:`second_stage`'s result on ``x2 = x[:, r1:]``
+    for the :func:`~trendfactors.unitroot.scan_r1` count ``r1`` under
+    ``config.absolute_acf``; the count ``r2`` and the testing order are read
+    for ``config.reorder``.  The ``null`` columns of ``x2`` past ``M2``'s
+    eigenbasis are constant and come last in the testing order, in which
+    the first ``r2`` components span the factor directions and the rest the
+    white noise.  When the recovery is ill conditioned the factors are read
+    off by direct projection instead (``v2_fallback``).  ``S`` and ``V2``
+    are found among the leading components: ``U1`` and ``V2`` are zero on
+    the constant ones, and ``S`` has exact zero eigenvalues there (all of
+    them when ``d == null``).
     """
+    r1 = scan_r1(rho, config.c0, config.absolute_acf)
+    x2 = x[:, r1:]
+    eig2, counts = stage2
+    w = eig2.vectors
+    order = counts.order[config.reorder]
+    r2 = counts.r2[config.reorder]
     d = x2.shape[1]
-    lead = d - null
-    v = d - r2
+    lead = w.shape[0]
+    null = d - lead
     v_lead = lead - r2
     u1_lead = w[:, order[:r2]]
     v1_lead = w[:, order[r2:lead]]
@@ -239,16 +270,31 @@ def recover_factors(
             "factor projection instead",
             stacklevel=2,
         )
-    return StationaryFactorFit(
+    diagnostics = {
+        "M1_eigenvalues": eig1.values,
+        "s_statistics": (np.abs(rho) if config.absolute_acf else rho).mean(axis=1),
+        "M2_eigenvalues": np.concatenate([eig2.values, np.zeros(null)]),
+        "lb_pvalues": counts.pvalues[order],
+        "component_order": order,
+        "S_eigenvalues": np.concatenate([eig_g.values, np.zeros(d - v_lead)]),
+        "truncated_components": counts.truncated,
+        "scanned_components": counts.scanned_components[config.reorder],
+        "v2_fallback": fallback,
+    }
+    return Decomposition(
+        r1_hat=r1,
         r2_hat=r2,
-        v_hat=v,
+        v_hat=d - r2,
         K_hat=k_hat,
+        A1=eig1.lead[:, :r1],
         U1=np.concatenate([u1_lead, np.zeros((null, r2))]) if null else u1_lead,
-        V1_lead=v1_lead,
         V2=np.concatenate([v2, np.zeros((null, r2))]),
+        x1=x[:, :r1],
+        x2=x2,
         z2=recover_z2(v2, v2u1, x2[:, :lead]),
-        S_eigenvalues=np.concatenate([eig_g.values, np.zeros(d - v_lead)]),
-        v2_fallback=fallback,
+        diagnostics=diagnostics,
+        eig1=eig1,
+        V1_lead=v1_lead,
     )
 
 
@@ -263,34 +309,5 @@ def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition
     pan = as_panel(panel)
     eig1, rho, x = first_stage(pan, config.k0, config.l, config.m)
     r1 = scan_r1(rho, config.c0, config.absolute_acf)
-    x2 = x[:, r1:]
-    null = null_width(pan.n, pan.p)
-    eig2, counts = second_stage(x2, config, (config.reorder,), null)
-    order = counts.order[config.reorder]
-    fit = recover_factors(x2, eig2.vectors, order, counts.r2[config.reorder], config, null)
-    diagnostics = {
-        "M1_eigenvalues": eig1.values,
-        "s_statistics": (np.abs(rho) if config.absolute_acf else rho).mean(axis=1),
-        "M2_eigenvalues": np.concatenate([eig2.values, np.zeros(null)]),
-        "lb_pvalues": counts.pvalues[order],
-        "component_order": order,
-        "S_eigenvalues": fit.S_eigenvalues,
-        "truncated_components": counts.truncated,
-        "scanned_components": counts.scanned_components[config.reorder],
-        "v2_fallback": fit.v2_fallback,
-    }
-    return Decomposition(
-        r1_hat=r1,
-        r2_hat=fit.r2_hat,
-        v_hat=fit.v_hat,
-        K_hat=fit.K_hat,
-        A1=eig1.lead[:, :r1],
-        U1=fit.U1,
-        V2=fit.V2,
-        x1=x[:, :r1],
-        x2=x2,
-        z2=fit.z2,
-        diagnostics=diagnostics,
-        eig1=eig1,
-        V1_lead=fit.V1_lead,
-    )
+    stage2 = second_stage(x[:, r1:], config, (config.reorder,), null_width(pan.n, pan.p))
+    return recover_factors(eig1, rho, x, stage2, config)

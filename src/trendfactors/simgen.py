@@ -381,7 +381,11 @@ def _replication(
 
     Every variant runs the stages of :func:`trendfactors.pipeline.decompose`
     (variant ``a*`` is ``absolute_acf``, ``w*`` is ``reorder``); the stage-1
-    eigendecomposition and each distinct stationary panel are shared.
+    eigendecomposition and each distinct stationary panel's second stage are
+    shared.  The metrics are read off the
+    :class:`~trendfactors.pipeline.Decomposition` that
+    :func:`~trendfactors.pipeline.recover_factors` assembles for the first
+    variant, the one ``decompose`` returns under that variant's config.
     """
     null = null_width(spec.n, spec.p)
     eig1, rho, x = first_stage(panel, config.k0, config.l, config.m)
@@ -404,23 +408,21 @@ def _replication(
     # span/path accuracy metrics, computed under the first requested variant
     absolute, reorder = _parse_variant(variants[0])
     r1 = r1_by_abs[absolute]
-    a1 = eig1.lead[:, :r1]
+    dec = recover_factors(eig1, rho, x, stage2[r1],
+                          replace(config, absolute_acf=absolute, reorder=reorder))
     norm = "small" if spec.example == 1 else "large"
     metrics = {
-        "Dbar_A1": _span_distance(a1, truth.A1),
+        "Dbar_A1": _span_distance(dec.A1, truth.A1),
         # A2 and truth.A2 complete A1 and truth.A1 to orthonormal bases
-        "Dbar_A2": _complement_distance(a1, truth.A1),
-        "rmse_trend": rmse_factors(x[:, :r1] @ a1.T, truth.trend_paths(), norm),
+        "Dbar_A2": _complement_distance(dec.A1, truth.A1),
+        "rmse_trend": rmse_factors(dec.x1 @ dec.A1.T, truth.trend_paths(), norm),
         "Dbar_A2U1": np.nan,
         "rmse_stationary": np.nan,
     }
-    eig2, counts = stage2[r1]
-    r2 = counts.r2[reorder]
-    if r2 >= 1:
-        fit = recover_factors(x[:, r1:], eig2.vectors, counts.order[reorder], r2, config, null)
-        a2u1_hat = eig1.trailing_times(r1, fit.U1)
+    if dec.r2_hat >= 1:
+        a2u1_hat = dec.A2_times(dec.U1)
         metrics["Dbar_A2U1"] = _span_distance(a2u1_hat, truth.A2 @ truth.U22_1)
-        metrics["rmse_stationary"] = rmse_factors(fit.z2 @ a2u1_hat.T, truth.factor_paths(), norm)
+        metrics["rmse_stationary"] = rmse_factors(dec.z2 @ a2u1_hat.T, truth.factor_paths(), norm)
     return indicators, metrics
 
 

@@ -11,8 +11,6 @@ blocks, never a ``d x d`` eigenproblem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import lapack
 
@@ -27,7 +25,6 @@ from .tsstats import (
 )
 
 __all__ = [
-    "StationaryFactorFit",
     "build_M2",
     "projected_S",
     "estimate_K",
@@ -37,32 +34,6 @@ __all__ = [
 ]
 
 _SV_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class StationaryFactorFit:
-    """Second-stage estimates on the stationary panel of width ``p - r1``.
-
-    ``U1`` spans the factor directions and ``V1_lead`` the white-noise
-    directions over all but a wide panel's null-space components (mutually
-    orthonormal; with those components they make a full basis, see
-    ``Decomposition.V1``); ``V2`` is the projected-PCA matrix used to invert
-    the factor mixing, and ``z2`` holds the recovered factor paths.  Only
-    the span of ``V2`` is determined, not its basis inside the span, and
-    ``z2`` does not depend on that basis.
-    ``r2_hat + v_hat`` always equals the panel width.  ``v2_fallback`` marks
-    an ill-conditioned recovery where ``V2 = U1``.
-    """
-
-    r2_hat: int
-    v_hat: int
-    K_hat: int
-    U1: np.ndarray
-    V1_lead: np.ndarray
-    V2: np.ndarray
-    z2: np.ndarray
-    S_eigenvalues: np.ndarray
-    v2_fallback: bool = False
 
 
 def build_M2(x2, j0: int) -> np.ndarray:

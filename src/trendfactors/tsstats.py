@@ -35,7 +35,14 @@ class TimeSeriesPanel:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
+        try:
+            arr = np.asarray(self.data)
+            # a cast would drop imaginary parts with only a warning
+            if np.iscomplexobj(arr):
+                raise ArgumentError("panel has complex entries; only real panels are supported")
+            arr = arr.astype(float, copy=False)
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"panel is not a numeric array: {exc}") from None
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2:
@@ -60,7 +67,7 @@ def as_panel(panel) -> TimeSeriesPanel:
     """Coerce an array-like (or pass through a panel) to :class:`TimeSeriesPanel`."""
     if isinstance(panel, TimeSeriesPanel):
         return panel
-    return TimeSeriesPanel(np.asarray(panel, dtype=float))
+    return TimeSeriesPanel(panel)
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,7 @@ class M1Eigen:
     of the first ``n - 1`` centered rows: ``reflectors`` is LAPACK's
     ``p x (n - 1)`` array (``R`` on and above the diagonal, the reflectors
     below it) and ``tau`` their scale factors; both are ``None`` when
-    ``p < n``.  :meth:`basis` forms the complete eigenbasis, and
-    :meth:`trailing_times` multiplies by its trailing columns without it.
+    ``p < n``.  :meth:`basis` forms the complete eigenbasis.
     """
 
     values: np.ndarray
@@ -129,16 +128,6 @@ class M1Eigen:
         q = _lapack(lapack.dorgqr, q, self.tau, overwrite_a=1)
         q[:, :rank] = self.lead
         return q
-
-    def trailing_times(self, r1: int, u: np.ndarray) -> np.ndarray:
-        """``basis()[:, r1:] @ u`` for a ``u`` that is zero on the null-space rows.
-
-        Only the columns ``lead[:, r1:]`` are read, so ``Q_perp`` is not
-        formed; the rows of ``u`` past them must be zero, as they are in
-        ``U1``.
-        """
-        trailing = self.lead[:, r1:]
-        return trailing @ u[: trailing.shape[1]]
 
 
 def first_stage(

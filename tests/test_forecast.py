@@ -214,9 +214,9 @@ class TestForecastY:
         spec = DgpSpec(p=4, n=300, r1=1, r2=1, example=1, seed=9)
         panel, _ = generate(spec)
         dec, fit = self._decomp(panel.data)
-        path = forecast_path(dec, fit, dec, 3)
+        path = forecast_path(dec, fit, 3)
         assert path.shape == (3, 4)
-        assert np.allclose(forecast_y(dec, fit, dec, 2), path[1])
+        assert np.allclose(forecast_y(dec, fit, 2), path[1])
 
     def test_no_stationary_factors_trend_only(self):
         rng = np.random.default_rng(4)
@@ -226,7 +226,7 @@ class TestForecastY:
         dec = decompose(y, PipelineConfig())
         if dec.r2_hat == 0:
             fit = fit_factor_models(dec.x1, dec.z2)
-            got = forecast_y(dec, fit, dec, 1)
+            got = forecast_y(dec, fit, 1)
             trend_only = (dec.x1[-1] + fit.nonstat.intercept
                           + fit.nonstat.coef @ (dec.x1[-1] - dec.x1[-2]))
             assert np.allclose(got, dec.A1 @ trend_only, atol=1e-10)
@@ -245,27 +245,26 @@ class TestForecastY:
             report = evaluate_forecasts(y, config, methods=("gt",))
         dec, fit = self._decomp(y, config)
         assert dec.eig1.reflectors is not None and dec.r2_hat >= 1
-        dense = SimpleNamespace(A1=dec.A1, A2_times=lambda u: dec.A2 @ u, x1=dec.x1)
-        expected = forecast_path(dense, fit, dec, max(config.horizons))
+        dense = SimpleNamespace(A1=dec.A1, A2_times=lambda u: dec.A2 @ u, x1=dec.x1,
+                                U1=dec.U1, z2=dec.z2)
+        expected = forecast_path(dense, fit, max(config.horizons))
         assert np.max(np.abs(report.forecasts["gt"] - expected)) <= 1e-12 * np.abs(expected).max()
 
     def test_constant_stationary_factor_continues(self):
-        # hand-built split: one trend plus one exactly constant factor path
-        class Split:
+        # hand-built decomposition: one trend plus one exactly constant factor path
+        class Dec:
             A1 = np.array([[1.0], [0.0]])
             A2 = np.array([[0.0], [1.0]])
             x1 = np.linspace(0.0, 9.0, 10)[:, None]
-
-            @staticmethod
-            def A2_times(u):
-                return Split.A2 @ u
-
-        class Sf:
             U1 = np.array([[1.0]])
             z2 = np.full((10, 1), 4.2)
 
-        fit = fit_factor_models(Split.x1, Sf.z2)
-        path = forecast_path(Split, fit, Sf, 3)
+            @staticmethod
+            def A2_times(u):
+                return Dec.A2 @ u
+
+        fit = fit_factor_models(Dec.x1, Dec.z2)
+        path = forecast_path(Dec, fit, 3)
         assert np.allclose(path[:, 1], 4.2, atol=1e-10)
         assert np.allclose(path[:, 0], [10.0, 11.0, 12.0], atol=1e-8)
 
@@ -273,7 +272,7 @@ class TestForecastY:
         spec = DgpSpec(p=6, n=400, example=1, seed=21)
         panel, _ = generate(spec)
         dec, fit = self._decomp(panel.data)
-        got = forecast_y(dec, fit, dec, 1)
+        got = forecast_y(dec, fit, 1)
         x1_next = dec.x1[-1] + fit.nonstat.intercept + fit.nonstat.coef @ (
             dec.x1[-1] - dec.x1[-2]
         )
@@ -507,7 +506,7 @@ class TestEvaluateForecasts:
 
         def gt(train, h):
             dec = decompose(train, config)
-            return forecast_path(dec, fit_factor_models(dec.x1, dec.z2), dec, h)
+            return forecast_path(dec, fit_factor_models(dec.x1, dec.z2), h)
 
         methods = {
             "gt": gt,

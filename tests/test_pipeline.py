@@ -51,6 +51,18 @@ class TestDecompose:
             PipelineConfig(horizons=(0,))
         with pytest.raises(ArgumentError, match="horizons must be non-empty"):
             PipelineConfig(horizons=())
+        # non-integer counts would otherwise fail late, inside decompose or
+        # evaluate_forecasts
+        for field, value in [("k0", 1.5), ("j0", 2.0), ("l", "3"), ("m", None),
+                             ("K_override", 1.0), ("window_start", 150.5), ("k0", True)]:
+            with pytest.raises(ArgumentError, match=f"^{field} must be an integer"):
+                PipelineConfig(**{field: value})
+        with pytest.raises(ArgumentError, match="horizons must be integers"):
+            PipelineConfig(horizons=(1, 2.0))
+        config = PipelineConfig(k0=np.int64(1), j0=np.int32(2), l=np.int16(3), m=np.int64(5),
+                                K_override=np.int64(0), window_start=np.int64(100),
+                                horizons=(np.int64(1), 2))
+        assert config.K_override == 0 and config.window_start == 100
 
     def test_example1_counts_and_invariants(self):
         spec = DgpSpec(p=6, n=2000, example=1, seed=5)

@@ -17,6 +17,7 @@ from trendfactors.simgen import (
     Mixing,
     _complement_distance,
     _replication,
+    _span_distance,
     derive_seed,
     draw_mixing,
     draw_panel,
@@ -263,16 +264,44 @@ class TestComplementDistance:
         assert np.isnan(_complement_distance(q[:, :2], q))
 
     def test_replication_matches_dense_A2(self):
-        spec = DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=4)
-        panel, truth = generate(spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, metrics = _replication(panel, truth, spec, PipelineConfig(), ["a*w*"])
-            dec = decompose(panel)
-        assert dec.r2_hat >= 1
-        assert abs(metrics["Dbar_A2"] - metric_Dbar(dec.A2, truth.A2)) <= 1e-12
-        dense = metric_Dbar(dec.A2 @ dec.U1, truth.A2 @ truth.U22_1)
-        assert abs(metrics["Dbar_A2U1"] - dense) <= 1e-12
+        # the metrics are read off decompose's result under the first variant's
+        # config, bit for bit; the dense A2 agrees with the complement formula
+        cells = [
+            DgpSpec(p=30, n=300, r1=2, r2=0, example=2, seed=2),  # narrow; aw and a*w* differ
+            DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=4),  # wide
+            DgpSpec(p=30, n=300, r1=2, r2=0, example=2, seed=0),  # no factor found
+        ]
+        r2_hats = []
+        for spec in cells:
+            panel, truth = generate(spec)
+            for methods in (["aw", "a*w*"], ["a*w*"]):
+                variant = PipelineConfig(absolute_acf=methods[0] == "a*w*",
+                                         reorder=methods[0] == "a*w*")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    _, metrics = _replication(panel, truth, spec, PipelineConfig(), methods)
+                    dec = decompose(panel, variant)
+                a2u1 = dec.A2_times(dec.U1)
+                expected = {
+                    "Dbar_A1": _span_distance(dec.A1, truth.A1),
+                    "Dbar_A2": _complement_distance(dec.A1, truth.A1),
+                    "rmse_trend": rmse_factors(dec.x1 @ dec.A1.T, truth.trend_paths(), "large"),
+                    "Dbar_A2U1": (_span_distance(a2u1, truth.A2 @ truth.U22_1)
+                                  if dec.r2_hat else np.nan),
+                    "rmse_stationary": (rmse_factors(dec.z2 @ a2u1.T, truth.factor_paths(), "large")
+                                        if dec.r2_hat else np.nan),
+                }
+                assert metrics.keys() == expected.keys()
+                for key, value in expected.items():
+                    assert np.array_equal(metrics[key], value, equal_nan=True), key
+                assert abs(metrics["Dbar_A2"] - metric_Dbar(dec.A2, truth.A2)) <= 1e-12
+                if dec.r2_hat and spec.r2:
+                    dense = metric_Dbar(dec.A2 @ dec.U1, truth.A2 @ truth.U22_1)
+                    assert abs(metrics["Dbar_A2U1"] - dense) <= 1e-12
+                r2_hats.append(dec.r2_hat)
+        # the narrow cell's variants disagree, the wide cell finds factors and
+        # the last cell none
+        assert r2_hats[0] != r2_hats[1] and min(r2_hats[2:4]) >= 1 and r2_hats[4:] == [0, 0]
 
 
 class TestRmseFactors:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from trendfactors.errors import ArgumentError
+from trendfactors.pipeline import decompose
 from trendfactors.tsstats import TimeSeriesPanel, fix_signs, sample_autocov, sym_eigen
 from trendfactors.unitroot import acf_profile
 from trendfactors.whitenoise import _ljung_box
@@ -34,6 +35,24 @@ class TestPanel:
     def test_vector_promoted_to_column(self):
         pan = TimeSeriesPanel(np.array([1.0, 2.0, 3.0]))
         assert pan.data.shape == (3, 1)
+
+    def test_rejects_complex_entries(self):
+        # a cast to float would drop the imaginary parts with only a warning
+        y = np.random.default_rng(0).normal(size=(40, 3))
+        for panel in (y + 5j, y.astype(complex), np.array([[1.0, 1j], [2.0, 3.0]], dtype=object)):
+            with pytest.raises(ArgumentError, match="complex|numeric"):
+                TimeSeriesPanel(panel)
+        with pytest.raises(ArgumentError, match="complex"):
+            decompose(y + 5j)
+
+    def test_rejects_non_numeric_entries(self):
+        for panel in ([["a", "b"], ["c", "d"]], [[1.0, 2.0], [3.0]]):
+            with pytest.raises(ArgumentError, match="not a numeric array"):
+                TimeSeriesPanel(panel)
+        with pytest.raises(ArgumentError, match="not a numeric array"):
+            decompose([["a", "b"], ["c", "d"]])
+        assert np.array_equal(TimeSeriesPanel([["1.5", "2"], ["3", "4"]]).data,
+                              [[1.5, 2.0], [3.0, 4.0]])
 
 
 class TestSampleAutocov:
