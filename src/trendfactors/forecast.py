@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from .errors import ArgumentError
 from .pipeline import PipelineConfig, decompose
-from .tsstats import as_panel, sym_eigen
+from .tsstats import _real_array, as_panel, sym_eigen
 from .unitroot import probe_lags
 
 __all__ = [
@@ -127,7 +127,7 @@ def fit_var1_diff(panel) -> Var1Fit:
     Rank-deficient designs are solved in the least-squares sense; the design
     condition number is reported and flagged above 1e12.
     """
-    y = np.asarray(panel.data if hasattr(panel, "data") else panel, dtype=float)
+    y = _real_array(panel.data if hasattr(panel, "data") else panel, "panel")
     if y.ndim == 1:
         y = y[:, None]
     r = y.shape[1]
@@ -138,8 +138,8 @@ def fit_var1_diff(panel) -> Var1Fit:
 
 def fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
     """Fit the trend VAR(1)-on-differences and per-factor AR(1) models."""
-    x1 = np.asarray(x1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
+    x1 = _real_array(x1, "x1")
+    z2 = _real_array(z2, "z2")
     nonstat = fit_var1_diff(x1) if x1.shape[1] >= 1 else None
     phi, intercept, _ = _ar1_columns(z2)
     stat = tuple(Ar1Fit(phi=a, intercept=c, explosive=abs(a) >= 1.0)

@@ -73,8 +73,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if not _is_int(value) and not (value is None and name in optional):
                 raise ArgumentError(f"{name} must be an integer, got {value!r}")
-        if not all(_is_int(h) for h in self.horizons):
-            raise ArgumentError(f"horizons must be integers, got {self.horizons}")
+        if not isinstance(self.horizons, tuple) or not all(_is_int(h) for h in self.horizons):
+            raise ArgumentError(f"horizons must be a tuple of integers, got {self.horizons!r}")
         if self.k0 < 0:
             raise ArgumentError(f"k0 must be >= 0, got {self.k0}")
         if self.j0 < 1:
@@ -125,9 +125,11 @@ class Decomposition:
     on them, ``V1`` ends in an identity block over them, and their ``M1``,
     ``M2`` and ``S`` eigenvalues and s-statistics are exact zeros.
 
-    ``A2`` and ``V1`` are built on first read and then kept: ``A2`` from
-    ``eig1``, the :class:`~trendfactors.unitroot.M1Eigen` that
-    :func:`~trendfactors.unitroot.first_stage` returns, and ``V1`` from
+    ``A1`` and :meth:`A2_times` are products with ``eig1``, the
+    :class:`~trendfactors.unitroot.M1Eigen` that
+    :func:`~trendfactors.unitroot.first_stage` returns; ``x1`` and ``x2``
+    come from stage one, not from ``A1`` and ``A2``.  ``A2`` and ``V1`` are
+    built on first read and then kept: ``A2`` from ``eig1`` and ``V1`` from
     ``V1_lead``, its block over all but the null-space components.  On a
     wide panel that forms ``A2``'s null-space completion (a ``p x p``
     array) and ``V1``'s identity block, which no stage reads;
@@ -170,11 +172,12 @@ class Decomposition:
     def A2_times(self, u: np.ndarray) -> np.ndarray:
         """``A2 @ u`` for a ``u`` that is zero on the null-space rows, such as ``U1``.
 
-        Only ``A2``'s columns in ``eig1.lead`` are read, so the null-space
-        completion is not formed.
+        One :meth:`~trendfactors.unitroot.M1Eigen.times` product over
+        ``A2``'s row-space columns: on a wide panel ``Q [W u; 0]`` by one
+        ``dormqr``, so neither ``Q W`` nor the null-space completion is formed.
         """
-        trailing = self.eig1.lead[:, self.r1_hat:]
-        return trailing @ u[: trailing.shape[1]]
+        rank = self.eig1.W.shape[1]
+        return self.eig1.times(slice(self.r1_hat, rank), u[: rank - self.r1_hat])
 
 
 def second_stage(
@@ -286,7 +289,7 @@ def recover_factors(
         r2_hat=r2,
         v_hat=d - r2,
         K_hat=k_hat,
-        A1=eig1.lead[:, :r1],
+        A1=eig1.times(slice(0, r1)),
         U1=np.concatenate([u1_lead, np.zeros((null, r2))]) if null else u1_lead,
         V2=np.concatenate([v2, np.zeros((null, r2))]),
         x1=x[:, :r1],

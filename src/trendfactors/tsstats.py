@@ -35,14 +35,7 @@ class TimeSeriesPanel:
     data: np.ndarray
 
     def __post_init__(self):
-        try:
-            arr = np.asarray(self.data)
-            # a cast would drop imaginary parts with only a warning
-            if np.iscomplexobj(arr):
-                raise ArgumentError("panel has complex entries; only real panels are supported")
-            arr = arr.astype(float, copy=False)
-        except (TypeError, ValueError) as exc:
-            raise ArgumentError(f"panel is not a numeric array: {exc}") from None
+        arr = _real_array(self.data, "panel")
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2:
@@ -61,6 +54,19 @@ class TimeSeriesPanel:
     @property
     def p(self) -> int:
         return self.data.shape[1]
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array, or an :class:`ArgumentError` naming ``name``
+    for complex or non-numeric input."""
+    try:
+        arr = np.asarray(values)
+        # a cast would drop imaginary parts with only a warning
+        if np.iscomplexobj(arr):
+            raise ArgumentError(f"{name} has complex entries; only real values are supported")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"{name} is not a numeric array: {exc}") from None
 
 
 def as_panel(panel) -> TimeSeriesPanel:

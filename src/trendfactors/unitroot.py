@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ArgumentError
-from .tsstats import _lapack, as_panel, autocov_gram, centered_columns, fix_signs, sym_eigen
+from .tsstats import _lapack, as_panel, autocov_gram, centered_columns, sym_eigen
 
 __all__ = [
     "M1Eigen",
@@ -101,32 +101,50 @@ def scan_r1(rho: np.ndarray, c0: float, absolute: bool) -> int:
 class M1Eigen:
     """``M1``'s eigendecomposition as :func:`first_stage` returns it.
 
-    ``values`` holds all ``p`` eigenvalues, sorted descending, and ``lead``
-    the orthonormal eigenvectors paired with the leading ones: all ``p`` of
-    them when ``p < n``.  When ``p >= n``, ``lead`` is only the ``n - 1``
-    row-space eigenvectors ``Q W``, and the last :func:`null_width`
-    eigenvalues are exact zeros.  Their eigenvectors, the orthonormal
-    completion ``Q_perp`` of ``Q``, are kept implicit as the Householder QR
-    of the first ``n - 1`` centered rows: ``reflectors`` is LAPACK's
-    ``p x (n - 1)`` array (``R`` on and above the diagonal, the reflectors
-    below it) and ``tau`` their scale factors; both are ``None`` when
-    ``p < n``.  :meth:`basis` forms the complete eigenbasis.
+    ``values`` holds all ``p`` eigenvalues, sorted descending.  When
+    ``p < n``, ``W`` is the ``p x p`` orthonormal eigenbasis.  When
+    ``p >= n``, ``M1`` is diagonalised in the coordinates of an orthonormal
+    basis ``Q`` of the centered rows' span: ``W`` is the
+    ``(n - 1) x (n - 1)`` eigenbasis in those coordinates, sign-fixed there
+    by :func:`~trendfactors.tsstats.sym_eigen`, so the row-space
+    eigenvectors are ``Q W``.  The last :func:`null_width` eigenvalues are
+    exact zeros, and their eigenvectors are the orthonormal completion
+    ``Q_perp`` of ``Q``.  ``Q`` and ``Q_perp`` stay implicit as the
+    Householder QR of the first ``n - 1`` centered rows: ``reflectors`` is
+    LAPACK's ``p x (n - 1)`` array (``R`` on and above the diagonal, the
+    reflectors below it) and ``tau`` their scale factors; both are ``None``
+    when ``p < n``, where ``Q`` is the identity.  :meth:`times` is the one
+    product with the eigenvectors and forms neither ``Q`` nor ``Q W``;
+    :meth:`basis` forms the complete eigenbasis.
     """
 
     values: np.ndarray
-    lead: np.ndarray
+    W: np.ndarray
     reflectors: np.ndarray | None = None
     tau: np.ndarray | None = None
+
+    def times(self, cols: slice, u: np.ndarray | None = None) -> np.ndarray:
+        """Row-space eigenvectors ``cols`` times ``u`` (the identity when omitted).
+
+        This is ``Q [W[:, cols] u; 0]``: ``W[:, cols] u`` itself when
+        ``p < n``, and one ``dormqr`` on a ``p x k`` array when ``p >= n``.
+        """
+        block = self.W[:, cols] if u is None else self.W[:, cols] @ u
+        if self.reflectors is None:
+            return block
+        c = np.zeros((self.reflectors.shape[0], block.shape[1]), order="F")
+        c[: len(block)] = block
+        return _lapack(lapack.dormqr, "L", "N", self.reflectors, self.tau, c, overwrite_c=1)
 
     def basis(self) -> np.ndarray:
         """The ``p x p`` eigenbasis; when ``p >= n``, ``[Q W, Q_perp]`` formed on every call."""
         if self.reflectors is None:
-            return self.lead
-        p, rank = self.lead.shape
+            return self.W
+        p, rank = self.reflectors.shape
         q = np.zeros((p, p), order="F")
         q[:, :rank] = self.reflectors
         q = _lapack(lapack.dorgqr, q, self.tau, overwrite_a=1)
-        q[:, :rank] = self.lead
+        q[:, :rank] = self.times(slice(None))
         return q
 
 
@@ -144,14 +162,15 @@ def first_stage(
     lag at most ``n - 2``.
 
     When ``p >= n``, a Householder QR of the first ``n - 1`` centered rows
-    gives an orthonormal basis ``Q`` of the row space.  ``M1`` is built and
-    diagonalised in the coordinates ``yc @ Q``, read off ``R``, and only the
-    thin ``Q`` is formed: ``eig.lead`` is ``Q W`` for the small eigenbasis
-    ``W``, and the completion ``Q_perp`` stays in the Householder reflectors
-    that ``eig`` keeps (see :class:`M1Eigen`).  The :func:`null_width`
-    trailing eigenvalues and ACF rows are exact zeros, and the trailing
-    columns of ``x`` are the exact constants ``ybar @ Q_perp``, found by
-    applying the reflectors to ``ybar``.
+    gives an orthonormal basis ``Q`` of the row space, and everything stays
+    in the coordinates ``yc @ Q``, read off ``R``: ``M1`` is built and
+    diagonalised there, its eigenvectors ``W`` are sign-fixed there, and the
+    leading columns of ``x`` are ``(yc @ Q) W`` plus the mean term
+    ``(Q' ybar) W``, so neither ``Q``, ``Q W`` nor ``y @ Q W`` is formed.
+    ``eig`` keeps ``W`` and the reflectors (see :class:`M1Eigen`).  The
+    :func:`null_width` trailing eigenvalues and ACF rows are exact zeros,
+    and the trailing columns of ``x`` are the exact constants
+    ``ybar @ Q_perp``, the trailing entries of the same ``Q' ybar``.
     """
     pan = as_panel(panel)
     lags = _fitting_lags(l, m, pan.n)
@@ -161,7 +180,8 @@ def first_stage(
         x = pan.data @ eig.vectors
         return M1Eigen(eig.values, eig.vectors), acf_profile(x, lags), x
     rank = pan.p - null
-    yc = pan.data - pan.data.mean(axis=0)
+    ybar = pan.data.mean(axis=0)
+    yc = pan.data - ybar
     # the transpose of LAPACK's geqrf output, so ``reflectors`` is Fortran-ordered
     raw, tau = np.linalg.qr(yc[:-1].T, mode="raw")
     del yc
@@ -171,14 +191,14 @@ def first_stage(
     coords = np.vstack([r.T, -r.sum(axis=1)])
     del r
     w = sym_eigen(build_M1(coords, k0))
-    # autocorrelations ignore the mean and the sign fix
-    rho = acf_profile(coords @ w.vectors, lags)
+    x_lead = coords @ w.vectors
     del coords
-    vectors = fix_signs(_lapack(lapack.dorgqr, reflectors, tau) @ w.vectors)
+    # autocorrelations ignore the mean
+    rho = acf_profile(x_lead, lags)
+    # y = yc + 1 ybar', and off the row space every row projects onto its mean
+    qybar = _lapack(lapack.dormqr, "L", "T", reflectors, tau, ybar[:, None])[:, 0]
     x = np.empty((pan.n, pan.p))
-    x[:, :rank] = pan.data @ vectors
-    # off the row space every row of the panel projects onto its mean
-    ybar = pan.data.mean(axis=0)[:, None]
-    x[:, rank:] = _lapack(lapack.dormqr, "L", "T", reflectors, tau, ybar)[rank:, 0]
-    eig = M1Eigen(np.concatenate([w.values, np.zeros(null)]), vectors, reflectors, tau)
+    np.add(x_lead, qybar[:rank] @ w.vectors, out=x[:, :rank])
+    x[:, rank:] = qybar[rank:]
+    eig = M1Eigen(np.concatenate([w.values, np.zeros(null)]), w.vectors, reflectors, tau)
     return eig, np.concatenate([rho, np.zeros((null, len(lags)))]), x

@@ -1,6 +1,7 @@
 """Forecasting: factor-model fits, error metrics, DM test, baselines."""
 
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -192,6 +193,22 @@ class TestFitVar1Diff:
         y = np.cumsum(rng.normal(size=(5000, 3)), axis=0)
         fit = fit_var1_diff(y)
         assert np.linalg.norm(fit.coef, 2) <= 0.1
+
+    def test_complex_input_rejected(self):
+        # a cast to float would fit the real part with only a ComplexWarning
+        rng = np.random.default_rng(3)
+        x1 = np.cumsum(rng.normal(size=(50, 1)), axis=0)
+        z2 = rng.normal(size=(50, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="^panel has complex entries"):
+                fit_var1_diff(x1 + 1j)
+            with pytest.raises(ArgumentError, match="^x1 has complex entries"):
+                fit_factor_models(x1 + 1j, z2)
+            with pytest.raises(ArgumentError, match="^z2 has complex entries"):
+                fit_factor_models(x1, z2.astype(complex))
+            with pytest.raises(ArgumentError, match="^x1 is not a numeric array"):
+                fit_factor_models([["a"], ["b"]], z2)
 
     def test_single_column_matches_ar1(self):
         rng = np.random.default_rng(2)

@@ -57,8 +57,9 @@ class TestDecompose:
                              ("K_override", 1.0), ("window_start", 150.5), ("k0", True)]:
             with pytest.raises(ArgumentError, match=f"^{field} must be an integer"):
                 PipelineConfig(**{field: value})
-        with pytest.raises(ArgumentError, match="horizons must be integers"):
-            PipelineConfig(horizons=(1, 2.0))
+        for horizons in [(1, 2.0), 3, [1, 2], "12"]:
+            with pytest.raises(ArgumentError, match="^horizons must be a tuple of integers"):
+                PipelineConfig(horizons=horizons)
         config = PipelineConfig(k0=np.int64(1), j0=np.int32(2), l=np.int16(3), m=np.int64(5),
                                 K_override=np.int64(0), window_start=np.int64(100),
                                 horizons=(np.int64(1), 2))
@@ -297,6 +298,9 @@ class TestWidePanel:
         finally:
             tracemalloc.stop()
         assert peak < p * p * 8
+        # about 2.8 p x n arrays of doubles: the QR and x, but no p x (n - 1)
+        # Q, Q W or y @ (Q W) (forming those took about 5)
+        assert peak < 3.5 * p * n * 8
         null = p - n + 1
         yc = y - y.mean(axis=0)
         assert np.array_equal(dec.A2[:, -null:],
@@ -316,14 +320,29 @@ class TestWidePanel:
         y = generate(WIDE[0])[0].data
         n, p = y.shape
         eig1, rho, x = first_stage(y, config.k0, config.l, config.m)
-        assert not hasattr(eig1, "vectors")
-        assert eig1.lead.shape == (p, n - 1) and eig1.basis().shape == (p, p)
+        # only the coordinate eigenbasis is kept, not a p-row block of eigenvectors
+        assert not hasattr(eig1, "vectors") and not hasattr(eig1, "lead")
+        assert eig1.W.shape == (n - 1, n - 1) and eig1.basis().shape == (p, p)
+        basis = eig1.basis()
+        assert np.array_equal(basis[:, : n - 1], eig1.times(slice(None)))
+        assert np.max(np.abs(x - y @ basis)) <= 1e-12 * np.abs(y).max()
         r1 = scan_r1(rho, config.c0, config.absolute_acf)
         null = null_width(n, p)
         eig2, counts = second_stage(x[:, r1:], config, (True,), null)
         lead = p - r1 - null
         assert eig2.values.shape == (lead,) and eig2.vectors.shape == (lead, lead)
         assert counts.pvalues.shape == (p - r1,)
+
+    @pytest.mark.parametrize("spec", WIDE, ids=spec_id)
+    def test_components_and_products_match_the_loadings(self, spec):
+        # x comes from the row-space coordinates, not from A1 and A2
+        y = generate(spec)[0].data
+        dec = quiet_decompose(y)
+        pairs = ((dec.x1, y @ dec.A1), (dec.x2, y @ dec.A2),
+                 (dec.A2_times(dec.U1), dec.A2 @ dec.U1))
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_no_v2_fallback_with_K_pinned_to_zero(self, seed):

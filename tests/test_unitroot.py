@@ -62,7 +62,7 @@ class TestSplitSpaces:
         y = rng.normal(size=(25, 3))
         eig, _, x = first_stage(y, 1, 1, 5)
         assert np.allclose(x, y @ eig.basis(), rtol=0.0, atol=1e-12)
-        a1, a2 = eig.lead[:, :r1], eig.lead[:, r1:]
+        a1, a2 = eig.times(slice(0, r1)), eig.times(slice(r1, None))
         basis = np.hstack([a1, a2])
         assert np.max(np.abs(basis.T @ basis - np.eye(3))) <= 1e-8
         recon = x[:, :r1] @ a1.T + x[:, r1:] @ a2.T
@@ -72,8 +72,8 @@ class TestSplitSpaces:
         rng = np.random.default_rng(3)
         y = rng.normal(size=(20, 4))
         eig, _, x = first_stage(y, 1, 1, 5)
-        assert eig.lead[:, :0].shape == (4, 0) and x[:, 0:].shape == (20, 4)
-        assert eig.lead[:, 4:].shape == (4, 0) and x[:, :4].shape == (20, 4)
+        assert eig.times(slice(0, 0)).shape == (4, 0) and x[:, 0:].shape == (20, 4)
+        assert eig.times(slice(4, None)).shape == (4, 0) and x[:, :4].shape == (20, 4)
         assert x[:, :0].shape == x[:, 4:].shape == (20, 0)
 
     def test_random_walk_direction_found(self):
@@ -82,7 +82,7 @@ class TestSplitSpaces:
         y = np.column_stack([np.cumsum(rng.normal(size=n)), rng.normal(size=n)])
         eig, rho, x = first_stage(y, 2, 3, 10)
         assert scan_r1(rho, 0.3, absolute=True) == 1
-        assert abs(eig.lead[0, 0]) >= 0.99
+        assert abs(eig.basis()[0, 0]) >= 0.99
         assert abs(np.corrcoef(x[:, 0], y[:, 0])[0, 1]) >= 0.99
 
     def test_wide_null_columns_constant(self):
@@ -92,7 +92,12 @@ class TestSplitSpaces:
         eig, rho, x = first_stage(y, 1, 1, 5)
         null = p - n + 1
         basis = eig.basis()
-        assert np.array_equal(basis[:, :-null], eig.lead)
+        # W lives in the row-space coordinates; the eigenvectors are one product away
+        assert eig.W.shape == (n - 1, n - 1)
+        assert np.array_equal(basis[:, :-null], eig.times(slice(None)))
+        yc = y - y.mean(axis=0)
+        assert np.array_equal(basis[:, -null:],
+                              np.linalg.qr(yc[:-1].T, mode="complete")[0][:, n - 1:])
         assert np.array_equal(x[:, -null:], np.broadcast_to(x[0, -null:], (n, null)))
         # the constants come from applying the reflectors to ybar, not from the formed basis
         assert np.max(np.abs(x[0, -null:] - y.mean(axis=0) @ basis[:, -null:])) <= (
