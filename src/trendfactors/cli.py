@@ -296,31 +296,21 @@ def _format_benchmark_table(result) -> str:
         s = cell.spec
         groups[(s.example, s.delta, s.p)][s.n] = cell
     methods = result.methods
-    pair = len(methods) >= 2
-    label = {
-        "r1": f"P(r1_hat={{r1}})",
-        "r2": f"P(r2_hat={{r2}})",
-        "total": "P(total=r)",
-    }
+    label = {"r1": "P(r1_hat={r1})", "r2": "P(r2_hat={r2})", "total": "P(total=r)"}
     lines = []
     for (example, delta, p), by_n in sorted(groups.items()):
         ns = sorted(by_n)
         any_cell = by_n[ns[0]]
         head = f"example {example}  p={p}" + (f"  delta={delta:g}" if example == 2 else "")
         lines.append(head)
-        method_note = f"{methods[0]}({methods[1]})" if pair else methods[0]
+        method_note = methods[0] + "".join(f"({m})" for m in methods[1:2])
         lines.append(f"  statistic [{method_note}]" + "".join(f"{f'n={n}':>16}" for n in ns))
         for key in ("r1", "r2", "total"):
             name = label[key].format(r1=any_cell.spec.r1, r2=any_cell.spec.r2)
             row = f"  {name:<22}"
             for n in ns:
-                cell = by_n[n]
-                v = cell.probs[methods[0]][key]
-                if pair:
-                    w = cell.probs[methods[1]][key]
-                    row += f"{v:.3f}({w:.3f})".rjust(16)
-                else:
-                    row += f"{v:.3f}".rjust(16)
+                v, *w = (by_n[n].probs[m][key] for m in methods[:2])
+                row += (f"{v:.3f}" + "".join(f"({x:.3f})" for x in w)).rjust(16)
             lines.append(row)
         lines.append("")
     return "\n".join(lines)

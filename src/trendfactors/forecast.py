@@ -137,9 +137,14 @@ def fit_var1_diff(panel) -> Var1Fit:
 
 
 def fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
-    """Fit the trend VAR(1)-on-differences and per-factor AR(1) models."""
-    x1 = _real_array(x1, "x1")
-    z2 = _real_array(z2, "z2")
+    """Fit the trend VAR(1)-on-differences and per-factor AR(1) models to the
+    factor paths ``x1`` and ``z2``: finite 2-D arrays of the same length."""
+    x1, z2 = _real_array(x1, "x1"), _real_array(z2, "z2")
+    for name, arr in (("x1", x1), ("z2", z2)):
+        if arr.ndim != 2:
+            raise ArgumentError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
+    if len(x1) != len(z2):
+        raise ArgumentError(f"x1 and z2 must have equal row counts, got {len(x1)} and {len(z2)}")
     nonstat = fit_var1_diff(x1) if x1.shape[1] >= 1 else None
     phi, intercept, _ = _ar1_columns(z2)
     stat = tuple(Ar1Fit(phi=a, intercept=c, explosive=abs(a) >= 1.0)
@@ -451,13 +456,7 @@ def evaluate_forecasts(
 
     forecasts = {m: forecasters[m](y, h_max)[[h - 1 for h in horizons]] for m in methods}
     return ForecastReport(
-        horizons=horizons,
-        methods=methods,
-        window_start=w,
-        origins=origins,
-        forecasts=forecasts,
-        fe=fe,
-        rmsfe_series=rmsfe_series,
-        dm=dm,
+        horizons=horizons, methods=methods, window_start=w, origins=origins,
+        forecasts=forecasts, fe=fe, rmsfe_series=rmsfe_series, dm=dm,
         meta={"pca_nfac_levels": pca_nfac_levels, "pca_nfac_diff": pca_nfac_diff},
     )

@@ -8,8 +8,9 @@ diagnostics.
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +42,25 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# annotation -> (description, test) of the values a dataclass field accepts
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a real number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    "bool": ("a bool", lambda v: isinstance(v, (bool, np.bool_))),
+}
+
+
+def _check_fields(obj) -> None:
+    """Raise an :class:`ArgumentError` naming the first field of the dataclass
+    ``obj`` whose value is not of its annotated ``int``, ``float`` or ``bool``
+    kind (or ``None``, where the annotation allows it)."""
+    for f in fields(obj):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(obj, f.name)
+        if kind in _KINDS and not _KINDS[kind][1](value) and not (optional and value is None):
+            raise ArgumentError(f"{f.name} must be {_KINDS[kind][0]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """All tuning constants of the decomposition and forecasting pipeline.
@@ -68,11 +88,7 @@ class PipelineConfig:
     window_start: int | None = None
 
     def __post_init__(self):
-        optional = ("K_override", "window_start")
-        for name in ("k0", "j0", "l", "m") + optional:
-            value = getattr(self, name)
-            if not _is_int(value) and not (value is None and name in optional):
-                raise ArgumentError(f"{name} must be an integer, got {value!r}")
+        _check_fields(self)
         if not isinstance(self.horizons, tuple) or not all(_is_int(h) for h in self.horizons):
             raise ArgumentError(f"horizons must be a tuple of integers, got {self.horizons!r}")
         if self.k0 < 0:
@@ -301,16 +317,33 @@ def recover_factors(
     )
 
 
+def _run_stages(panel, config: PipelineConfig, variants) -> tuple[Decomposition, list]:
+    """The stages under each ``(absolute_acf, reorder)`` pair in ``variants``:
+    ``first_stage`` once, ``scan_r1`` per variant, :func:`second_stage` once per
+    distinct ``r1`` for every requested reorder, and :func:`recover_factors`
+    for the first variant.  Returns its :class:`Decomposition` and each
+    variant's ``(r1, r2)``; the other fields of ``config`` apply to all."""
+    pan = as_panel(panel)
+    eig1, rho, x = first_stage(pan, config.k0, config.l, config.m)
+    r1s = [scan_r1(rho, config.c0, absolute) for absolute, _ in variants]
+    reorders = sorted({reorder for _, reorder in variants}, reverse=True)
+    null = null_width(pan.n, pan.p)
+    stage2 = {r1: second_stage(x[:, r1:], config, reorders, null) for r1 in set(r1s)}
+    absolute, reorder = variants[0]
+    if (absolute, reorder) != (config.absolute_acf, config.reorder):
+        config = replace(config, absolute_acf=absolute, reorder=reorder)
+    dec = recover_factors(eig1, rho, x, stage2[r1s[0]], config)
+    return dec, [(r1, stage2[r1][1].r2[reorder]) for r1, (_, reorder) in zip(r1s, variants)]
+
+
 def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition:
     """Run the full two-stage decomposition on a panel.
 
     Stage one counts and extracts the unit-root components; stage two counts
     the white-noise components among the remaining ones, then recovers the
     stationary factors by projected PCA (rotated when prominent noise
-    eigenvalues are detected or pinned via ``K_override``).
+    eigenvalues are detected or pinned via ``K_override``).  The stages run
+    in the one sequence that the Monte Carlo also runs, under the single
+    variant ``(config.absolute_acf, config.reorder)``.
     """
-    pan = as_panel(panel)
-    eig1, rho, x = first_stage(pan, config.k0, config.l, config.m)
-    r1 = scan_r1(rho, config.c0, config.absolute_acf)
-    stage2 = second_stage(x[:, r1:], config, (config.reorder,), null_width(pan.n, pan.p))
-    return recover_factors(eig1, rho, x, stage2, config)
+    return _run_stages(panel, config, [(config.absolute_acf, config.reorder)])[0]

@@ -19,9 +19,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ArgumentError, TrendFactorsError
-from .pipeline import PipelineConfig, recover_factors, second_stage
+from .pipeline import PipelineConfig, _check_fields, _is_int, _run_stages
 from .tsstats import TimeSeriesPanel
-from .unitroot import first_stage, null_width, scan_r1
 
 __all__ = [
     "DgpSpec",
@@ -57,6 +56,9 @@ class DgpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self)
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
         if self.p < 1 or self.n < 2:
             raise ArgumentError(f"need p >= 1 and n >= 2, got p={self.p}, n={self.n}")
         if self.r1 < 0 or self.r2 < 0:
@@ -379,37 +381,20 @@ def _replication(
 ) -> tuple[dict, dict]:
     """Counts for every requested variant plus metrics for the first one.
 
-    Every variant runs the stages of :func:`trendfactors.pipeline.decompose`
-    (variant ``a*`` is ``absolute_acf``, ``w*`` is ``reorder``); the stage-1
-    eigendecomposition and each distinct stationary panel's second stage are
-    shared.  The metrics are read off the
-    :class:`~trendfactors.pipeline.Decomposition` that
-    :func:`~trendfactors.pipeline.recover_factors` assembles for the first
-    variant, the one ``decompose`` returns under that variant's config.
+    Every variant (``a*`` is ``absolute_acf``, ``w*`` is ``reorder``) runs
+    the one stage sequence behind :func:`trendfactors.pipeline.decompose`,
+    which shares the stage-1 eigendecomposition and each distinct
+    stationary panel's second stage among them.  The metrics are read off
+    the :class:`~trendfactors.pipeline.Decomposition` of the first variant,
+    the one ``decompose`` returns under that variant's config.
     """
-    null = null_width(spec.n, spec.p)
-    eig1, rho, x = first_stage(panel, config.k0, config.l, config.m)
-    r1_by_abs = {a: scan_r1(rho, config.c0, a) for a in {_parse_variant(v)[0] for v in variants}}
-    reorders = sorted({_parse_variant(v)[1] for v in variants}, reverse=True)
-    stage2 = {r1: second_stage(x[:, r1:], config, reorders, null)
-              for r1 in set(r1_by_abs.values())}
-
-    indicators = {}
-    for name in variants:
-        absolute, reorder = _parse_variant(name)
-        r1 = r1_by_abs[absolute]
-        r2 = stage2[r1][1].r2[reorder]
-        indicators[name] = {
-            "r1": float(r1 == spec.r1),
-            "r2": float(r2 == spec.r2),
-            "total": float(r1 + r2 == spec.r1 + spec.r2),
-        }
-
+    dec, counts = _run_stages(panel, config, [_parse_variant(v) for v in variants])
+    indicators = {
+        name: {"r1": float(r1 == spec.r1), "r2": float(r2 == spec.r2),
+               "total": float(r1 + r2 == spec.r1 + spec.r2)}
+        for name, (r1, r2) in zip(variants, counts)
+    }
     # span/path accuracy metrics, computed under the first requested variant
-    absolute, reorder = _parse_variant(variants[0])
-    r1 = r1_by_abs[absolute]
-    dec = recover_factors(eig1, rho, x, stage2[r1],
-                          replace(config, absolute_acf=absolute, reorder=reorder))
     norm = "small" if spec.example == 1 else "large"
     metrics = {
         "Dbar_A1": _span_distance(dec.A1, truth.A1),
@@ -444,8 +429,9 @@ def run_montecarlo(
     and skipped rather than aborting the grid; any other exception propagates.  Aggregation is a
     plain order-independent average.
     """
-    if reps < 1:
-        raise ArgumentError(f"reps must be >= 1, got {reps}")
+    for name, value, low in (("reps", reps, 1), ("base_seed", base_seed, 0)):
+        if not _is_int(value) or value < low:
+            raise ArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
     methods = tuple(methods)
     if not methods or len(set(methods)) < len(methods):
         raise ArgumentError(f"methods must name at least one variant, each once; got {methods}")
@@ -485,14 +471,7 @@ def run_montecarlo(
                 quartiles[key] = (np.nan, np.nan, np.nan)
             else:
                 quartiles[key] = tuple(np.nanquantile(arr, [0.25, 0.5, 0.75]))
-        cells.append(
-            CellResult(
-                spec=spec,
-                reps=reps,
-                failures=failures,
-                failure_reasons=failure_reasons,
-                probs=probs,
-                metric_quartiles=quartiles,
-            )
-        )
+        cells.append(CellResult(spec=spec, reps=reps, failures=failures,
+                                failure_reasons=failure_reasons, probs=probs,
+                                metric_quartiles=quartiles))
     return MonteCarloResult(cells=cells, methods=methods, reps=reps, base_seed=base_seed)

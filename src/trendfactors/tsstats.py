@@ -1,8 +1,9 @@
 """Foundational time-series statistics.
 
 The panel type, sample autocovariances (divisor ``n`` at every lag) and
-their Gram sums, centered columns with their constant-column mask, and the
-dense symmetric eigensolver contract used by every downstream stage.
+their Gram sums, centered columns with their constant-column mask, the
+autocorrelations that both eigen-stages read, and the dense symmetric
+eigensolver contract used by every downstream stage.
 
 All functions are pure: they never mutate their inputs and hold no state,
 so they are safe to call concurrently.
@@ -23,6 +24,7 @@ __all__ = [
     "sample_autocov",
     "autocov_gram",
     "centered_columns",
+    "acf_profile",
     "sym_eigen",
     "fix_signs",
 ]
@@ -43,8 +45,6 @@ class TimeSeriesPanel:
         n, p = arr.shape
         if n < 2 or p < 1:
             raise ArgumentError(f"panel needs n >= 2 and p >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ArgumentError("panel contains non-finite entries")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -58,15 +58,18 @@ class TimeSeriesPanel:
 
 def _real_array(values, name: str) -> np.ndarray:
     """``values`` as a float array, or an :class:`ArgumentError` naming ``name``
-    for complex or non-numeric input."""
+    for complex, non-numeric or non-finite input."""
     try:
         arr = np.asarray(values)
         # a cast would drop imaginary parts with only a warning
         if np.iscomplexobj(arr):
             raise ArgumentError(f"{name} has complex entries; only real values are supported")
-        return arr.astype(float, copy=False)
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ArgumentError(f"{name} is not a numeric array: {exc}") from None
+    if not np.all(np.isfinite(arr)):
+        raise ArgumentError(f"{name} contains non-finite entries")
+    return arr
 
 
 def as_panel(panel) -> TimeSeriesPanel:
@@ -136,6 +139,26 @@ def centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     gamma0 = np.einsum("ti,ti->i", xc, xc) / x.shape[0]
     scale = np.maximum(1.0, np.max(np.abs(xc), axis=0, initial=0.0))
     return xc, gamma0, gamma0 <= (1e-13 * scale) ** 2
+
+
+def acf_profile(components: np.ndarray, lags, centered=None) -> np.ndarray:
+    """Sample autocorrelations of every column at every lag in ``lags``.
+
+    Returns an array of shape ``(d, len(lags))``.  Columns that
+    :func:`centered_columns` flags as constant get a row of exact zeros:
+    stationary to the first stage, white noise to Ljung-Box.  ``centered``
+    may pass in ``centered_columns(components)``.
+    """
+    x = np.asarray(components, dtype=float)
+    n, d = x.shape
+    xc, gamma0, degenerate = centered_columns(x) if centered is None else centered
+    ok = ~degenerate
+    out = np.zeros((d, len(lags)))
+    for j, k in enumerate(lags):
+        k = int(k)
+        gk = np.einsum("ti,ti->i", xc[k:], xc[: n - k]) / n
+        np.divide(gk, gamma0, out=out[:, j], where=ok)
+    return out
 
 
 def sym_eigen(matrix) -> EigenDecomposition:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ArgumentError
-from .tsstats import _lapack, as_panel, autocov_gram, centered_columns, sym_eigen
+from .tsstats import _lapack, acf_profile, as_panel, autocov_gram, sym_eigen
 
 __all__ = [
     "M1Eigen",
@@ -69,32 +69,10 @@ def build_M1(panel, k0: int) -> np.ndarray:
     return autocov_gram(pan, range(k0 + 1))
 
 
-def acf_profile(components: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """Sample autocorrelations of every column at every probed lag.
-
-    Returns an array of shape ``(d, len(lags))``.  Columns with zero variance
-    get a row of zeros, which downstream thresholding reads as stationary.
-    """
-    x = np.asarray(components, dtype=float)
-    n, d = x.shape
-    xc, gamma0, degenerate = centered_columns(x)
-    ok = ~degenerate
-    out = np.zeros((d, len(lags)))
-    for j, k in enumerate(lags):
-        k = int(k)
-        gk = np.einsum("ti,ti->i", xc[k:], xc[: n - k]) / n
-        out[ok, j] = gk[ok] / gamma0[ok]
-    return out
-
-
 def scan_r1(rho: np.ndarray, c0: float, absolute: bool) -> int:
     """Count leading components whose average (absolute) ACF stays >= ``c0``."""
-    agg = np.abs(rho) if absolute else rho
-    s_values = agg.mean(axis=1)
-    for i, s in enumerate(s_values):
-        if s < c0:
-            return i
-    return len(s_values)
+    below = (np.abs(rho) if absolute else rho).mean(axis=1) < c0
+    return int(np.argmax(below)) if below.any() else below.size
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtri
 
 from .errors import ArgumentError
-from .tsstats import centered_columns
+from .tsstats import acf_profile, centered_columns
 
 __all__ = ["FactorCounts", "count_factors"]
 
@@ -57,22 +57,19 @@ class FactorCounts:
 
 
 def _ljung_box(x: np.ndarray, m: int, centered=None) -> tuple[np.ndarray, ...]:
-    """Per-column Ljung-Box statistics ``Q(m)``, their p-values (1 for constant
-    columns) and the degenerate-column mask; ``centered`` may pass in
-    ``centered_columns(x)``."""
+    """Per-column Ljung-Box statistics ``Q(m)``, summed lag by lag from
+    :func:`~trendfactors.tsstats.acf_profile`, their p-values and the
+    degenerate-column mask (a constant column has ``Q = 0`` and p-value 1);
+    ``centered`` may pass in ``centered_columns(x)``."""
     n, d = x.shape
     if not 1 <= m <= n - 2:
         raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
-    xc, gamma0, degenerate = centered_columns(x) if centered is None else centered
-    safe_gamma0 = np.where(degenerate, 1.0, gamma0)
+    centered = centered_columns(x) if centered is None else centered
     q = np.zeros(d)
-    for k in range(1, m + 1):
-        rho = (np.einsum("ti,ti->i", xc[k:], xc[: n - k]) / n) / safe_gamma0
+    for k, rho in enumerate(acf_profile(x, range(1, m + 1), centered).T, start=1):
         q += rho * rho / (n - k)
     q *= n * (n + 2)
-    pvalues = chdtrc(m, q)
-    pvalues[degenerate] = 1.0
-    return q, pvalues, degenerate
+    return q, chdtrc(m, q), centered[2]
 
 
 def _testing_order(q: np.ndarray, degenerate: np.ndarray, reorder: bool) -> np.ndarray:
@@ -158,8 +155,8 @@ def count_factors(
     the count.  The order with ``reorder`` sorts the Ljung-Box statistics
     descending (p-values ascending), so the most serially dependent
     components come first; without it the given order is kept.  Ties keep
-    their given relative order, and constant components (p-value 1) go last
-    in either order.  When the panel is at least as wide as it is long,
+    their given relative order, and constant components (Ljung-Box
+    statistic 0, p-value 1) go last in either order, in index order.  When the panel is at least as wide as it is long,
     only the leading ``floor(epsilon * n)`` components of each order enter
     the test and the truncated tail counts as white noise.
 

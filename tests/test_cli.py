@@ -195,6 +195,13 @@ class TestCommands:
                      "--out-dir", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_negative_seed_exit_1(self, command, tmp_path, capsys):
+        # numpy's seeding rejects a negative seed with a ValueError of its own
+        code = main([command, "--p", "6", "--n", "100", "--seed", "-1", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1 and "seed must be" in err and "Traceback" not in err
+
     def test_forecast_report(self, example_csv, tmp_path):
         out = tmp_path / "fc"
         code = main(["forecast", str(example_csv), "--window-start", "280",

@@ -210,6 +210,23 @@ class TestFitVar1Diff:
             with pytest.raises(ArgumentError, match="^x1 is not a numeric array"):
                 fit_factor_models([["a"], ["b"]], z2)
 
+    def test_malformed_factor_paths_rejected(self):
+        # unchecked, these surface as a LinAlgError from the SVD or an IndexError
+        rng = np.random.default_rng(4)
+        x1 = np.cumsum(rng.normal(size=(50, 1)), axis=0)
+        z2 = rng.normal(size=(50, 2))
+        bad_x1 = x1.copy()
+        bad_x1[7, 0] = np.nan
+        with pytest.raises(ArgumentError, match="^panel contains non-finite entries"):
+            fit_var1_diff(bad_x1)
+        for args, message in [((bad_x1, z2), "^x1 contains non-finite"),
+                              ((x1, np.where(z2 > 2.0, np.inf, z2)), "^z2 contains non-finite"),
+                              ((x1, z2[:, 0]), "^z2 must be 2-dimensional"),
+                              ((x1[:, 0], z2), "^x1 must be 2-dimensional"),
+                              ((x1[1:], z2), "^x1 and z2 must have equal row counts")]:
+            with pytest.raises(ArgumentError, match=message):
+                fit_factor_models(*args)
+
     def test_single_column_matches_ar1(self):
         rng = np.random.default_rng(2)
         y = np.cumsum(rng.normal(size=200))

@@ -57,12 +57,22 @@ class TestDecompose:
                              ("K_override", 1.0), ("window_start", 150.5), ("k0", True)]:
             with pytest.raises(ArgumentError, match=f"^{field} must be an integer"):
                 PipelineConfig(**{field: value})
+        # a string or None would fail in a comparison, and True would pass as 1.0
+        for field, value in [("c0", "0.3"), ("alpha", None), ("epsilon", "x"),
+                             ("epsilon", True), ("c0", 0.3j)]:
+            with pytest.raises(ArgumentError, match=f"^{field} must be a real number"):
+                PipelineConfig(**{field: value})
+        # a truthy string would silently select the absolute-ACF variant
+        for field, value in [("absolute_acf", "no"), ("reorder", 0), ("reorder", None)]:
+            with pytest.raises(ArgumentError, match=f"^{field} must be a bool"):
+                PipelineConfig(**{field: value})
         for horizons in [(1, 2.0), 3, [1, 2], "12"]:
             with pytest.raises(ArgumentError, match="^horizons must be a tuple of integers"):
                 PipelineConfig(horizons=horizons)
         config = PipelineConfig(k0=np.int64(1), j0=np.int32(2), l=np.int16(3), m=np.int64(5),
                                 K_override=np.int64(0), window_start=np.int64(100),
-                                horizons=(np.int64(1), 2))
+                                horizons=(np.int64(1), 2), c0=np.float32(0.3), alpha=1 / 20,
+                                epsilon=1, absolute_acf=np.bool_(False), reorder=False)
         assert config.K_override == 0 and config.window_start == 100
 
     def test_example1_counts_and_invariants(self):

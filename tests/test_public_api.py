@@ -111,3 +111,15 @@ def test_every_import_is_used():
         used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
         unused += [f"{name}:{alias}" for alias in imported if alias not in used]
     assert unused == []
+
+
+
+def test_stage_sequence_runs_only_in_pipeline():
+    # decompose and the Monte Carlo share pipeline's one stage sequence; no
+    # other module may run its own copy of it
+    home = {"first_stage": "unitroot.py", "scan_r1": "unitroot.py",
+            "second_stage": "pipeline.py", "recover_factors": "pipeline.py"}
+    outside = sorted(f"{name}:{core}" for name, tree in parsed_modules().items()
+                     for core, defined_in in home.items()
+                     if core in referenced_names(tree) and name not in ("pipeline.py", defined_in))
+    assert outside == []

@@ -40,6 +40,19 @@ class TestDgpSpec:
             DgpSpec(p=10, n=100, delta=0.5, example=1)
         with pytest.raises(ArgumentError):
             DgpSpec(p=10, n=100, delta=1.0, example=2)
+        # unchecked, each of these fails deep in numpy with a bare TypeError or
+        # ValueError
+        for field, value in [("p", 6.0), ("n", "100"), ("r1", 2.0), ("r2", None), ("K", 1.5),
+                             ("example", 2.0), ("seed", 1.5), ("seed", True)]:
+            with pytest.raises(ArgumentError, match=f"^{field} must be an integer"):
+                DgpSpec(**{"p": 10, "n": 100, field: value})
+        for value in ["0", None, True]:
+            with pytest.raises(ArgumentError, match="^delta must be a real number"):
+                DgpSpec(p=10, n=100, example=2, delta=value)
+        with pytest.raises(ArgumentError, match="^seed must be >= 0"):
+            DgpSpec(p=10, n=100, seed=-1)
+        spec = DgpSpec(p=np.int64(10), n=100, example=2, delta=np.float64(0.5), seed=2**64 - 1)
+        assert spec.v == 6
 
     def test_v_property(self):
         assert DgpSpec(p=10, n=50, r1=2, r2=3).v == 5
@@ -381,6 +394,13 @@ class TestRunMontecarlo:
     def test_empty_methods_rejected(self):
         with pytest.raises(ArgumentError, match="at least one variant"):
             run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=1, methods=())
+
+    def test_reps_and_base_seed_validated(self):
+        spec = DgpSpec(p=5, n=120, example=1)
+        for field, value in [("reps", 2.5), ("reps", 0), ("reps", "2"), ("base_seed", -1),
+                             ("base_seed", 1.5), ("base_seed", None)]:
+            with pytest.raises(ArgumentError, match=f"^{field} must be an integer"):
+                run_montecarlo([spec], **{"reps": 1, "base_seed": 0, field: value})
 
     def test_repeated_methods_rejected(self):
         with pytest.raises(ArgumentError, match="each once"):

@@ -12,6 +12,7 @@ from trendfactors.tsstats import centered_columns
 from trendfactors.whitenoise import (
     _SCAN_BLOCK,
     _bonferroni_threshold,
+    _ljung_box,
     _peak_abs_corr,
     count_factors,
 )
@@ -91,6 +92,16 @@ class TestLbOrder:
             counts = count_factors(x, 10, 0.05)
         assert counts.order[True][-1] == 0
         assert counts.pvalues[0] == 1.0
+        # centering 0.1 and 1/3 leaves rounding noise below the constant-column
+        # floor; their Ljung-Box Q must still be exactly 0, so the constants
+        # keep their index order under both settings
+        x = np.column_stack([np.full(200, 3.0), np.full(200, 0.1), np.full(200, 1 / 3), x[:, 1:]])
+        assert centered_columns(x)[2].tolist() == [True] * 3 + [False] * 2
+        with pytest.warns(UserWarning):
+            counts = count_factors(x, 10, 0.05, (True, False))
+        for reorder in (True, False):
+            assert counts.order[reorder][-3:].tolist() == [0, 1, 2]
+        assert np.all(_ljung_box(x, 10)[0][:3] == 0.0) and np.all(counts.pvalues[:3] == 1.0)
 
 
 class TestHdWnTest:
