@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from .errors import ArgumentError
 from .pipeline import PipelineConfig, decompose
-from .tsstats import _real_array, as_panel, sym_eigen
+from .tsstats import _real_array, as_panel, constant_floor, sym_eigen
 from .unitroot import probe_lags
 
 __all__ = [
@@ -76,9 +76,9 @@ def _ar1_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """OLS regressions of ``x_t`` on ``(1, x_{t-1})``, one per column of ``x``.
 
     Returns ``(phi, intercept, degenerate)``.  A column whose lagged part has
-    variance at or below ``(1e-13 * max(1, max|x_{t-1}|))^2`` is degenerate:
-    its regressor is constant, so it gets ``phi = 0`` and its own mean as the
-    intercept, which continues a constant path.
+    variance at or below the ``constant_floor`` of ``max|x_{t-1}|`` is
+    degenerate: its regressor is constant, so it gets ``phi = 0`` and its own
+    mean as the intercept, which continues a constant path.
     """
     xt = np.ascontiguousarray(x.T)  # reductions along contiguous rows run far faster
     lagged, current = xt[:, :-1], xt[:, 1:]
@@ -86,7 +86,7 @@ def _ar1_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lag_c = lagged - lag_mean[:, None]
     sxx = np.einsum("ij,ij->i", lag_c, lag_c) / lagged.shape[1]
     sxy = np.einsum("ij,ij->i", lag_c, current - cur_mean[:, None]) / lagged.shape[1]
-    degenerate = sxx <= (1e-13 * np.maximum(1.0, np.abs(lagged).max(axis=1))) ** 2
+    degenerate = sxx <= constant_floor(np.abs(lagged).max(axis=1))
     phi = np.where(degenerate, 0.0, sxy / np.where(degenerate, 1.0, sxx))
     intercept = np.where(degenerate, xt.mean(axis=1), cur_mean - phi * lag_mean)
     return phi, intercept, degenerate
@@ -274,9 +274,9 @@ def dm_test(loss_a, loss_b, bandwidth: int | None = None) -> DmResult:
         gamma = float(dc[k:] @ dc[:-k]) / n
         lrv += 2.0 * (1.0 - k / (bandwidth + 1.0)) * gamma
     lrv = max(lrv, 0.0)
-    scale = float(np.max(np.abs(d), initial=0.0))
-    if lrv <= (1e-13 * max(1.0, scale)) ** 2:
-        if abs(dbar) <= 1e-13 * max(1.0, scale):
+    floor = constant_floor(np.max(np.abs(d), initial=0.0))
+    if lrv <= floor:
+        if dbar * dbar <= floor:
             return DmResult(0.0, 0.0, 0.5, True, bandwidth)
         stat = math.inf if dbar > 0 else -math.inf
         return DmResult(stat, 0.0, float(ndtr(stat)), True, bandwidth)

@@ -16,14 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, IllConditionedError
-from .stationary import (
-    build_M2,
-    estimate_K,
-    estimate_V2,
-    projected_S,
-    recover_z2,
-)
-from .tsstats import EigenDecomposition, as_panel, sym_eigen
+from .stationary import build_M2, estimate_K, estimate_V2, recover_z2
+from .tsstats import EigenDecomposition, as_panel, sample_autocov, sym_eigen
 from .unitroot import M1Eigen, first_stage, null_width, scan_r1
 from .whitenoise import FactorCounts, count_factors
 
@@ -198,26 +192,30 @@ class Decomposition:
 
 def second_stage(
     x2: np.ndarray, config: PipelineConfig, reorders, null: int = 0
-) -> tuple[EigenDecomposition, FactorCounts]:
-    """Eigendecomposition of ``M2`` and the factor counts of its components.
+) -> tuple[EigenDecomposition, np.ndarray, FactorCounts]:
+    """Eigendecomposition of ``M2``, its components and their factor counts.
 
-    Counts are returned for each reorder variant in ``reorders``; panels no
-    wider than ``SMALL_P_THRESHOLD`` use the bottom-up Ljung-Box scan.  The
-    last ``null`` columns of ``x2`` are constant by construction (the null
-    space of a wide panel): ``M2`` is built on the others, and the
-    returned eigendecomposition covers the others only (on the constant
-    columns ``M2``'s eigenvalues are exact zeros and its eigenvectors unit
-    vectors).  The constant columns count as white noise, last in the
-    testing order.  A block with no other column (all of ``x2`` constant,
-    or ``x2`` empty) has nothing to test: the eigendecomposition is empty,
-    every p-value is 1, the testing order is the column order, every count
-    is 0 and nothing is truncated.
+    Returns ``(eig2, xi, counts)``: ``xi = x2[:, :lead] @ W`` holds the
+    components in the ``M2`` eigenbasis ``W = eig2.vectors``, which is where
+    :func:`recover_factors` works.  Counts are returned for each reorder
+    variant in ``reorders``; panels no wider than ``SMALL_P_THRESHOLD`` use
+    the bottom-up Ljung-Box scan.  The last ``null`` columns of ``x2`` are
+    constant by construction (the null space of a wide panel): ``M2`` is
+    built on the others (the ``lead`` columns), and the returned
+    eigendecomposition and components cover the others only (on the
+    constant columns ``M2``'s eigenvalues are exact zeros and its
+    eigenvectors unit vectors).  The constant columns count as white noise,
+    last in the testing order.  A block with no other column (all of ``x2``
+    constant, or ``x2`` empty) has nothing to test: the eigendecomposition
+    and ``xi`` are empty, every p-value is 1, the testing order is the
+    column order, every count is 0 and nothing is truncated.
     """
     lead = x2.shape[1] - null
     if lead:
         eig2 = sym_eigen(build_M2(x2[:, :lead], config.j0))
+        xi = x2[:, :lead] @ eig2.vectors
         counts = count_factors(
-            x2[:, :lead] @ eig2.vectors,
+            xi,
             config.m,
             config.alpha,
             reorders,
@@ -226,17 +224,17 @@ def second_stage(
             null=null,
         )
     else:
-        eig2 = _NO_SPECTRUM
+        eig2, xi = _NO_SPECTRUM, np.zeros((x2.shape[0], 0))
         counts = FactorCounts(np.ones(null), dict.fromkeys(reorders, np.arange(null)),
                               dict.fromkeys(reorders, 0), 0, dict.fromkeys(reorders, 0))
-    return eig2, counts
+    return eig2, xi, counts
 
 
 def recover_factors(
     eig1: M1Eigen,
     rho: np.ndarray,
     x: np.ndarray,
-    stage2: tuple[EigenDecomposition, FactorCounts],
+    stage2: tuple[EigenDecomposition, np.ndarray, FactorCounts],
     config: PipelineConfig,
 ) -> Decomposition:
     """Projected-PCA recovery of the stationary factors, and the :class:`Decomposition`.
@@ -248,15 +246,18 @@ def recover_factors(
     for ``config.reorder``.  The ``null`` columns of ``x2`` past ``M2``'s
     eigenbasis are constant and come last in the testing order, in which
     the first ``r2`` components span the factor directions and the rest the
-    white noise.  When the recovery is ill conditioned the factors are read
-    off by direct projection instead (``v2_fallback``).  ``S`` and ``V2``
-    are found among the leading components: ``U1`` and ``V2`` are zero on
-    the constant ones, and ``S`` has exact zero eigenvalues there (all of
-    them when ``d == null``).
+    white noise.  The recovery runs on ``second_stage``'s components ``xi``
+    in the ``M2`` eigenbasis ``W`` (see :mod:`trendfactors.stationary`),
+    where ``U1`` and ``V1`` are column selections of the identity;
+    ``V2 = W v2`` is the one product with ``W``.  When the recovery is ill
+    conditioned the factors are read off by direct projection instead
+    (``v2_fallback``: ``V2 = U1``, ``z2 = xi[:, order[:r2]]``).  ``U1`` and
+    ``V2`` are zero on the constant components, and ``S`` has exact zero
+    eigenvalues there (all of them when ``d == null``).
     """
     r1 = scan_r1(rho, config.c0, config.absolute_acf)
     x2 = x[:, r1:]
-    eig2, counts = stage2
+    eig2, xi, counts = stage2
     w = eig2.vectors
     order = counts.order[config.reorder]
     r2 = counts.r2[config.reorder]
@@ -264,9 +265,8 @@ def recover_factors(
     lead = w.shape[0]
     null = d - lead
     v_lead = lead - r2
-    u1_lead = w[:, order[:r2]]
-    v1_lead = w[:, order[r2:lead]]
-    g = projected_S(x2[:, :lead], v1_lead) if lead else np.zeros((0, 0))
+    factors = order[:r2]
+    g = sample_autocov(xi, 0)[:, order[r2:lead]] if lead else np.zeros((0, 0))
     eig_g = sym_eigen(g.T @ g) if v_lead else _NO_SPECTRUM
     if config.K_override is not None:
         k_hat = min(config.K_override, v_lead)
@@ -278,17 +278,19 @@ def recover_factors(
         k_hat = estimate_K(eig_g.values, max_k=min(MAX_K, v_lead - 1))
     fallback = False
     try:
-        v2, v2u1 = estimate_V2(g, eig_g, u1_lead, r2, k_hat)
+        v2 = estimate_V2(g, eig_g, factors, k_hat)
     except IllConditionedError:
         # an ill-conditioned projected-PCA inversion falls back to the direct
         # projection recovery so the decomposition still completes
-        v2, v2u1 = u1_lead, u1_lead.T @ u1_lead
+        v2, z2 = np.eye(lead)[:, factors], xi[:, factors]
         fallback = True
         warnings.warn(
             "projected PCA recovery is ill conditioned; using the direct "
             "factor projection instead",
             stacklevel=2,
         )
+    else:
+        z2 = recover_z2(v2, factors, xi)
     diagnostics = {
         "M1_eigenvalues": eig1.values,
         "s_statistics": (np.abs(rho) if config.absolute_acf else rho).mean(axis=1),
@@ -306,14 +308,14 @@ def recover_factors(
         v_hat=d - r2,
         K_hat=k_hat,
         A1=eig1.times(slice(0, r1)),
-        U1=np.concatenate([u1_lead, np.zeros((null, r2))]) if null else u1_lead,
-        V2=np.concatenate([v2, np.zeros((null, r2))]),
+        U1=np.concatenate([w[:, factors], np.zeros((null, r2))]) if null else w[:, factors],
+        V2=np.concatenate([w @ v2, np.zeros((null, r2))]),
         x1=x[:, :r1],
         x2=x2,
-        z2=recover_z2(v2, v2u1, x2[:, :lead]),
+        z2=z2,
         diagnostics=diagnostics,
         eig1=eig1,
-        V1_lead=v1_lead,
+        V1_lead=w[:, order[r2:lead]],
     )
 
 
@@ -333,7 +335,7 @@ def _run_stages(panel, config: PipelineConfig, variants) -> tuple[Decomposition,
     if (absolute, reorder) != (config.absolute_acf, config.reorder):
         config = replace(config, absolute_acf=absolute, reorder=reorder)
     dec = recover_factors(eig1, rho, x, stage2[r1s[0]], config)
-    return dec, [(r1, stage2[r1][1].r2[reorder]) for r1, (_, reorder) in zip(r1s, variants)]
+    return dec, [(r1, stage2[r1][2].r2[reorder]) for r1, (_, reorder) in zip(r1s, variants)]
 
 
 def decompose(panel, config: PipelineConfig = PipelineConfig()) -> Decomposition:

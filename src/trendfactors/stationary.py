@@ -1,12 +1,16 @@
 """Second-stage eigenanalysis on the stationary components.
 
-Builds ``M2`` from lagged autocovariances of the stationary panel, splits the
-factor and noise subspaces, runs the projected PCA (with the rotated variant
-when the idiosyncratic covariance has prominent, diverging eigenvalues), and
-recovers the stationary factor paths.  The projected PCA works on the factor
-``G = C(0) V1`` of ``S = G G'``: an eigendecomposition of the ``v x v``
-matrix ``G' G`` and QRs of ``d x v`` (``K = 0``) or ``d x K`` and ``d x r2``
-blocks, never a ``d x d`` eigenproblem.
+Builds ``M2`` from lagged autocovariances of the stationary panel, counts
+prominent (diverging) noise eigenvalues, and recovers the stationary factor
+paths by the projected PCA (with the rotated variant when the idiosyncratic
+covariance has prominent eigenvalues).  The recovery runs in the ``M2``
+eigenbasis ``W``, on the components ``xi = x2 W``: there ``U1`` and ``V1``
+are column selections of the identity, the factor of ``S = G G'`` with
+``G = C(0) V1`` is the white columns of ``xi``'s lag-0 covariance (``W' G``),
+and ``V2' U1`` is a row selection of ``V2``; the output ``V2 = W v2`` is
+the one product with ``W``.  The projected PCA is an eigendecomposition
+of the ``v x v`` matrix ``G' G`` and QRs of ``d x v`` (``K = 0``) or
+``d x K`` and ``d x r2`` blocks, never a ``d x d`` eigenproblem.
 """
 
 from __future__ import annotations
@@ -15,18 +19,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ArgumentError, IllConditionedError
-from .tsstats import (
-    EigenDecomposition,
-    TimeSeriesPanel,
-    _lapack,
-    as_panel,
-    autocov_gram,
-    sample_autocov,
-)
+from .tsstats import EigenDecomposition, _lapack, as_panel, autocov_gram
 
 __all__ = [
     "build_M2",
-    "projected_S",
     "estimate_K",
     "estimate_V2",
     "recover_z2",
@@ -34,6 +30,8 @@ __all__ = [
 ]
 
 _SV_TOL = 1e-10
+# Smallest leading eigenvalue ratio that estimate_K counts as prominent.
+TAU = 10.0
 
 
 def build_M2(x2, j0: int) -> np.ndarray:
@@ -49,32 +47,11 @@ def build_M2(x2, j0: int) -> np.ndarray:
     return autocov_gram(pan, range(1, j0 + 1))
 
 
-def projected_S(x2, v1: np.ndarray) -> np.ndarray:
-    """Factor ``G = C(0) V1`` of the projected-PCA matrix ``S = G G'``.
-
-    The null space of ``S`` (up to estimation error) is spanned by the
-    directions that expose the factors, because the noise directions are
-    uncorrelated with the factor content of the panel.  The spectrum of
-    ``S`` is that of the ``v x v`` matrix ``G' G``, then ``d - v`` zeros.
-    """
-    pan = as_panel(x2)
-    v1 = np.asarray(v1, dtype=float)
-    if v1.ndim != 2 or v1.shape[0] != pan.p:
-        raise ArgumentError(
-            f"V1 must have {pan.p} rows to match the panel, got shape {v1.shape}"
-        )
-    if v1.shape[1] > 0:
-        gram = v1.T @ v1
-        if float(np.max(np.abs(gram - np.eye(v1.shape[1])))) > 1e-8:
-            raise ArgumentError("V1 is not half-orthonormal")
-    return sample_autocov(pan, 0) @ v1
-
-
-def estimate_K(s_eigenvalues, max_k: int, tau: float = 10.0) -> int:
+def estimate_K(s_eigenvalues, max_k: int) -> int:
     """Count prominent (diverging) noise eigenvalues by the leading ratio rule.
 
     Returns the ``j <= max_k`` maximizing ``lam_j / lam_{j+1}`` provided that
-    ratio exceeds the prominence multiplier ``tau``, else 0.  Callers should
+    ratio exceeds the prominence multiplier ``TAU``, else 0.  Callers should
     cap ``max_k`` below the rank boundary of the spectrum, where ratios blow
     up for structural rather than prominence reasons.
     """
@@ -86,30 +63,30 @@ def estimate_K(s_eigenvalues, max_k: int, tau: float = 10.0) -> int:
     lam = np.maximum(lam, np.finfo(float).eps)
     ratios = lam[:max_k] / lam[1 : max_k + 1]
     j = int(np.argmax(ratios))
-    return j + 1 if ratios[j] > tau else 0
+    return j + 1 if ratios[j] > TAU else 0
 
 
 def estimate_V2(
-    g: np.ndarray, gram_eig: EigenDecomposition, u1: np.ndarray, r2: int, K: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directions ``V2`` used to invert the factor mixing, and ``V2' U1``.
+    g: np.ndarray, gram_eig: EigenDecomposition, factors: np.ndarray, K: int
+) -> np.ndarray:
+    """Directions ``V2`` used to invert the factor mixing, in the ``M2`` eigenbasis.
 
-    ``g`` is :func:`projected_S`'s factor of ``S = g g'`` (``d - r2`` columns
-    wide) and ``gram_eig`` the eigendecomposition of ``g' g``.  With ``K = 0``
-    ``V2`` spans the null space of ``S``, the complement of ``g``'s columns
-    from a Householder QR.  With ``K > 0`` it spans ``(I - P P') U1`` for the
+    ``g`` is the factor of ``S = g g'`` (``d - r2`` columns wide, ``d``
+    rows), ``gram_eig`` the eigendecomposition of ``g' g`` and ``factors``
+    the ``r2`` indices of the factor components, so that ``U1`` is the
+    identity's columns ``factors``.  With ``K = 0`` ``V2`` spans the null
+    space of ``S``, the complement of ``g``'s columns from a Householder QR.
+    With ``K > 0`` it spans ``(I - P P') U1 = E_f - P P[factors]'`` for the
     ``K`` diverging eigenvectors ``P = g q_k / sqrt(lam_k)`` of ``S``: its
     other eigenvectors rotated toward the factor space, which keeps
-    ``V2' U1`` well conditioned.  Only the span of ``V2`` is determined.
+    ``V2' U1`` (the rows ``factors`` of ``V2``, transposed) well
+    conditioned.  Only the span of ``V2`` is determined.
     """
-    u1 = np.asarray(u1, dtype=float)
-    d = u1.shape[0]
-    if K < 0 or r2 < 0 or K + r2 > d:
+    d, r2 = g.shape[0], len(factors)
+    if K < 0 or K + r2 > d or K > g.shape[1]:
         raise ArgumentError(f"need K + r2 <= dim, got K={K}, r2={r2}, dim={d}")
     if r2 == 0:
-        return np.zeros((d, 0)), np.zeros((0, 0))
-    if g.shape[0] != d or K > g.shape[1]:
-        raise ArgumentError("S and U1 dimensions do not match")
+        return np.zeros((d, 0))
     if K == 0:
         v2 = np.zeros((d, r2))
         v2[d - r2:] = np.eye(r2)
@@ -119,27 +96,25 @@ def estimate_V2(
     else:
         # g q_k are orthogonal with norms sqrt(lam_k); the QR normalizes them
         p = np.linalg.qr(g @ gram_eig.vectors[:, :K])[0]
-        v2 = np.linalg.qr(u1 - p @ (p.T @ u1))[0]
-    v2u1 = v2.T @ u1
-    smin = np.linalg.svd(v2u1, compute_uv=False)[-1]
+        v2 = np.linalg.qr(np.eye(d)[:, factors] - p @ p[factors].T)[0]
+    smin = np.linalg.svd(v2[factors], compute_uv=False)[-1]
     if smin <= _SV_TOL:
         raise IllConditionedError(
             f"V2'U1 is numerically singular (smallest singular value {smin:.3e})"
         )
-    return v2, v2u1
+    return v2
 
 
-def recover_z2(v2: np.ndarray, v2u1: np.ndarray, x2) -> np.ndarray:
-    """Recovered stationary factor paths ``z2_t = (V2'U1)^{-1} V2' x2_t``, given ``V2'U1``."""
-    v2 = np.asarray(v2, dtype=float)
-    x = np.asarray(x2.data if isinstance(x2, TimeSeriesPanel) else x2, dtype=float)
-    if x.ndim != 2 or x.shape[1] != v2.shape[0]:
-        raise ArgumentError(
-            f"x2 shape {x.shape} does not match V2 with {v2.shape[0]} rows"
-        )
+def recover_z2(v2: np.ndarray, factors: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Recovered stationary factor paths ``z2_t = (V2'U1)^{-1} V2' xi_t``.
+
+    ``xi`` holds the components in the ``M2`` eigenbasis, ``V2`` is
+    :func:`estimate_V2`'s and ``U1`` the identity's columns ``factors``,
+    so ``V2' U1`` is ``v2[factors]'``.
+    """
     if v2.shape[1] == 0:
-        return np.zeros((x.shape[0], 0))
-    return np.linalg.solve(v2u1, v2.T @ x.T).T
+        return np.zeros((xi.shape[0], 0))
+    return np.linalg.solve(v2[factors].T, v2.T @ xi.T).T
 
 
 def lam_yao_ratio(m2_eigenvalues, R: int) -> int:

@@ -23,6 +23,7 @@ __all__ = [
     "as_panel",
     "sample_autocov",
     "autocov_gram",
+    "constant_floor",
     "centered_columns",
     "acf_profile",
     "sym_eigen",
@@ -124,21 +125,27 @@ def autocov_gram(pan: TimeSeriesPanel, lags) -> np.ndarray:
     return (gram + gram.T) / 2.0
 
 
+def constant_floor(level):
+    """Variance at or below which a series reaching ``level`` in magnitude is
+    constant, ``(1e-13 * max(1, level))^2``.  Taken from the uncentered level,
+    it flags a constant whose mean is inexact (centered, a rounding residue)."""
+    return (1e-13 * np.maximum(1.0, level)) ** 2
+
+
 def centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centered columns of an ``n x d`` array, their divisor-``n`` variances
     ``gamma0`` and the mask of columns treated as constant.
 
-    A column is constant when ``gamma0`` is at most
-    ``(1e-13 * max(1, max |xc|))^2``.  The floor is absolute unless the
-    centered column exceeds 1 in magnitude, which a column of rounding noise
-    does not, so whether such a column is flagged depends on the scale of
-    the data it came from; the null space of a panel with ``p >= n`` is
-    therefore handled without it.
+    A column is constant when ``gamma0`` is at most the
+    :func:`constant_floor` of its largest magnitude ``max |x|``.  The floor
+    is absolute unless the column exceeds 1 in magnitude, which a column of
+    rounding noise does not, so whether such a column is flagged depends on
+    the scale of the data it came from; the null space of a panel with
+    ``p >= n`` is therefore handled without it.
     """
     xc = x - x.mean(axis=0)
     gamma0 = np.einsum("ti,ti->i", xc, xc) / x.shape[0]
-    scale = np.maximum(1.0, np.max(np.abs(xc), axis=0, initial=0.0))
-    return xc, gamma0, gamma0 <= (1e-13 * scale) ** 2
+    return xc, gamma0, gamma0 <= constant_floor(np.max(np.abs(x), axis=0, initial=0.0))
 
 
 def acf_profile(components: np.ndarray, lags, centered=None) -> np.ndarray:

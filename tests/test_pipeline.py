@@ -104,6 +104,17 @@ class TestDecompose:
         assert dec.r2_hat == 0 and dec.v_hat == 0
         assert dec.z2.shape == (800, 0)
 
+    def test_constant_column_with_inexact_mean(self):
+        # centered, 1e6 + 0.1 is the same rounding residue in every row; the
+        # column is still constant, as a constant 3.0 is, and not a unit root
+        rng = np.random.default_rng(0)
+        y = np.column_stack([np.cumsum(rng.normal(size=300)), rng.normal(size=(300, 3)),
+                             np.full(300, 1e6 + 0.1)])
+        dec = quiet_decompose(y)
+        assert dec.r2_hat == 0
+        constant = int(np.argmax(np.abs(dec.eig1.basis()[4])))
+        assert dec.diagnostics["s_statistics"][constant] == 0.0
+
     def test_K_override_wins(self):
         spec = DgpSpec(p=30, n=800, r1=2, r2=3, K=1, delta=0.0, example=2, seed=9)
         panel, _ = generate(spec)
@@ -338,9 +349,10 @@ class TestWidePanel:
         assert np.max(np.abs(x - y @ basis)) <= 1e-12 * np.abs(y).max()
         r1 = scan_r1(rho, config.c0, config.absolute_acf)
         null = null_width(n, p)
-        eig2, counts = second_stage(x[:, r1:], config, (True,), null)
+        eig2, xi, counts = second_stage(x[:, r1:], config, (True,), null)
         lead = p - r1 - null
         assert eig2.values.shape == (lead,) and eig2.vectors.shape == (lead, lead)
+        assert np.array_equal(xi, x[:, r1:r1 + lead] @ eig2.vectors)
         assert counts.pvalues.shape == (p - r1,)
 
     @pytest.mark.parametrize("spec", WIDE, ids=spec_id)

@@ -1,18 +1,23 @@
-"""Second-stage eigenanalysis: M2, projected PCA, prominent noise, recovery."""
+"""Second-stage eigenanalysis: M2, prominent noise, projected-PCA recovery."""
+
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trendfactors.errors import ArgumentError, IllConditionedError
+from trendfactors.pipeline import PipelineConfig, decompose, recover_factors, second_stage
+from trendfactors.simgen import DgpSpec, generate
 from trendfactors.stationary import (
     build_M2,
     estimate_K,
     estimate_V2,
     lam_yao_ratio,
-    projected_S,
     recover_z2,
 )
-from trendfactors.tsstats import sample_autocov, sym_eigen
+from trendfactors.tsstats import EigenDecomposition, sample_autocov, sym_eigen
+from trendfactors.unitroot import first_stage, null_width, scan_r1
 
 
 def ar_panel(rng, n, phis):
@@ -78,73 +83,171 @@ def factor_of(s):
     return g, sym_eigen(g.T @ g)
 
 
-def v2_of(s, u1, r2, K):
+def v2_of(s, factors, K):
     g, gram_eig = factor_of(s)
-    return estimate_V2(g, gram_eig, u1, r2=r2, K=K)[0]
+    return estimate_V2(g, gram_eig, np.asarray(factors), K=K)
 
 
 def projector(v):
     return v @ np.linalg.pinv(v)
 
 
+def quiet_decompose(y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return decompose(y)
+
+
+def dense_recovery(y, dec):
+    """S's spectrum, V2 and z2 of ``dec`` by the dense route in ``x2``'s coordinates.
+
+    Over the leading (row-space) components of ``x2``: ``S = G G'`` with
+    ``G = C(0) V1`` and its ``d x d`` eigendecomposition; ``V2`` spans S's
+    null space when ``K = 0`` and ``(I - P P') U1`` for S's ``K`` leading
+    eigenvectors ``P`` when ``K > 0``; ``z2 = (V2' U1)^{-1} V2' x2``.  The
+    spectrum is padded with zeros over the null-space components.  S's null
+    space is read off the complete SVD of ``G``: ``eigh(S)`` finds it only to
+    about ``eps * cond(S)``, 7.5e-10 on the (30, 1500) panel of ``DENSE``.
+    """
+    d, r2, K = dec.x2.shape[1], dec.r2_hat, dec.K_hat
+    lead = d - null_width(*y.shape)
+    x2, u1 = dec.x2[:, :lead], dec.U1[:lead]
+    g = sample_autocov(x2, 0) @ dec.V1[:lead, : lead - r2]
+    values, vectors = np.linalg.eigh(g @ g.T)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    if K == 0:
+        v2 = np.linalg.svd(g)[0][:, lead - r2:]
+    else:
+        p = vectors[:, :K]
+        v2 = np.linalg.qr(u1 - p @ (p.T @ u1))[0]
+    z2 = np.linalg.solve(v2.T @ u1, v2.T @ x2.T).T
+    return np.concatenate([values, np.zeros(d - lead)]), v2, z2
+
+
+def check_dense_recovery(y, dec):
+    """``dec``'s S spectrum and V2 projector agree with :func:`dense_recovery`
+    to 1e-10 and its z2 to 1e-8 relative; U1 and V2 are zero on the null space."""
+    values, v2, z2 = dense_recovery(y, dec)
+    lead = len(v2)
+    got = dec.diagnostics["S_eigenvalues"]
+    assert np.max(np.abs(got - values)) <= 1e-10 * max(values[0], 1e-300)
+    assert np.max(np.abs(projector(dec.V2[:lead]) - projector(v2)), initial=0.0) <= 1e-10
+    assert not dec.V2[lead:].any() and not dec.U1[lead:].any()
+    scale = np.abs(z2).max(initial=0.0)
+    assert np.max(np.abs(dec.z2 - z2), initial=0.0) <= 1e-8 * scale
+
+
+def stages(y, config=PipelineConfig()):
+    """``recover_factors``'s inputs for ``y``: stage one's result and ``second_stage``'s."""
+    eig1, rho, x = first_stage(y, config.k0, config.l, config.m)
+    r1 = scan_r1(rho, config.c0, config.absolute_acf)
+    return eig1, rho, x, second_stage(x[:, r1:], config, (config.reorder,))
+
+
 class TestProjectedS:
+    """The projected-PCA matrix ``S = G G'``, ``G = C(0) V1``, that the recovery
+    reads in the ``M2`` eigenbasis, against its dense form in ``x2``'s coordinates."""
+
     def test_projector_spectrum_with_identity_cov(self):
-        # x2 pre-whitened: lag-0 covariance exactly the identity
+        # stationary components pre-whitened to lag-0 covariance I: S = V1 V1'
         rng = np.random.default_rng(6)
         x = rng.normal(size=(400, 4))
         xc = x - x.mean(axis=0)
-        cov = xc.T @ xc / x.shape[0]
-        white = xc @ np.linalg.inv(np.linalg.cholesky(cov)).T
-        v1 = np.eye(4)[:, :3]
-        g = projected_S(white, v1)
-        w = np.sort(np.linalg.eigvalsh(g @ g.T))[::-1]
-        assert np.allclose(w[:3], 1.0, atol=1e-8)
-        assert np.allclose(w[3:], 0.0, atol=1e-8)
+        y = xc @ np.linalg.inv(np.linalg.cholesky(xc.T @ xc / 400)).T
+        dec = quiet_decompose(y)
+        assert dec.r1_hat == 0 and dec.v_hat >= 1
+        values = dec.diagnostics["S_eigenvalues"]
+        assert np.allclose(values[: dec.v_hat], 1.0, atol=1e-8)
+        assert np.allclose(values[dec.v_hat:], 0.0, atol=1e-8)
+        check_dense_recovery(y, dec)
 
     def test_empty_v1_gives_zero(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(50, 3))
-        g = projected_S(x, np.zeros((3, 0)))
-        assert g.shape == (3, 0) and np.allclose(g @ g.T, 0.0)
+        # every stationary component is a factor: S = 0 and V2 spans everything
+        y = ar_panel(np.random.default_rng(7), 400, [0.5, 0.5, 0.5])
+        dec = quiet_decompose(y)
+        assert dec.r1_hat == 0 and dec.r2_hat == 3 and dec.v_hat == 0
+        assert np.all(dec.diagnostics["S_eigenvalues"] == 0.0)
+        check_dense_recovery(y, dec)
 
     def test_psd_and_sign_invariance(self):
-        rng = np.random.default_rng(8)
-        x = ar_panel(rng, 150, [0.6, 0.4, 0.2])
-        v1 = np.linalg.qr(rng.normal(size=(3, 2)))[0]
-        g = projected_S(x, v1)
-        s = g @ g.T
-        assert np.linalg.eigvalsh(s).min() >= -1e-10 * np.trace(s)
-        g_flipped = projected_S(x, -v1)
-        assert np.allclose(g_flipped @ g_flipped.T, s, atol=1e-12)
+        # S does not change when V1's columns (the M2 eigenvectors of the white
+        # components) flip sign, and neither do V2's span and z2
+        y = generate(DENSE[1])[0].data
+        eig1, rho, x, (eig2, xi, counts) = stages(y)
+        dec = recover_factors(eig1, rho, x, (eig2, xi, counts), PipelineConfig())
+        values = dec.diagnostics["S_eigenvalues"]
+        assert values.min() >= -1e-10 * values[0]
+        sign = np.ones(xi.shape[1])
+        white = counts.order[True][dec.r2_hat:]
+        sign[white] = np.random.default_rng(8).choice([-1.0, 1.0], len(white))
+        flipped = (EigenDecomposition(eig2.values, eig2.vectors * sign), xi * sign, counts)
+        got = recover_factors(eig1, rho, x, flipped, PipelineConfig())
+        assert np.array_equal(got.U1, dec.U1) and got.K_hat == dec.K_hat
+        assert np.max(np.abs(got.diagnostics["S_eigenvalues"] - values)) <= 1e-10 * values[0]
+        assert np.max(np.abs(projector(got.V2) - projector(dec.V2))) <= 1e-10
+        assert np.max(np.abs(got.z2 - dec.z2)) <= 1e-8 * np.abs(dec.z2).max()
 
     def test_gram_spectrum_matches_dense_eigenvalues(self):
-        # S = g g' has g' g's spectrum followed by exact zeros
+        # S's spectrum from the v x v Gram matrix, then exact zeros, for a
+        # factor count and testing order forced onto the stationary panel
         rng = np.random.default_rng(15)
         for d, v in ((6, 4), (40, 31), (80, 1)):
-            x = ar_panel(rng, 300, rng.uniform(-0.5, 0.9, d))
-            v1 = np.linalg.qr(rng.normal(size=(d, v)))[0]
-            g = projected_S(x, v1)
-            padded = np.concatenate([sym_eigen(g.T @ g).values, np.zeros(d - v)])
-            dense = np.sort(np.linalg.eigvalsh(g @ g.T))[::-1]
-            assert np.max(np.abs(padded - dense)) <= 1e-10 * dense[0]
+            y = ar_panel(rng, 300, rng.uniform(-0.5, 0.5, d))
+            eig1, rho, x, (eig2, xi, counts) = stages(y)
+            forced = replace(counts, order={True: rng.permutation(d)}, r2={True: d - v})
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                dec = recover_factors(eig1, rho, x, (eig2, xi, forced), PipelineConfig())
+            assert dec.r1_hat == 0 and dec.v_hat == v
+            dense = dense_recovery(y, dec)[0]
+            got = dec.diagnostics["S_eigenvalues"]
+            assert np.max(np.abs(got - dense)) <= 1e-10 * dense[0]
 
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(9)
-        with pytest.raises(ArgumentError):
-            projected_S(rng.normal(size=(50, 3)), np.eye(4)[:, :2])
-        with pytest.raises(ArgumentError):
-            projected_S(rng.normal(size=(50, 3)), rng.normal(size=(3, 2)))
+
+EX2 = dict(r1=4, r2=6, K=2, example=2)
+DENSE = [
+    DgpSpec(p=6, n=200, example=1, seed=1),
+    DgpSpec(p=50, n=2000, seed=1, **EX2),
+    DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=1),
+    DgpSpec(p=30, n=1500, r1=2, r2=3, K=0, example=2, seed=1),
+]
+
+
+class TestDenseRecovery:
+    """The recovery in the M2 eigenbasis against the dense route in x2's coordinates."""
+
+    @pytest.mark.parametrize(
+        "spec", DENSE, ids=lambda s: f"ex{s.example}-p{s.p}-n{s.n}-K{s.K}"
+    )
+    def test_matches_dense_route(self, spec):
+        y = generate(spec)[0].data
+        dec = quiet_decompose(y)
+        assert dec.r2_hat >= 1 and dec.v_hat >= 1
+        # the covered branches: K = 0 on the ex1 and K = 0 panels, K > 0 on the others
+        assert (dec.K_hat > 0) == (spec.K > 0)
+        check_dense_recovery(y, dec)
+
+    def test_ill_conditioned_fallback_projects_directly(self, monkeypatch):
+        # every inversion counts as singular: V2 = U1 and z2 = U1' x2
+        from trendfactors import stationary
+
+        monkeypatch.setattr(stationary, "_SV_TOL", 1.0 - 1e-6)
+        dec = quiet_decompose(generate(DENSE[1])[0].data)
+        assert dec.diagnostics["v2_fallback"]
+        assert np.array_equal(dec.V2, dec.U1)
+        expected = dec.x2 @ dec.U1
+        assert np.max(np.abs(dec.z2 - expected)) <= 1e-12 * np.abs(expected).max()
 
 
 class TestEstimateK:
     def test_prominent_gap(self):
-        assert estimate_K([100.0, 2.0, 1.9, 1.8], max_k=2, tau=10.0) == 1
+        assert estimate_K([100.0, 2.0, 1.9, 1.8], max_k=2) == 1
 
     def test_flat_spectrum(self):
-        assert estimate_K([3.0, 2.9, 2.8, 2.7], max_k=3, tau=10.0) == 0
+        assert estimate_K([3.0, 2.9, 2.8, 2.7], max_k=3) == 0
 
     def test_floors_nonpositive(self):
-        assert estimate_K([1.0, 0.0, -1e-12], max_k=1, tau=10.0) == 1
+        assert estimate_K([1.0, 0.0, -1e-12], max_k=1) == 1
 
     def test_needs_enough_eigenvalues(self):
         with pytest.raises(ArgumentError):
@@ -152,53 +255,48 @@ class TestEstimateK:
 
 
 class TestEstimateV2:
+    """In the ``M2`` eigenbasis ``U1`` is the identity's columns ``factors``."""
+
     def test_small_p_diagonal(self):
         s = np.diag([5.0, 4.0, 0.0, 0.0])
-        u1 = np.eye(4)[:, 2:]
-        v2 = v2_of(s, u1, r2=2, K=0)
-        proj = v2 @ v2.T
-        expect = np.diag([0.0, 0.0, 1.0, 1.0])
-        assert np.allclose(proj, expect, atol=1e-10)
+        v2 = v2_of(s, [2, 3], K=0)
+        assert np.allclose(v2 @ v2.T, np.diag([0.0, 0.0, 1.0, 1.0]), atol=1e-10)
 
     def test_orthogonal_factor_construction_conditioning(self):
         rng = np.random.default_rng(10)
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-        u1 = q[:, :2]
-        # S has exact null space spanned by u1: well-posed recovery
+        # S has exact null space spanned by U1 = (e1, e2): well-posed recovery
         rest = q[:, 2:]
-        s = rest @ np.diag([3.0, 2.0, 1.0]) @ rest.T
-        v2 = v2_of(s, u1, r2=2, K=0)
-        smin = np.linalg.svd(v2.T @ u1, compute_uv=False)[-1]
+        s = q.T @ rest @ np.diag([3.0, 2.0, 1.0]) @ rest.T @ q
+        v2 = v2_of(s, [0, 1], K=0)
+        smin = np.linalg.svd(v2[[0, 1]], compute_uv=False)[-1]
         assert smin > 0.1
 
     def test_rotation_recovers_u1_image(self):
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        u1 = q[:, :2]
         spike = q[:, 2:3]
         s = 50.0 * spike @ spike.T + q[:, 3:] @ np.diag([0.5, 0.3, 0.1]) @ q[:, 3:].T
-        v2 = v2_of(s, u1, r2=2, K=1)
-        smin = np.linalg.svd(v2.T @ u1, compute_uv=False)[-1]
+        s = q.T @ s @ q
+        v2 = v2_of(s, [0, 1], K=1)
+        smin = np.linalg.svd(v2[[0, 1]], compute_uv=False)[-1]
         assert smin >= 0.9
 
     def test_singular_recovery_raises(self):
-        u1 = np.eye(4)[:, :2]
         s = np.diag([0.0, 0.0, 3.0, 2.0])
-        # S's null space span(e3, e4) is orthogonal to u1: V2'U1 is singular
+        # S's null space span(e3, e4) is orthogonal to U1 = (e1, e2): V2'U1 is singular
         s_bad = np.diag([3.0, 2.0, 0.0, 0.0])
         with pytest.raises(IllConditionedError):
-            v2_of(s_bad, u1, r2=2, K=0)
-        assert v2_of(s, u1, r2=2, K=0).shape == (4, 2)
+            v2_of(s_bad, [0, 1], K=0)
+        assert v2_of(s, [0, 1], K=0).shape == (4, 2)
 
-    def test_returns_v2_times_u1(self):
+    def test_orthonormal_for_any_factor_indices(self):
         rng = np.random.default_rng(16)
         q = np.linalg.qr(rng.normal(size=(7, 7)))[0]
-        u1 = np.linalg.qr(q[:, :2] + 0.1 * rng.normal(size=(7, 2)))[0]
         for K in (0, 2):
             g, gram_eig = factor_of(q[:, 2:] @ np.diag([40.0, 30.0, 2.0, 1.5, 1.0]) @ q[:, 2:].T)
-            v2, v2u1 = estimate_V2(g, gram_eig, u1, r2=2, K=K)
+            v2 = estimate_V2(g, gram_eig, np.array([5, 1]), K=K)
             assert np.allclose(v2.T @ v2, np.eye(2), atol=1e-12)
-            assert np.array_equal(v2u1, v2.T @ u1)
 
     def test_rotation_spans_top_eigenvectors_of_gram(self):
         # the projection spans what S's other eigenvectors rotated toward U1 span
@@ -210,62 +308,69 @@ class TestEstimateV2:
             a = rng.normal(size=(d, d))
             g = a @ np.diag(np.sqrt(rng.exponential(size=d)))
             s = g @ g.T
-            u1 = np.linalg.qr(rng.normal(size=(d, r2)))[0]
+            factors = rng.permutation(d)[:r2]
             v2_star = sym_eigen(s).vectors[:, K:]
-            h = v2_star.T @ u1
+            h = v2_star[factors].T
             expected = v2_star @ sym_eigen(h @ h.T).vectors[:, :r2]
-            v2 = estimate_V2(g, sym_eigen(g.T @ g), u1, r2=r2, K=K)[0]
+            v2 = estimate_V2(g, sym_eigen(g.T @ g), factors, K=K)
             assert v2.shape == (d, r2)
             assert np.max(np.abs(v2 @ v2.T - expected @ expected.T)) <= 1e-10
 
     @pytest.mark.parametrize("K", [0, 1, 3])
     def test_projector_matches_eigenvector_route(self, K):
         # K = 0: S's r2 smallest eigenvectors; K > 0: its eigenvectors past the
-        # K largest, rotated by the left singular vectors of their product with U1
+        # K largest, rotated by the left singular vectors of their product with U1;
+        # g is the white columns of the components' lag-0 covariance
         rng = np.random.default_rng(17 + K)
         for d, r2 in ((12, 3), (60, 10), (150, 40)):
             x = ar_panel(rng, 400, rng.uniform(0.0, 0.8, d))
             x[:, :K] *= 30.0
-            v1 = np.linalg.qr(rng.normal(size=(d, d - r2)))[0]
-            u1 = np.linalg.qr(rng.normal(size=(d, r2)))[0]
-            g = projected_S(x, v1)
+            xi = x @ np.linalg.qr(rng.normal(size=(d, d)))[0]
+            order = rng.permutation(d)
+            factors = order[:r2]
+            g = sample_autocov(xi, 0)[:, order[r2:]]
             eig = sym_eigen(g @ g.T)
             if K == 0:
                 expected = eig.vectors[:, d - r2:]
             else:
-                rot = np.linalg.svd(eig.vectors[:, K:].T @ u1, full_matrices=False)[0]
+                rot = np.linalg.svd(eig.vectors[factors, K:].T, full_matrices=False)[0]
                 expected = eig.vectors[:, K:] @ rot
-            v2 = estimate_V2(g, sym_eigen(g.T @ g), u1, r2=r2, K=K)[0]
+            v2 = estimate_V2(g, sym_eigen(g.T @ g), factors, K=K)
             assert np.max(np.abs(projector(v2) - projector(expected))) <= 1e-10
 
     def test_r2_zero_empty(self):
         g, gram_eig = factor_of(np.eye(3))
-        v2, v2u1 = estimate_V2(g, gram_eig, np.zeros((3, 0)), r2=0, K=0)
-        assert v2.shape == (3, 0) and v2u1.shape == (0, 0)
+        assert estimate_V2(g, gram_eig, np.zeros(0, dtype=int), K=0).shape == (3, 0)
+
+    def test_dimension_check(self):
+        g, gram_eig = factor_of(np.diag([2.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(ArgumentError):
+            estimate_V2(g, gram_eig, np.arange(3), K=2)
 
 
 class TestRecoverZ2:
     def test_exact_inversion(self):
+        # components whose factor columns hold z and whose white columns are zero
         rng = np.random.default_rng(12)
-        u1 = np.linalg.qr(rng.normal(size=(5, 2)))[0]
+        factors = np.array([3, 0])
         z = rng.normal(size=(40, 2))
-        x2 = z @ u1.T
-        got = recover_z2(u1, u1.T @ u1, x2)
-        assert np.max(np.abs(got - z)) <= 1e-10
+        xi = np.zeros((40, 5))
+        xi[:, factors] = z
+        v2 = np.eye(5)[:, factors]
+        assert np.max(np.abs(recover_z2(v2, factors, xi) - z)) <= 1e-10
 
     def test_zero_panel(self):
-        u1 = np.eye(3)[:, :1]
-        assert np.allclose(recover_z2(u1, u1.T @ u1, np.zeros((10, 3))), 0.0)
+        assert np.allclose(recover_z2(np.eye(3)[:, :1], np.array([0]), np.zeros((10, 3))), 0.0)
 
     def test_roundtrip_any_invertible_mixing(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
-            q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
-            u1 = q[:, :3]
+            factors = rng.permutation(6)[:3]
             z = rng.normal(size=(25, 3))
-            x2 = z @ u1.T
-            v2 = q[:, :3] @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
-            got = recover_z2(v2, v2.T @ u1, x2)
+            xi = np.zeros((25, 6))
+            xi[:, factors] = z
+            v2 = np.linalg.qr(rng.normal(size=(6, 3)))[0]
+            got = recover_z2(v2, factors, xi)
             assert np.max(np.abs(got - z)) <= 1e-9
 
 

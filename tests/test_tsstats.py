@@ -100,6 +100,18 @@ class TestSampleAcf:
         assert np.all(rho[0] == 0.0)
         assert np.all(rho[1] > 0.0)
 
+    def test_constant_with_inexact_mean_gives_zeros(self):
+        # centered, 1e6 + 0.1 is the same nonzero rounding residue in every row;
+        # the floor follows the column's level, as the AR(1) fit's does
+        from trendfactors.forecast import _ar1_columns
+        from trendfactors.tsstats import centered_columns
+
+        x = np.column_stack([np.full(200, 1e6 + 0.1), np.arange(200.0)])
+        _, gamma0, constant = centered_columns(x)
+        assert gamma0[0] > 0.0 and constant.tolist() == [True, False]
+        assert _ar1_columns(x)[2].tolist() == [True, False]
+        assert np.all(acf_profile(x, np.array([1, 2, 3]))[0] == 0.0)
+
     def test_bounded_by_one(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
