@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from .errors import ArgumentError
 from .pipeline import PipelineConfig, decompose
-from .tsstats import _real_array, as_panel, constant_floor, sym_eigen
+from .tsstats import _real_array, as_panel, constant_columns, constant_floor, sym_eigen
 from .unitroot import probe_lags
 
 __all__ = [
@@ -82,13 +82,14 @@ def _ar1_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     xt = np.ascontiguousarray(x.T)  # reductions along contiguous rows run far faster
     lagged, current = xt[:, :-1], xt[:, 1:]
-    lag_mean, cur_mean = lagged.mean(axis=1), current.mean(axis=1)
+    n = lagged.shape[1]
+    lag_mean, cur_mean = lagged.sum(axis=1) / n, current.sum(axis=1) / n
     lag_c = lagged - lag_mean[:, None]
-    sxx = np.einsum("ij,ij->i", lag_c, lag_c) / lagged.shape[1]
-    sxy = np.einsum("ij,ij->i", lag_c, current - cur_mean[:, None]) / lagged.shape[1]
+    sxx = np.einsum("ij,ij->i", lag_c, lag_c) / n
+    sxy = np.einsum("ij,ij->i", lag_c, current - cur_mean[:, None]) / n
     degenerate = sxx <= constant_floor(np.abs(lagged).max(axis=1))
     phi = np.where(degenerate, 0.0, sxy / np.where(degenerate, 1.0, sxx))
-    intercept = np.where(degenerate, xt.mean(axis=1), cur_mean - phi * lag_mean)
+    intercept = np.where(degenerate, xt.sum(axis=1) / xt.shape[1], cur_mean - phi * lag_mean)
     return phi, intercept, degenerate
 
 
@@ -145,6 +146,12 @@ def fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
             raise ArgumentError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if len(x1) != len(z2):
         raise ArgumentError(f"x1 and z2 must have equal row counts, got {len(x1)} and {len(z2)}")
+    return _fit_factor_models(x1, z2)
+
+
+def _fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
+    """:func:`fit_factor_models` on validated factor paths, such as a
+    :class:`~trendfactors.pipeline.Decomposition`'s."""
     nonstat = fit_var1_diff(x1) if x1.shape[1] >= 1 else None
     phi, intercept, _ = _ar1_columns(z2)
     stat = tuple(Ar1Fit(phi=a, intercept=c, explosive=abs(a) >= 1.0)
@@ -302,9 +309,11 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
     Levels mode extracts components from the level covariance and forecasts
     each component with a differenced AR(1); differences mode extracts
     components from standardized first differences, forecasts them with a
-    significance-thresholded VAR(1), and re-integrates.  ``nfac = 0``
-    degenerates to the sample-mean path (levels) or a frozen last level
-    (differences).
+    significance-thresholded VAR(1), and re-integrates.  A column whose
+    differences have variance at most the ``constant_floor`` of their
+    largest magnitude (an exact linear trend's) standardizes to zero and is
+    continued at its mean difference.  ``nfac = 0`` degenerates to the
+    sample-mean path (levels) or a frozen last level (differences).
     """
     pan = as_panel(panel)
     if not 0 <= nfac <= pan.p:
@@ -315,7 +324,7 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
         raise ArgumentError(f"horizon must be >= 1, got {h_max}")
     y = pan.data
     if mode == "levels":
-        mean = y.mean(axis=0)
+        mean = y.sum(axis=0) / pan.n
         if nfac == 0:
             return np.tile(mean, (h_max, 1))
         yc = y - mean
@@ -326,10 +335,15 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
         raise ArgumentError("differences mode needs n >= 5")
     if nfac == 0:
         return np.tile(y[-1], (h_max, 1))
-    dmean = d.mean(axis=0)
-    dsd = d.std(axis=0)
-    dsd = np.where(dsd > 0, dsd, 1.0)
-    z = (d - dmean) / dsd
+    dmean = d.sum(axis=0) / len(d)
+    dc = d - dmean
+    var = (dc * dc).sum(axis=0) / len(d)
+    # the differences of an exact linear trend are constant only up to
+    # rounding; standardized, that rounding would become a unit-variance series
+    flat = constant_columns(var, d)
+    dc[:, flat] = 0.0
+    dsd = np.where(flat, 1.0, np.sqrt(var))
+    z = dc / dsd
     loadings = sym_eigen(z.T @ z / z.shape[0]).vectors[:, :nfac]
     factors = z @ loadings
     fit, tstat = _var1_least_squares(factors)
@@ -360,7 +374,7 @@ class ForecastReport:
 
 
 def _gt_forecast(dec, h_max: int) -> np.ndarray:
-    return forecast_path(dec, fit_factor_models(dec.x1, dec.z2), h_max)
+    return forecast_path(dec, _fit_factor_models(dec.x1, dec.z2), h_max)
 
 
 def evaluate_forecasts(

@@ -293,7 +293,7 @@ def recover_factors(
         z2 = recover_z2(v2, factors, xi)
     diagnostics = {
         "M1_eigenvalues": eig1.values,
-        "s_statistics": (np.abs(rho) if config.absolute_acf else rho).mean(axis=1),
+        "s_statistics": (np.abs(rho) if config.absolute_acf else rho).sum(axis=1) / rho.shape[1],
         "M2_eigenvalues": np.concatenate([eig2.values, np.zeros(null)]),
         "lb_pvalues": counts.pvalues[order],
         "component_order": order,

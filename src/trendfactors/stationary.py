@@ -110,11 +110,15 @@ def recover_z2(v2: np.ndarray, factors: np.ndarray, xi: np.ndarray) -> np.ndarra
 
     ``xi`` holds the components in the ``M2`` eigenbasis, ``V2`` is
     :func:`estimate_V2`'s and ``U1`` the identity's columns ``factors``,
-    so ``V2' U1`` is ``v2[factors]'``.
+    so ``V2' U1`` is ``v2[factors]'``.  The solve is against ``V2'`` and
+    its result is applied to ``xi``: ``z2 = xi @ solve(V2'U1, V2')'``.
     """
     if v2.shape[1] == 0:
         return np.zeros((xi.shape[0], 0))
-    return np.linalg.solve(v2[factors].T, v2.T @ xi.T).T
+    # a right-hand side per component, not per time point: getrs costs far
+    # more per right-hand side than the product with xi, and xi has fewer
+    # columns than rows (about as many on a wide panel, where both cost the same)
+    return xi @ np.linalg.solve(v2[factors].T, v2.T).T
 
 
 def lam_yao_ratio(m2_eigenvalues, R: int) -> int:

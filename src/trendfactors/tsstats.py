@@ -11,6 +11,7 @@ so they are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "sample_autocov",
     "autocov_gram",
     "constant_floor",
+    "constant_columns",
     "centered_columns",
     "acf_profile",
     "sym_eigen",
@@ -110,14 +112,14 @@ def sample_autocov(panel, k: int) -> np.ndarray:
     # k = n - 1 keeps exactly one summand and stays well defined
     if not 0 <= k <= n - 1:
         raise ArgumentError(f"lag k={k} outside [0, {n - 1}] for n={n}")
-    yc = y - y.mean(axis=0)
+    yc = y - y.sum(axis=0) / n
     return yc[k:].T @ yc[: n - k] / n
 
 
 def autocov_gram(pan: TimeSeriesPanel, lags) -> np.ndarray:
     """Symmetrized ``sum_{k in lags} C(k) C(k)'`` of :func:`sample_autocov`,
     centering the panel once for all lags."""
-    yc = pan.data - pan.data.mean(axis=0)
+    yc = pan.data - pan.data.sum(axis=0) / pan.n
     gram = np.zeros((pan.p, pan.p))
     for k in lags:
         c = yc[k:].T @ yc[: pan.n - k] / pan.n
@@ -132,20 +134,32 @@ def constant_floor(level):
     return (1e-13 * np.maximum(1.0, level)) ** 2
 
 
+def constant_columns(variance: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mask of the columns of ``x`` whose ``variance`` is at most the
+    :func:`constant_floor` of their largest magnitude ``max |x|``."""
+    # a column-wise maximum over a narrow array costs several times one over
+    # all of it, and only a column under the all-column floor can be flagged
+    flat = variance <= constant_floor(np.abs(x).max(initial=0.0))
+    if flat.any():
+        flat = variance <= constant_floor(np.abs(x).max(axis=0, initial=0.0))
+    return flat
+
+
 def centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centered columns of an ``n x d`` array, their divisor-``n`` variances
     ``gamma0`` and the mask of columns treated as constant.
 
     A column is constant when ``gamma0`` is at most the
-    :func:`constant_floor` of its largest magnitude ``max |x|``.  The floor
-    is absolute unless the column exceeds 1 in magnitude, which a column of
-    rounding noise does not, so whether such a column is flagged depends on
-    the scale of the data it came from; the null space of a panel with
-    ``p >= n`` is therefore handled without it.
+    :func:`constant_floor` of its largest magnitude ``max |x|``
+    (:func:`constant_columns`).  The floor is absolute unless the column
+    exceeds 1 in magnitude, which a column of rounding noise does not, so
+    whether such a column is flagged depends on the scale of the data it
+    came from; the null space of a panel with ``p >= n`` is therefore
+    handled without it.
     """
-    xc = x - x.mean(axis=0)
+    xc = x - x.sum(axis=0) / x.shape[0]
     gamma0 = np.einsum("ti,ti->i", xc, xc) / x.shape[0]
-    return xc, gamma0, gamma0 <= constant_floor(np.max(np.abs(x), axis=0, initial=0.0))
+    return xc, gamma0, constant_columns(gamma0, x)
 
 
 def acf_profile(components: np.ndarray, lags, centered=None) -> np.ndarray:
@@ -180,12 +194,14 @@ def sym_eigen(matrix) -> EigenDecomposition:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ArgumentError(f"matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # the largest magnitude is the symmetry scale, and NaN or inf if any entry is
+    scale = float(np.abs(m).max(initial=0.0))
+    if not scale < math.inf:
         raise ArgumentError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
-    if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * scale:
+    if float(np.abs(m - m.T).max(initial=0.0)) > 1e-10 * max(1.0, scale):
         raise ArgumentError("matrix is not symmetric within 1e-10 relative")
-    sym = (m + m.T) / 2.0
+    sym = m + m.T
+    sym *= 0.5
     values, vectors = np.linalg.eigh(sym)
     return EigenDecomposition(values=values[::-1].copy(), vectors=fix_signs(vectors[:, ::-1]))
 

@@ -71,7 +71,7 @@ def build_M1(panel, k0: int) -> np.ndarray:
 
 def scan_r1(rho: np.ndarray, c0: float, absolute: bool) -> int:
     """Count leading components whose average (absolute) ACF stays >= ``c0``."""
-    below = (np.abs(rho) if absolute else rho).mean(axis=1) < c0
+    below = (np.abs(rho) if absolute else rho).sum(axis=1) / rho.shape[1] < c0
     return int(np.argmax(below)) if below.any() else below.size
 
 
@@ -154,7 +154,7 @@ def first_stage(
     lags = _fitting_lags(l, m, pan.n)
     null = null_width(pan.n, pan.p)
     if not null:
-        eig = sym_eigen(build_M1(pan.data, k0))
+        eig = sym_eigen(build_M1(pan, k0))
         x = pan.data @ eig.vectors
         return M1Eigen(eig.values, eig.vectors), acf_profile(x, lags), x
     rank = pan.p - null

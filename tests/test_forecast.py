@@ -101,11 +101,16 @@ def var1_thresholded_reference(f):
 
 
 def pca_differences_reference(y, nfac, h_max):
-    """Standardized-difference PCA, thresholded VAR(1), iterated and re-integrated step by step."""
+    """Standardized-difference PCA, thresholded VAR(1), iterated and re-integrated step by step.
+
+    A column of differences with variance at most ``(1e-13 * max(1, max|d|))^2``
+    (an exact linear trend's, constant up to rounding) standardizes to zero.
+    """
     d = np.diff(y, axis=0)
     dmean, dsd = d.mean(axis=0), d.std(axis=0)
-    dsd = np.where(dsd > 0, dsd, 1.0)
-    z = (d - dmean) / dsd
+    flat = dsd**2 <= (1e-13 * np.maximum(1.0, np.abs(d).max(axis=0))) ** 2
+    dsd = np.where(flat, 1.0, dsd)
+    z = np.where(flat, 0.0, (d - dmean) / dsd)
     values, vectors = np.linalg.eigh(z.T @ z / len(z))
     loadings = vectors[:, np.argsort(values)[::-1][:nfac]]
     factors = z @ loadings
@@ -174,6 +179,21 @@ class TestAr1Columns:
         expect = pca_differences_reference(y, nfac, 5)
         got = baseline_pca(y, nfac, "differences", 5)
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+
+    @pytest.mark.parametrize("nfac", [1, 2, 3])
+    def test_pca_differences_linear_trend_counts_as_constant(self, nfac):
+        # the trend's differences have variance 4e-30, rounding only; standardized
+        # to unit variance, they used to move column 0's 1-step forecast at
+        # nfac = 2 from -8.571 to -8.528
+        y = np.cumsum(np.random.default_rng(0).normal(size=(150, 3)), axis=0)
+        trend, const = y.copy(), y.copy()
+        trend[:, 2] = 1.5 - 0.35 * np.arange(150.0)
+        const[:, 2] = 4.25
+        got = baseline_pca(trend, nfac, "differences", 4)
+        assert np.array_equal(got[:, :2], baseline_pca(const, nfac, "differences", 4)[:, :2])
+        np.testing.assert_allclose(got[:, 2], 1.5 - 0.35 * np.arange(150.0, 154.0), rtol=1e-13)
+        if nfac == 2:
+            assert got[0, 0] == pytest.approx(-8.571020820288357, rel=1e-12)
 
 
 class TestFitVar1Diff:

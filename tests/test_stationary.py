@@ -374,6 +374,52 @@ class TestRecoverZ2:
             assert np.max(np.abs(got - z)) <= 1e-9
 
 
+def v2_with_singular_values(rng, d, factors, sv):
+    """An orthonormal ``d x r2`` V2 whose rows ``factors`` (``V2' U1``,
+    transposed) have singular values ``sv``: those rows are ``B = U S V'``
+    and the rest ``C = Q sqrt(I - S^2) V'``, so ``B'B + C'C = I``."""
+    r2 = len(sv)
+    u = np.linalg.qr(rng.normal(size=(r2, r2)))[0]
+    v = np.linalg.qr(rng.normal(size=(r2, r2)))[0]
+    q = np.linalg.qr(rng.normal(size=(d - r2, r2)))[0]
+    v2 = np.empty((d, r2))
+    v2[factors] = u * sv @ v.T
+    v2[np.setdiff1d(np.arange(d), factors)] = q * np.sqrt(1.0 - sv**2) @ v.T
+    return v2
+
+
+class TestRecoverZ2SolveOrder:
+    """``recover_z2`` solves against ``V2'`` and then multiplies by ``xi``; the
+    reference solves against ``V2' xi'``, one right-hand side per time point."""
+
+    @staticmethod
+    def reference(v2, factors, xi):
+        return np.linalg.solve(v2[factors].T, v2.T @ xi.T).T
+
+    @pytest.mark.parametrize("n, d, r2", [(950, 8, 6), (500, 495, 329)])
+    def test_solve_order_match_reference(self, n, d, r2):
+        rng = np.random.default_rng(n + d)
+        factors = rng.permutation(d)[:r2]
+        v2 = np.linalg.qr(rng.normal(size=(d, r2)))[0]
+        xi = rng.normal(size=(n, d))
+        expect = self.reference(v2, factors, xi)
+        got = recover_z2(v2, factors, xi)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_ill_conditioned_match_reference(self):
+        # smallest singular value 1e-9, above estimate_V2's fallback threshold 1e-10
+        rng = np.random.default_rng(21)
+        factors = np.array([7, 2, 11, 4, 0, 9])
+        v2 = v2_with_singular_values(rng, 14, factors, np.array([1.0, 0.8, 0.5, 0.1, 1e-4, 1e-9]))
+        sv = np.linalg.svd(v2[factors], compute_uv=False)
+        assert np.allclose(v2.T @ v2, np.eye(6), atol=1e-12) and 5e-10 < sv[-1] < 2e-9
+        xi = rng.normal(size=(300, 14))
+        expect = self.reference(v2, factors, xi)
+        got = recover_z2(v2, factors, xi)
+        cond = sv[0] / sv[-1]
+        assert np.abs(got - expect).max() <= 1e-14 * cond * np.abs(expect).max()
+
+
 class TestLamYao:
     def test_hand_example(self):
         assert lam_yao_ratio([10.0, 5.0, 0.1, 0.09, 0.08], R=2) == 2

@@ -112,6 +112,19 @@ class TestSampleAcf:
         assert _ar1_columns(x)[2].tolist() == [True, False]
         assert np.all(acf_profile(x, np.array([1, 2, 3]))[0] == 0.0)
 
+    def test_floor_follows_each_columns_own_level(self):
+        # column 1's variance (about 1e-24) is under the floor of column 0's level
+        # (1e-16 at 1e6) but over its own (1e-26): only the constants are flagged
+        from trendfactors.tsstats import centered_columns
+
+        rng = np.random.default_rng(8)
+        x = np.column_stack([np.linspace(-1e6, 1e6, 300), 1e-12 * rng.normal(size=300),
+                             np.full(300, 4.25), np.full(300, 1e6 + 0.1)])
+        _, gamma0, constant = centered_columns(x)
+        level = np.abs(x).max(axis=0)
+        assert constant.tolist() == (gamma0 <= (1e-13 * np.maximum(1.0, level)) ** 2).tolist()
+        assert constant.tolist() == [False, False, True, True]
+
     def test_bounded_by_one(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -269,7 +282,27 @@ class TestSymEigen:
         assert fix_signs(np.zeros((3, 0))).shape == (3, 0)
 
     def test_rejects_asymmetric_and_nonfinite(self):
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match="^matrix is not symmetric"):
             sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ArgumentError):
-            sym_eigen(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        nonfinite = [
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+            np.array([[1.0, np.inf], [0.0, 1.0]]),  # inf on one side only
+            np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+            np.array([[1.0, 0.0], [0.0, np.nan]]),
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            np.array([[1.0, 5.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]]),  # and asymmetric
+        ]
+        for m in nonfinite:
+            with pytest.raises(ArgumentError, match="^matrix contains non-finite entries"):
+                sym_eigen(m)
+
+    @pytest.mark.parametrize("q", [1, 2, 10, 57])
+    def test_bit_identical_to_symmetrized_eigh(self, q):
+        # a product that is symmetric only up to rounding, as M1, M2 and S are
+        rng = np.random.default_rng(100 + q)
+        a, b = rng.normal(size=(q, 3 * q)), rng.normal(size=(3 * q, 3 * q))
+        m = a @ (b @ b.T) @ a.T
+        values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+        eig = sym_eigen(m)
+        assert np.array_equal(eig.values, values[::-1])
+        assert np.array_equal(eig.vectors, fix_signs(vectors[:, ::-1]))
