@@ -1,9 +1,10 @@
 """Factor-based forecasting, error metrics, and equal-predictive-ability tests.
 
 Fits simple dynamics to the extracted factors (a VAR(1) on the differenced
-trend paths, scalar AR(1) models on the stationary factors), produces
-multi-step forecasts of the observed panel, and evaluates them against
-baseline methods over expanding-window origins.
+trend paths, one AR(1) per stationary factor), produces multi-step forecasts
+of the observed panel, and evaluates them against baseline methods over
+expanding-window origins.  Every AR(1) is a VAR(1) with a diagonal
+coefficient matrix, so one recursion iterates every forecast.
 """
 
 from __future__ import annotations
@@ -16,17 +17,15 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ArgumentError
-from .pipeline import PipelineConfig, decompose
+from .pipeline import PipelineConfig, _is_int, decompose
 from .tsstats import _real_array, as_panel, constant_columns, constant_floor, sym_eigen
 from .unitroot import probe_lags
 
 __all__ = [
-    "Ar1Fit",
     "Var1Fit",
     "FactorModelFit",
     "DmResult",
     "ForecastReport",
-    "fit_var1_diff",
     "fit_factor_models",
     "forecast_path",
     "forecast_y",
@@ -43,20 +42,13 @@ FORECAST_METHODS = ("gt", "dfar", "pca_levels", "pca_diff")
 MIN_DM_LOSSES = 8  # the shortest loss series dm_test accepts
 
 
-class Ar1Fit(NamedTuple):
-    phi: float
-    intercept: float
-    explosive: bool
-
-
 @dataclass(frozen=True)
 class Var1Fit:
-    """Least-squares VAR(1) with intercept; no stationarity restriction."""
+    """VAR(1) with intercept, ``x_t = intercept + coef @ x_{t-1}``; no
+    stationarity restriction.  A diagonal ``coef`` holds one AR(1) per column."""
 
     coef: np.ndarray
     intercept: np.ndarray
-    condition_number: float
-    ill_conditioned: bool
 
 
 @dataclass(frozen=True)
@@ -64,12 +56,12 @@ class FactorModelFit:
     """Dynamics fitted to the extracted factor paths.
 
     ``nonstat`` holds the VAR(1)-on-differences fit for the trend paths
-    (``None`` when there are no trends); ``stat`` holds one scalar AR(1) fit
-    per stationary factor.
+    (``None`` when there are no trends); ``stat`` holds the scalar AR(1) fits
+    of the stationary factors as one VAR(1) with a diagonal ``coef``.
     """
 
     nonstat: Var1Fit | None
-    stat: tuple[Ar1Fit, ...]
+    stat: Var1Fit
 
 
 def _ar1_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,8 +89,7 @@ def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
     """Least-squares regression of ``f_t`` on ``(1, f_{t-1})`` by one thin SVD.
 
     Returns the fit and the ``|t|`` statistic of each ``coef`` entry (``inf``
-    where the standard error is zero).  The design condition number is
-    reported and flagged above 1e12.  Singular values below ``lstsq``'s
+    where the standard error is zero).  Singular values below ``lstsq``'s
     default cutoff are treated as zero, so a rank-deficient design gets the
     minimum-norm solution.
     """
@@ -106,7 +97,6 @@ def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
     design[:, 1:] = f[:-1]
     target = f[1:]
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
     inv_sv = np.zeros_like(sv)
     np.divide(1.0, sv, out=inv_sv, where=sv > np.finfo(float).eps * max(design.shape) * sv[0])
     beta = vt.T @ (inv_sv[:, None] * (u.T @ target))
@@ -117,63 +107,41 @@ def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
     se = np.sqrt(np.outer(gram_inv_diag[1:], sigma2))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = np.where(se > 0, np.abs(beta[1:] / se), np.inf).T
-    fit = Var1Fit(coef=beta[1:].T, intercept=beta[0], condition_number=cond,
-                  ill_conditioned=not cond < 1e12)
-    return fit, tstat
-
-
-def fit_var1_diff(panel) -> Var1Fit:
-    """VAR(1) with intercept on first differences of a panel.
-
-    Rank-deficient designs are solved in the least-squares sense; the design
-    condition number is reported and flagged above 1e12.
-    """
-    y = _real_array(panel.data if hasattr(panel, "data") else panel, "panel")
-    if y.ndim == 1:
-        y = y[:, None]
-    r = y.shape[1]
-    if y.shape[0] < r + 3:
-        raise ArgumentError(f"VAR(1)-on-differences needs n >= r + 3 = {r + 3}")
-    return _var1_least_squares(np.diff(y, axis=0))[0]
+    return Var1Fit(coef=beta[1:].T, intercept=beta[0]), tstat
 
 
 def fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
     """Fit the trend VAR(1)-on-differences and per-factor AR(1) models to the
-    factor paths ``x1`` and ``z2``: finite 2-D arrays of the same length."""
+    factor paths ``x1`` and ``z2``: finite 2-D arrays of the same length, at
+    least 2 rows long."""
     x1, z2 = _real_array(x1, "x1"), _real_array(z2, "z2")
     for name, arr in (("x1", x1), ("z2", z2)):
         if arr.ndim != 2:
             raise ArgumentError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if len(x1) != len(z2):
         raise ArgumentError(f"x1 and z2 must have equal row counts, got {len(x1)} and {len(z2)}")
+    if len(x1) < 2:
+        raise ArgumentError(f"factor paths need at least 2 rows, got {len(x1)}")
     return _fit_factor_models(x1, z2)
 
 
 def _fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
     """:func:`fit_factor_models` on validated factor paths, such as a
     :class:`~trendfactors.pipeline.Decomposition`'s."""
-    nonstat = fit_var1_diff(x1) if x1.shape[1] >= 1 else None
+    n, r = x1.shape
+    if r and n < r + 3:
+        raise ArgumentError(f"VAR(1)-on-differences needs n >= r + 3 = {r + 3}")
+    nonstat = _var1_least_squares(np.diff(x1, axis=0))[0] if r else None
     phi, intercept, _ = _ar1_columns(z2)
-    stat = tuple(Ar1Fit(phi=a, intercept=c, explosive=abs(a) >= 1.0)
-                 for a, c in zip(phi.tolist(), intercept.tolist()))
-    return FactorModelFit(nonstat=nonstat, stat=stat)
+    return FactorModelFit(nonstat=nonstat, stat=Var1Fit(np.diag(phi), intercept))
 
 
 def _var1_path(fit: Var1Fit, state: np.ndarray, h_max: int) -> np.ndarray:
     """Iterate ``x <- intercept + coef @ x`` from ``state``; row ``j`` is step ``j + 1``."""
+    # a diagonal coef gives the bits of phi * x: one rounded product plus exact zeros per row
     out = np.empty((h_max, state.size))
     for j in range(h_max):
         state = fit.intercept + fit.coef @ state
-        out[j] = state
-    return out
-
-
-def _ar1_path(phi: np.ndarray, intercept: np.ndarray, last: np.ndarray, h_max: int) -> np.ndarray:
-    """Iterate ``x <- intercept + phi * x`` from ``last``; row ``j`` is step ``j + 1``."""
-    out = np.empty((h_max, last.size))
-    state = last
-    for j in range(h_max):
-        state = intercept + phi * state
         out[j] = state
     return out
 
@@ -189,7 +157,7 @@ def _dfar_path(y: np.ndarray, h_max: int) -> np.ndarray:
         raise ArgumentError(f"differenced AR(1) needs a panel of n >= 4, got n = {len(y)}")
     d = np.diff(y, axis=0)
     phi, intercept, _ = _ar1_columns(d)
-    return _integrate(y[-1], _ar1_path(phi, intercept, d[-1], h_max))
+    return _integrate(y[-1], _var1_path(Var1Fit(np.diag(phi), intercept), d[-1], h_max))
 
 
 def forecast_path(dec, fit: FactorModelFit, h_max: int) -> np.ndarray:
@@ -202,13 +170,12 @@ def forecast_path(dec, fit: FactorModelFit, h_max: int) -> np.ndarray:
     factor forecasts iterated from the fitted recursions (trend differences
     re-integrated).
     """
-    if h_max < 1:
-        raise ArgumentError(f"horizon must be >= 1, got {h_max}")
+    if not _is_int(h_max) or h_max < 1:
+        raise ArgumentError(f"horizon must be an integer >= 1, got {h_max!r}")
     x1 = dec.x1
     x1f = (np.zeros((h_max, x1.shape[1])) if fit.nonstat is None
            else _integrate(x1[-1], _var1_path(fit.nonstat, x1[-1] - x1[-2], h_max)))
-    phi = np.array([f.phi for f in fit.stat])
-    z2f = _ar1_path(phi, np.array([f.intercept for f in fit.stat]), dec.z2[-1], h_max)
+    z2f = _var1_path(fit.stat, dec.z2[-1], h_max)
     trend_part = x1f @ dec.A1.T
     factor_part = z2f @ dec.A2_times(dec.U1).T if dec.U1.shape[1] else 0.0
     return trend_part + factor_part
@@ -235,15 +202,18 @@ def fe_h(forecasts, actuals) -> float:
     return float(np.mean(np.linalg.norm(f - a, axis=1) / math.sqrt(p)))
 
 
-def rmsfe(forecasts_i, actuals_i) -> float:
-    """Per-series root mean squared forecast error over origins."""
-    f = np.asarray(forecasts_i, dtype=float).ravel()
-    a = np.asarray(actuals_i, dtype=float).ravel()
+def rmsfe(forecasts, actuals):
+    """Root mean squared forecast error over origins (rows), one per series
+    (column); a 1-D input is one series and gives a float."""
+    f, a = np.asarray(forecasts, dtype=float), np.asarray(actuals, dtype=float)
     if f.shape != a.shape:
         raise ArgumentError(f"shape mismatch: {f.shape} vs {a.shape}")
+    if f.ndim not in (1, 2):
+        raise ArgumentError(f"forecasts must be 1- or 2-dimensional, got ndim={f.ndim}")
     if f.size == 0:
         raise ArgumentError("empty evaluation window")
-    return float(np.sqrt(np.mean((f - a) ** 2)))
+    err = np.sqrt(np.mean((f - a) ** 2, axis=0))
+    return float(err) if f.ndim == 1 else err
 
 
 class DmResult(NamedTuple):
@@ -273,8 +243,8 @@ def dm_test(loss_a, loss_b, bandwidth: int | None = None) -> DmResult:
     dbar = float(d.mean())
     if bandwidth is None:
         bandwidth = int(math.floor(1.2 * n ** (1.0 / 3.0)))
-    if bandwidth < 0 or bandwidth >= n:
-        raise ArgumentError(f"bandwidth {bandwidth} outside [0, {n - 1}]")
+    if not _is_int(bandwidth) or not 0 <= bandwidth < n:
+        raise ArgumentError(f"bandwidth must be an integer in [0, {n - 1}], got {bandwidth!r}")
     dc = d - dbar
     lrv = float(dc @ dc) / n
     for k in range(1, bandwidth + 1):
@@ -298,8 +268,8 @@ def baseline_dfar(panel, h_max: int) -> np.ndarray:
     continuing its mean difference, which reproduces the trend exactly.
     """
     pan = as_panel(panel)
-    if h_max < 1:
-        raise ArgumentError(f"horizon must be >= 1, got {h_max}")
+    if not _is_int(h_max) or h_max < 1:
+        raise ArgumentError(f"horizon must be an integer >= 1, got {h_max!r}")
     return _dfar_path(pan.data, h_max)
 
 
@@ -316,12 +286,12 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
     sample-mean path (levels) or a frozen last level (differences).
     """
     pan = as_panel(panel)
-    if not 0 <= nfac <= pan.p:
-        raise ArgumentError(f"nfac={nfac} outside [0, {pan.p}]")
+    if not _is_int(nfac) or not 0 <= nfac <= pan.p:
+        raise ArgumentError(f"nfac must be an integer in [0, {pan.p}], got {nfac!r}")
     if mode not in ("levels", "differences"):
         raise ArgumentError(f"mode must be 'levels' or 'differences', got {mode!r}")
-    if h_max < 1:
-        raise ArgumentError(f"horizon must be >= 1, got {h_max}")
+    if not _is_int(h_max) or h_max < 1:
+        raise ArgumentError(f"horizon must be an integer >= 1, got {h_max!r}")
     y = pan.data
     if mode == "levels":
         mean = y.sum(axis=0) / pan.n
@@ -424,6 +394,9 @@ def evaluate_forecasts(
             f"{h_max} to compare methods on; the largest admissible window_start is "
             f"{n - h_max - MIN_DM_LOSSES + 1}"
         )
+    for name, nfac in (("pca_nfac_levels", pca_nfac_levels), ("pca_nfac_diff", pca_nfac_diff)):
+        if nfac is not None and not (_is_int(nfac) and 0 <= nfac <= p):
+            raise ArgumentError(f"{name} must be an integer in [0, {p}], got {nfac!r}")
     dec0 = None
     if "gt" in methods or pca_nfac_levels is None or pca_nfac_diff is None:
         # every lag decompose probes (k0, j0, the Ljung-Box m and the largest
@@ -461,7 +434,7 @@ def evaluate_forecasts(
             fc, ac = paths[m][:origins[h], h - 1], y[w + h - 1:]
             fe[m][h] = fe_h(fc, ac)
             losses[m][h] = np.linalg.norm(fc - ac, axis=1) / math.sqrt(p)
-            series_err[hi] = [rmsfe(fc[:, i], ac[:, i]) for i in range(p)]
+            series_err[hi] = rmsfe(fc, ac)
         rmsfe_series[m] = series_err
 
     lead = methods[0]

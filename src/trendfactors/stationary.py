@@ -26,7 +26,6 @@ __all__ = [
     "estimate_K",
     "estimate_V2",
     "recover_z2",
-    "lam_yao_ratio",
 ]
 
 _SV_TOL = 1e-10
@@ -120,18 +119,3 @@ def recover_z2(v2: np.ndarray, factors: np.ndarray, xi: np.ndarray) -> np.ndarra
     # columns than rows (about as many on a wide panel, where both cost the same)
     return xi @ np.linalg.solve(v2[factors].T, v2.T).T
 
-
-def lam_yao_ratio(m2_eigenvalues, R: int) -> int:
-    """Eigenvalue-ratio factor count: ``argmin_{1<=j<=R} lam_{j+1} / lam_j``.
-
-    Ties go to the smallest index.  This is the comparator whose count drifts
-    to ``r2 + K`` when the noise covariance has ``K`` diverging eigenvalues.
-    """
-    lam = np.asarray(m2_eigenvalues, dtype=float)
-    if R < 1:
-        raise ArgumentError(f"R must be >= 1, got {R}")
-    if lam.size < R + 1:
-        raise ArgumentError(f"need at least R+1={R + 1} eigenvalues, got {lam.size}")
-    lam = np.maximum(lam, np.finfo(float).eps)
-    ratios = lam[1 : R + 1] / lam[:R]
-    return int(np.argmin(ratios)) + 1

@@ -22,8 +22,10 @@ from trendfactors.simgen import (
     generate,
     run_montecarlo,
 )
-from trendfactors.stationary import build_M2, lam_yao_ratio
+from trendfactors.stationary import build_M2
 from trendfactors.tsstats import sym_eigen
+
+from lam_yao import lam_yao_ratio
 
 BASE_SEED = 20260810
 REPS = 200

@@ -17,7 +17,6 @@ from trendfactors.forecast import (
     evaluate_forecasts,
     fe_h,
     fit_factor_models,
-    fit_var1_diff,
     forecast_path,
     forecast_y,
     rmsfe,
@@ -28,8 +27,15 @@ from trendfactors.unitroot import M1Eigen
 
 
 def stationary_fits(z2):
-    """The per-factor AR(1) fits of :func:`fit_factor_models` without trends."""
+    """The per-factor AR(1) fits of :func:`fit_factor_models` without trends:
+    one VAR(1) with a diagonal ``coef``."""
     return fit_factor_models(np.zeros((z2.shape[0], 0)), z2).stat
+
+
+def trend_fit(x1):
+    """The VAR(1)-on-differences fit of :func:`fit_factor_models` without
+    stationary factors."""
+    return fit_factor_models(x1, np.zeros((x1.shape[0], 0))).nonstat
 
 
 class TestFitAr1:
@@ -39,7 +45,7 @@ class TestFitAr1:
         assert phi[0] == pytest.approx(0.9, abs=1e-10)
         assert intercept[0] == pytest.approx(0.0, abs=1e-10)
         assert not degenerate[0]
-        assert not stationary_fits(x[:, None])[0].explosive
+        assert np.array_equal(stationary_fits(x[:, None]).coef, phi[:, None])
 
     def test_seeded_ar_recovered(self):
         rng = np.random.default_rng(0)
@@ -51,8 +57,9 @@ class TestFitAr1:
         assert 0.45 <= phi <= 0.55
 
     def test_explosive_flagged(self):
+        # no stationarity restriction: an explosive root is kept on the diagonal
         x = np.column_stack([1.2 ** np.arange(40), 0.9 ** np.arange(40)])
-        assert [fit.explosive for fit in stationary_fits(x)] == [True, False]
+        assert (np.abs(np.diag(stationary_fits(x).coef)) >= 1.0).tolist() == [True, False]
 
 
 def ols_ar1_reference(x):
@@ -152,9 +159,10 @@ class TestAr1Columns:
         # the AR(1) fits that fit_factor_models hands to the forecasts
         y = panel_with_degenerate_columns(3)
         ref_phi, ref_intercept = ols_ar1_reference(y)
-        for i, fit in enumerate(stationary_fits(y)):
-            assert fit.phi == pytest.approx(ref_phi[i], rel=1e-12, abs=1e-12)
-            assert fit.intercept == pytest.approx(ref_intercept[i], rel=1e-12, abs=1e-12)
+        fit = stationary_fits(y)
+        assert np.array_equal(fit.coef, np.diag(np.diag(fit.coef)))
+        np.testing.assert_allclose(np.diag(fit.coef), ref_phi, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fit.intercept, ref_intercept, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_dfar_matches_reference(self, seed):
@@ -197,6 +205,8 @@ class TestAr1Columns:
 
 
 class TestFitVar1Diff:
+    """The trend VAR(1) on first differences that fit_factor_models fits to x1."""
+
     def test_exact_recovery_noise_free(self):
         a = np.array([[0.5, 0.2], [-0.1, 0.3]])
         deltas = np.empty((39, 2))
@@ -204,14 +214,14 @@ class TestFitVar1Diff:
         for t in range(1, 39):
             deltas[t] = a @ deltas[t - 1]
         y = np.vstack([[0.0, 0.0], np.cumsum(deltas, axis=0)])
-        fit = fit_var1_diff(y)
+        fit = trend_fit(y)
         assert np.allclose(fit.coef, a, atol=1e-8)
         assert np.allclose(fit.intercept, 0.0, atol=1e-8)
 
     def test_random_walk_coefficients_near_zero(self):
         rng = np.random.default_rng(1)
         y = np.cumsum(rng.normal(size=(5000, 3)), axis=0)
-        fit = fit_var1_diff(y)
+        fit = trend_fit(y)
         assert np.linalg.norm(fit.coef, 2) <= 0.1
 
     def test_complex_input_rejected(self):
@@ -221,8 +231,6 @@ class TestFitVar1Diff:
         z2 = rng.normal(size=(50, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArgumentError, match="^panel has complex entries"):
-                fit_var1_diff(x1 + 1j)
             with pytest.raises(ArgumentError, match="^x1 has complex entries"):
                 fit_factor_models(x1 + 1j, z2)
             with pytest.raises(ArgumentError, match="^z2 has complex entries"):
@@ -237,20 +245,21 @@ class TestFitVar1Diff:
         z2 = rng.normal(size=(50, 2))
         bad_x1 = x1.copy()
         bad_x1[7, 0] = np.nan
-        with pytest.raises(ArgumentError, match="^panel contains non-finite entries"):
-            fit_var1_diff(bad_x1)
         for args, message in [((bad_x1, z2), "^x1 contains non-finite"),
                               ((x1, np.where(z2 > 2.0, np.inf, z2)), "^z2 contains non-finite"),
                               ((x1, z2[:, 0]), "^z2 must be 2-dimensional"),
                               ((x1[:, 0], z2), "^x1 must be 2-dimensional"),
-                              ((x1[1:], z2), "^x1 and z2 must have equal row counts")]:
+                              ((x1[1:], z2), "^x1 and z2 must have equal row counts"),
+                              ((np.zeros((1, 0)), np.ones((1, 1))),
+                               "^factor paths need at least 2 rows"),
+                              ((x1[:3], z2[:3]), r"needs n >= r \+ 3 = 4")]:
             with pytest.raises(ArgumentError, match=message):
                 fit_factor_models(*args)
 
     def test_single_column_matches_ar1(self):
         rng = np.random.default_rng(2)
         y = np.cumsum(rng.normal(size=200))
-        var_fit = fit_var1_diff(y[:, None])
+        var_fit = trend_fit(y[:, None])
         (phi,), (intercept,) = ols_ar1_reference(np.diff(y)[:, None])
         assert var_fit.coef[0, 0] == pytest.approx(phi, abs=1e-10)
         assert var_fit.intercept[0] == pytest.approx(intercept, abs=1e-10)
@@ -330,11 +339,54 @@ class TestForecastY:
         x1_next = dec.x1[-1] + fit.nonstat.intercept + fit.nonstat.coef @ (
             dec.x1[-1] - dec.x1[-2]
         )
-        z2_next = np.array(
-            [f.intercept + f.phi * dec.z2[-1, i] for i, f in enumerate(fit.stat)]
-        )
+        z2_next = fit.stat.intercept + np.diag(fit.stat.coef) * dec.z2[-1]
         manual = dec.A1 @ x1_next + dec.A2 @ dec.U1 @ z2_next
         assert np.allclose(got, manual, atol=1e-10)
+
+
+def ar1_elementwise_reference(phi, intercept, state, h_max):
+    """Iterate ``x <- intercept + phi * x`` elementwise; row ``j`` is step ``j + 1``."""
+    out = np.empty((h_max, state.size))
+    for j in range(h_max):
+        state = intercept + phi * state
+        out[j] = state
+    return out
+
+
+RECURSION_PANELS = {
+    "ex1": lambda: generate(DgpSpec(p=10, n=1000, example=1, seed=1))[0].data[:950],
+    "trend_and_constant": lambda: panel_with_degenerate_columns(0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:projected PCA recovery is ill conditioned")
+@pytest.mark.parametrize("panel", list(RECURSION_PANELS))
+class TestOneRecursion:
+    """Every AR(1) runs through the VAR(1) recursion with a diagonal ``coef``;
+    that product gives the bits of the elementwise recursion."""
+
+    def test_forecast_path_match_reference(self, panel):
+        dec = decompose(RECURSION_PANELS[panel]())
+        fit = fit_factor_models(dec.x1, dec.z2)
+        assert dec.r1_hat >= 1 and dec.r2_hat >= 1
+        levels, delta = [dec.x1[-1]], dec.x1[-1] - dec.x1[-2]
+        for _ in range(6):
+            delta = fit.nonstat.intercept + fit.nonstat.coef @ delta
+            levels.append(levels[-1] + delta)
+        z2f = ar1_elementwise_reference(np.diag(fit.stat.coef), fit.stat.intercept,
+                                        dec.z2[-1], 6)
+        expect = np.array(levels[1:]) @ dec.A1.T + z2f @ dec.A2_times(dec.U1).T
+        assert np.array_equal(forecast_path(dec, fit, 6), expect)
+
+    def test_dfar_match_reference(self, panel):
+        y = RECURSION_PANELS[panel]()
+        d = np.diff(y, axis=0)
+        phi, intercept, _ = forecast._ar1_columns(d)
+        steps = ar1_elementwise_reference(phi, intercept, d[-1], 6)
+        levels = [y[-1]]
+        for step in steps:
+            levels.append(levels[-1] + step)
+        assert np.array_equal(baseline_dfar(y, 6), np.array(levels[1:]))
 
 
 class TestErrorMetrics:
@@ -355,6 +407,17 @@ class TestErrorMetrics:
         assert rmsfe([1.0], [1.0]) == 0.0
         assert rmsfe([4.0], [1.0]) == pytest.approx(3.0)
         assert rmsfe([3.0, 4.0], [0.0, 0.0]) == pytest.approx(math.sqrt(12.5), abs=1e-9)
+        assert type(rmsfe(np.array([3.0, 4.0]), np.zeros(2))) is float
+
+    def test_rmsfe_column_wise(self):
+        # rows are origins and columns series: one value per column
+        rng = np.random.default_rng(18)
+        f, a = rng.normal(size=(50, 7)), rng.normal(size=(50, 7))
+        per_column = [rmsfe(f[:, i], a[:, i]) for i in range(7)]
+        np.testing.assert_allclose(rmsfe(f, a), per_column, rtol=1e-15, atol=0)
+        for bad in ((f, a[:, :6]), (f[None], a[None])):
+            with pytest.raises(ArgumentError):
+                rmsfe(*bad)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -399,6 +462,11 @@ class TestDmTest:
     def test_length_validation(self):
         with pytest.raises(ArgumentError):
             dm_test(np.ones(5), np.ones(5))
+
+    @pytest.mark.parametrize("bandwidth", [2.5, True, -1, 20])
+    def test_bandwidth_validation(self, bandwidth):
+        with pytest.raises(ArgumentError, match=r"bandwidth must be an integer in \[0, 19\]"):
+            dm_test(np.arange(20.0), np.zeros(20), bandwidth=bandwidth)
 
 
 class TestBaselines:
@@ -452,6 +520,24 @@ class TestBaselines:
         rng = np.random.default_rng(12)
         with pytest.raises(ArgumentError):
             baseline_pca(rng.normal(size=(30, 3)), 4, "levels", 1)
+        for nfac in (1.5, True):
+            with pytest.raises(ArgumentError, match="nfac must be an integer"):
+                baseline_pca(rng.normal(size=(30, 3)), nfac, "levels", 1)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            baseline_dfar,
+            lambda y, h: baseline_pca(y, 1, "levels", h),
+            lambda y, h: baseline_pca(y, 1, "differences", h),
+        ],
+        ids=["dfar", "pca_levels", "pca_diff"],
+    )
+    def test_non_integer_horizon_rejected(self, run):
+        y = np.cumsum(np.random.default_rng(19).normal(size=(30, 2)), axis=0)
+        for h in (2.5, True, 0):
+            with pytest.raises(ArgumentError, match="horizon must be an integer >= 1"):
+                run(y, h)
 
     @pytest.mark.parametrize(
         "run",
@@ -620,6 +706,18 @@ class TestEvaluateForecasts:
         y = np.cumsum(np.random.default_rng(17).normal(size=(60, 2)), axis=0)
         with pytest.raises(ArgumentError, match="at least one method, each once"):
             evaluate_forecasts(y, PipelineConfig(horizons=(1,), window_start=40), methods=methods)
+
+    @pytest.mark.parametrize("name", ["pca_nfac_levels", "pca_nfac_diff"])
+    @pytest.mark.parametrize("nfac", [2.5, True, -1, 11])
+    def test_bad_pca_factor_count_rejected(self, name, nfac, monkeypatch):
+        def no_decompose(*args, **kwargs):
+            raise AssertionError("decompose ran before the PCA factor counts were checked")
+
+        monkeypatch.setattr(forecast, "decompose", no_decompose)
+        y = np.cumsum(np.random.default_rng(17).normal(size=(60, 10)), axis=0)
+        with pytest.raises(ArgumentError, match=rf"^{name} must be an integer in \[0, 10\]"):
+            evaluate_forecasts(y, PipelineConfig(horizons=(1,), window_start=40),
+                               **{name: nfac})
 
     def test_window_too_short(self):
         spec = DgpSpec(p=4, n=120, example=1, seed=2)

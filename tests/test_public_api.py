@@ -12,9 +12,8 @@ import trendfactors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(trendfactors.__file__).resolve().parent
-# public names that the package itself need not call: the exports and the
-# paper's eigenvalue-ratio comparator
-UNCALLED = set(trendfactors.__all__) | {"lam_yao_ratio"}
+# public names that the package itself need not call: the exports
+UNCALLED = set(trendfactors.__all__)
 
 PUBLIC = [
     # entry points

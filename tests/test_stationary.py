@@ -13,11 +13,12 @@ from trendfactors.stationary import (
     build_M2,
     estimate_K,
     estimate_V2,
-    lam_yao_ratio,
     recover_z2,
 )
 from trendfactors.tsstats import EigenDecomposition, sample_autocov, sym_eigen
 from trendfactors.unitroot import first_stage, null_width, scan_r1
+
+from lam_yao import lam_yao_ratio
 
 
 def ar_panel(rng, n, phis):
