@@ -4,10 +4,12 @@ CSV panels are comma-separated with one time point per row.  Matrices are
 written with no header, 17 significant digits per cell (so a round trip is
 exact) and CRLF line ends; the forecast tables add a header row.  Input is
 UTF-8 text with an optional byte-order mark, LF or CRLF line ends and one
-optional header row; blank lines are skipped, and parse errors name the row
-of the file (1-based, counting the header and blank lines).  Reports are
-JSON with a top-level ``schema_version``.  ``--out-dir`` is created before
-the command runs, so a run that fails can leave it empty.  Each flag's
+optional header row: a first row with a non-empty cell that ``float``
+rejects, as wide as the data.  Blank lines are skipped, and parse errors
+name the row of the file (1-based, counting the header and blank lines).
+Reports are standard JSON with a top-level ``schema_version``; non-finite
+numbers are written as ``null``.  ``--out-dir`` is created before the
+command runs, so a run that fails can leave it empty.  Each flag's
 argparse ``dest`` is the name of its :class:`PipelineConfig` or
 :class:`DgpSpec` field.  Exit codes: 0 on success, 1 on argument errors,
 malformed or undecodable input and paths that cannot be read or written, 2
@@ -20,6 +22,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 import warnings
 from dataclasses import asdict, fields
@@ -36,15 +39,11 @@ from .tsstats import TimeSeriesPanel
 SCHEMA_VERSION = 1
 
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(path_or_buf, matrix: np.ndarray) -> None:
     """Write a 2-D array as CSV with round-trip-exact float formatting.
 
-    Each cell is ``%.17g`` (the text of :func:`format_float`) and each line
-    ends in CRLF, as ``csv.writer`` writes them; a 1-D input is one row.
+    Each cell is ``%.17g`` and each line ends in CRLF, as ``csv.writer``
+    writes them; a 1-D input is one row.
     """
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
     row_format = ",".join(["%.17g"] * mat.shape[1]) + "\r\n"
@@ -56,8 +55,16 @@ def write_csv(path_or_buf, matrix: np.ndarray) -> None:
             fh.writelines(lines)
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_panel_csv(path_or_buf) -> TimeSeriesPanel:
-    """Parse a CSV panel, tolerating one optional header row.
+    """Parse a CSV panel, tolerating one optional header row (see the module).
 
     A path is read as UTF-8; a leading byte-order mark is skipped, in a path
     or a text buffer.  Cells are read as Python's ``float`` reads them;
@@ -83,13 +90,12 @@ def read_panel_csv(path_or_buf) -> TimeSeriesPanel:
     rows = [rows[i - 1] for i in row_nos]
     if not rows:
         raise CsvParseError("empty CSV input")
-    start = 0
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        start = 1
-        if len(rows) == 1:
-            raise CsvParseError("CSV has a header but no data rows")
+    start = int(any(cell.strip() and not _is_number(cell) for cell in rows[0]))
+    if start and len(rows) == 1:
+        raise CsvParseError("CSV has a header but no data rows")
+    if start and len(rows[0]) != len(rows[1]):
+        raise CsvParseError(f"header has {len(rows[0])} columns, the first data row "
+                            f"{len(rows[1])}", row=row_nos[0])
     body, row_nos = rows[start:], row_nos[start:]
     try:
         data = np.array(body, dtype=float)
@@ -103,12 +109,9 @@ def read_panel_csv(path_or_buf) -> TimeSeriesPanel:
                     f"ragged row: expected {width} columns, got {len(row)}", row=row_no
                 ) from None
             for j, cell in enumerate(row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"non-numeric cell {cell!r}", row=row_no, column=j + 1
-                    ) from None
+                if not _is_number(cell):
+                    raise CsvParseError(f"non-numeric cell {cell!r}", row=row_no,
+                                        column=j + 1) from None
         raise
     try:
         return TimeSeriesPanel(data)
@@ -164,17 +167,28 @@ def _spec_values(args) -> dict:
     return {f.name: getattr(args, f.name) for f in fields(DgpSpec)}
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _plain(obj):
+    """``obj`` as plain JSON values: arrays and tuples as lists, numpy
+    scalars as Python numbers and non-finite floats as ``None``."""
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(value) for value in obj]
+    obj = obj.item() if isinstance(obj, np.generic) else obj
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
+    path.write_text(json.dumps(_plain(payload), indent=2, allow_nan=False) + "\n")
+
+
+def _write_table(path: Path, header: list, rows) -> None:
+    """Write a header row and ``rows`` as CSV, each float cell as ``%.17g``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{c:.17g}" if isinstance(c, float) else c for c in row] for row in rows)
 
 
 def cmd_decompose(args) -> int:
@@ -221,26 +235,15 @@ def cmd_forecast(args) -> int:
         pca_nfac_diff=args.pca_nfac_diff,
     )
     out = args.out_dir
-    fe_rows = [[m] + [format_float(report.fe[m][h]) for h in report.horizons]
-               for m in report.methods]
-    with open(out / "fe.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method"] + [f"h{h}" for h in report.horizons])
-        writer.writerows(fe_rows)
-    with open(out / "rmsfe.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "series"] + [f"h{h}" for h in report.horizons])
-        for m in report.methods:
-            arr = report.rmsfe_series[m]
-            for i in range(arr.shape[1]):
-                writer.writerow([m, i] + [format_float(v) for v in arr[:, i]])
-    with open(out / "dm.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method_a", "method_b", "h", "statistic", "lrv", "pvalue"])
-        for (ma, mb), per_h in report.dm.items():
-            for h, res in per_h.items():
-                writer.writerow([ma, mb, h, format_float(res.statistic),
-                                 format_float(res.lrv), format_float(res.pvalue)])
+    h_cols = [f"h{h}" for h in report.horizons]
+    _write_table(out / "fe.csv", ["method", *h_cols],
+                 [[m, *(report.fe[m][h] for h in report.horizons)] for m in report.methods])
+    _write_table(out / "rmsfe.csv", ["method", "series", *h_cols],
+                 [[m, i, *col] for m in report.methods
+                  for i, col in enumerate(report.rmsfe_series[m].T)])
+    _write_table(out / "dm.csv", ["method_a", "method_b", "h", "statistic", "lrv", "pvalue"],
+                 [[ma, mb, h, r.statistic, r.lrv, r.pvalue]
+                  for (ma, mb), per_h in report.dm.items() for h, r in per_h.items()])
     for m in report.methods:
         write_csv(out / f"forecasts_{m}.csv", report.forecasts[m])
     _write_json(out / "forecast.json", {

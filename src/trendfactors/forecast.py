@@ -176,9 +176,7 @@ def forecast_path(dec, fit: FactorModelFit, h_max: int) -> np.ndarray:
     x1f = (np.zeros((h_max, x1.shape[1])) if fit.nonstat is None
            else _integrate(x1[-1], _var1_path(fit.nonstat, x1[-1] - x1[-2], h_max)))
     z2f = _var1_path(fit.stat, dec.z2[-1], h_max)
-    trend_part = x1f @ dec.A1.T
-    factor_part = z2f @ dec.A2_times(dec.U1).T if dec.U1.shape[1] else 0.0
-    return trend_part + factor_part
+    return x1f @ dec.A1.T + z2f @ dec.A2_times(dec.U1).T
 
 
 def forecast_y(dec, fit: FactorModelFit, h: int) -> np.ndarray:
@@ -282,8 +280,8 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
     significance-thresholded VAR(1), and re-integrates.  A column whose
     differences have variance at most the ``constant_floor`` of their
     largest magnitude (an exact linear trend's) standardizes to zero and is
-    continued at its mean difference.  ``nfac = 0`` degenerates to the
-    sample-mean path (levels) or a frozen last level (differences).
+    continued at its mean difference.  ``nfac = 0`` gives the sample-mean
+    path (levels) or the last level continued at the mean difference.
     """
     pan = as_panel(panel)
     if not _is_int(nfac) or not 0 <= nfac <= pan.p:
@@ -295,16 +293,12 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
     y = pan.data
     if mode == "levels":
         mean = y.sum(axis=0) / pan.n
-        if nfac == 0:
-            return np.tile(mean, (h_max, 1))
         yc = y - mean
         loadings = sym_eigen(yc.T @ yc / pan.n).vectors[:, :nfac]
         return _dfar_path(yc @ loadings, h_max) @ loadings.T + mean
     d = np.diff(y, axis=0)
     if d.shape[0] < 4:
         raise ArgumentError("differences mode needs n >= 5")
-    if nfac == 0:
-        return np.tile(y[-1], (h_max, 1))
     dmean = d.sum(axis=0) / len(d)
     dc = d - dmean
     var = (dc * dc).sum(axis=0) / len(d)
@@ -359,15 +353,16 @@ def evaluate_forecasts(
     Models are re-estimated on ``y[1..tau]`` for every origin ``tau`` from
     ``window_start`` through ``n - h``; forecast errors are averaged per
     horizon, per-series errors are aggregated into RMSFE values, and the
-    first method is tested pairwise against the others for equal predictive
-    ability.  The first training window ``y[:window_start]`` is decomposed
-    once: that decomposition gives the default PCA factor counts (the trend
-    count for levels, the total factor count for differences) and the gt
-    forecast at the first origin, so when it is needed ``window_start`` must
-    leave room for every lag ``decompose`` probes.  When more than one method
-    is requested, ``window_start`` must leave at least ``MIN_DM_LOSSES`` (8)
-    origins at the largest horizon, the fewest losses ``dm_test`` accepts; a
-    single method may use fewer.
+    first method in ``methods``, in the order given, is tested pairwise
+    against the others for equal predictive ability.  The first training
+    window ``y[:window_start]`` is decomposed once: that decomposition gives
+    the default PCA factor counts (the trend count for levels, the total
+    factor count for differences) and the gt forecast at the first origin,
+    so when it is needed ``window_start`` must leave room for every lag
+    ``decompose`` probes.  When more than one method is requested,
+    ``window_start`` must leave at least ``MIN_DM_LOSSES`` (8) origins at
+    the largest horizon, the fewest losses ``dm_test`` accepts; a single
+    method may use fewer.
     """
     pan = as_panel(panel)
     y = pan.data
@@ -383,8 +378,6 @@ def evaluate_forecasts(
     methods = tuple(methods)
     if not methods or len(set(methods)) < len(methods):
         raise ArgumentError(f"methods must name at least one method, each once; got {methods}")
-    if methods[0] != "gt" and "gt" in methods:
-        methods = ("gt",) + tuple(m for m in methods if m != "gt")
     for m in methods:
         if m not in FORECAST_METHODS:
             raise ArgumentError(f"unknown forecast method {m!r}; choose from {FORECAST_METHODS}")

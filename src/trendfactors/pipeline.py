@@ -267,7 +267,7 @@ def recover_factors(
     v_lead = lead - r2
     factors = order[:r2]
     g = sample_autocov(xi, 0)[:, order[r2:lead]] if lead else np.zeros((0, 0))
-    eig_g = sym_eigen(g.T @ g) if v_lead else _NO_SPECTRUM
+    eig_g = sym_eigen(g.T @ g)
     if config.K_override is not None:
         k_hat = min(config.K_override, v_lead)
     elif d <= SMALL_P_THRESHOLD or v_lead <= 1:

@@ -204,7 +204,7 @@ def draw_panel(spec: DgpSpec, mixing: Mixing, seed) -> tuple[TimeSeriesPanel, Gr
                 f"factor {i} has AR coefficient phi = {value}; stationary factors need |phi| < 1"
             )
     rng = _as_rng(seed)
-    x1 = np.cumsum(rng.standard_normal((n, r1)), axis=0) if r1 else np.zeros((n, 0))
+    x1 = np.cumsum(rng.standard_normal((n, r1)), axis=0)
     if spec.example == 2:
         # the trend block carries the strength exponent: increment scale
         # p^{(1-delta)/2} against unit-variance factors, keeping the trend

@@ -79,24 +79,24 @@ def estimate_V2(
     ``K`` diverging eigenvectors ``P = g q_k / sqrt(lam_k)`` of ``S``: its
     other eigenvectors rotated toward the factor space, which keeps
     ``V2' U1`` (the rows ``factors`` of ``V2``, transposed) well
-    conditioned.  Only the span of ``V2`` is determined.
+    conditioned.  Only the span of ``V2`` is determined; with no
+    ``factors`` it is ``(d, 0)``.
     """
     d, r2 = g.shape[0], len(factors)
     if K < 0 or K + r2 > d or K > g.shape[1]:
         raise ArgumentError(f"need K + r2 <= dim, got K={K}, r2={r2}, dim={d}")
-    if r2 == 0:
-        return np.zeros((d, 0))
     if K == 0:
         v2 = np.zeros((d, r2))
         v2[d - r2:] = np.eye(r2)
-        if g.shape[1]:
+        # dormqr rejects zero reflectors, and with no factors there is nothing to rotate
+        if g.shape[1] and r2:
             raw, tau = np.linalg.qr(g, mode="raw")
             v2 = _lapack(lapack.dormqr, "L", "N", raw.T, tau, v2)
     else:
         # g q_k are orthogonal with norms sqrt(lam_k); the QR normalizes them
         p = np.linalg.qr(g @ gram_eig.vectors[:, :K])[0]
         v2 = np.linalg.qr(np.eye(d)[:, factors] - p @ p[factors].T)[0]
-    smin = np.linalg.svd(v2[factors], compute_uv=False)[-1]
+    smin = np.linalg.svd(v2[factors], compute_uv=False).min(initial=np.inf)
     if smin <= _SV_TOL:
         raise IllConditionedError(
             f"V2'U1 is numerically singular (smallest singular value {smin:.3e})"
@@ -110,10 +110,9 @@ def recover_z2(v2: np.ndarray, factors: np.ndarray, xi: np.ndarray) -> np.ndarra
     ``xi`` holds the components in the ``M2`` eigenbasis, ``V2`` is
     :func:`estimate_V2`'s and ``U1`` the identity's columns ``factors``,
     so ``V2' U1`` is ``v2[factors]'``.  The solve is against ``V2'`` and
-    its result is applied to ``xi``: ``z2 = xi @ solve(V2'U1, V2')'``.
+    its result is applied to ``xi``: ``z2 = xi @ solve(V2'U1, V2')'``,
+    ``(n, 0)`` with no ``factors``.
     """
-    if v2.shape[1] == 0:
-        return np.zeros((xi.shape[0], 0))
     # a right-hand side per component, not per time point: getrs costs far
     # more per right-hand side than the product with xi, and xi has fewer
     # columns than rows (about as many on a wide panel, where both cost the same)

@@ -117,14 +117,14 @@ def sample_autocov(panel, k: int) -> np.ndarray:
 
 
 def autocov_gram(pan: TimeSeriesPanel, lags) -> np.ndarray:
-    """Symmetrized ``sum_{k in lags} C(k) C(k)'`` of :func:`sample_autocov`,
-    centering the panel once for all lags."""
+    """``sum_{k in lags} C(k) C(k)'`` of :func:`sample_autocov`, centering
+    the panel once for all lags; each ``C C'`` is one ``syrk``, exactly symmetric."""
     yc = pan.data - pan.data.sum(axis=0) / pan.n
     gram = np.zeros((pan.p, pan.p))
     for k in lags:
         c = yc[k:].T @ yc[: pan.n - k] / pan.n
         gram += c @ c.T
-    return (gram + gram.T) / 2.0
+    return gram
 
 
 def constant_floor(level):

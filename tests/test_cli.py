@@ -12,22 +12,22 @@ import pytest
 from trendfactors.cli import (
     _config_from_args,
     build_parser,
-    format_float,
     main,
     read_panel_csv,
     write_csv,
 )
-from trendfactors.errors import CsvParseError
+from trendfactors.errors import CsvParseError, IllConditionedError
+from trendfactors.forecast import evaluate_forecasts
 from trendfactors.pipeline import PipelineConfig
 from trendfactors.simgen import DgpSpec, generate
 
 
 def _reference_csv(matrix) -> bytes:
-    """The cell-by-cell writer: csv.writer rows of format_float strings."""
+    """The cell-by-cell writer: csv.writer rows of 17-significant-digit cells."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     for row in np.atleast_2d(np.asarray(matrix, dtype=float)):
-        writer.writerow([format_float(v) for v in row])
+        writer.writerow([f"{float(v):.17g}" for v in row])
     return buf.getvalue().encode()
 
 
@@ -129,6 +129,25 @@ class TestCsvIo:
     def test_empty_file(self):
         with pytest.raises(CsvParseError):
             read_panel_csv(io.StringIO(""))
+        with pytest.raises(CsvParseError, match="header but no data rows"):
+            read_panel_csv(io.StringIO("a,b\n\n"))
+
+    def test_empty_cell_in_first_row_is_data(self):
+        # only a non-empty cell that float() rejects makes the first row a header
+        with pytest.raises(CsvParseError, match="non-numeric cell ''") as err:
+            read_panel_csv(io.StringIO("1,,3\n4,5,6\n7,8,9\n"))
+        assert (err.value.row, err.value.column) == (1, 2)
+
+    def test_header_of_another_width_rejected(self):
+        for text in ("a,b\n1,2,3\n4,5,6\n", "a,b,c,d\n1,2,3\n4,5,6\n"):
+            with pytest.raises(CsvParseError, match="header has") as err:
+                read_panel_csv(io.StringIO(text))
+            assert err.value.row == 1
+
+    def test_non_finite_cell_rejected(self):
+        for cell in ("inf", "nan"):
+            with pytest.raises(CsvParseError, match="non-finite"):
+                read_panel_csv(io.StringIO(f"1,2\n3,{cell}\n5,6\n"))
 
     def test_ragged_row_location(self):
         with pytest.raises(CsvParseError) as err:
@@ -212,6 +231,64 @@ class TestCommands:
         assert set(report["fe"]) == {"gt", "dfar", "pca_levels", "pca_diff"}
         assert (out / "fe.csv").exists() and (out / "dm.csv").exists()
         assert (out / "rmsfe.csv").exists()
+
+    @pytest.mark.parametrize("panel", ["example", "constant"])
+    def test_forecast_tables_match_reference(self, panel, example_csv, tmp_path):
+        # the constant panel's DM statistics are infinite
+        if panel == "constant":
+            example_csv = tmp_path / "const.csv"
+            write_csv(example_csv, np.ones((120, 3)))
+        config = PipelineConfig(horizons=(1, 2), window_start=280 if panel == "example" else 100)
+        out = tmp_path / "fc"
+        assert main(["forecast", str(example_csv), "--window-start", str(config.window_start),
+                     "--horizons", "1", "2", "--out-dir", str(out)]) == 0
+        report = evaluate_forecasts(read_panel_csv(example_csv), config)
+        hs, methods = report.horizons, report.methods
+
+        def cell(x):
+            return f"{float(x):.17g}"
+
+        tables = {
+            "fe.csv": [["method", *(f"h{h}" for h in hs)]]
+            + [[m, *(cell(report.fe[m][h]) for h in hs)] for m in methods],
+            "rmsfe.csv": [["method", "series", *(f"h{h}" for h in hs)]]
+            + [[m, i, *map(cell, report.rmsfe_series[m][:, i])]
+               for m in methods for i in range(report.rmsfe_series[m].shape[1])],
+            "dm.csv": [["method_a", "method_b", "h", "statistic", "lrv", "pvalue"]]
+            + [[a, b, h, cell(r.statistic), cell(r.lrv), cell(r.pvalue)]
+               for (a, b), per_h in report.dm.items() for h, r in per_h.items()],
+        }
+        for name, rows in tables.items():
+            buf = io.StringIO(newline="")
+            csv.writer(buf).writerows(rows)
+            assert (out / name).read_bytes() == buf.getvalue().encode()
+
+    def test_forecast_json_is_standard_json(self, tmp_path):
+        # on a constant panel every DM long-run variance is degenerate and every
+        # mean loss differential nonzero: the statistics are infinite
+        path = tmp_path / "const.csv"
+        write_csv(path, np.ones((120, 3)))
+        out = tmp_path / "fc"
+        assert main(["forecast", str(path), "--window-start", "100", "--out-dir", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads((out / "forecast.json").read_text(), parse_constant=refuse)
+        results = [r for per_h in report["dm"].values() for r in per_h.values()]
+        assert len(results) == 12
+        assert all(r["statistic"] is None and r["degenerate"] is True for r in results)
+
+    def test_numerical_failure_exit_2(self, example_csv, tmp_path, monkeypatch, capsys):
+        from trendfactors import cli
+
+        def fail(*args, **kwargs):
+            raise IllConditionedError("V2'U1 is numerically singular")
+
+        monkeypatch.setattr(cli, "decompose", fail)
+        code = main(["decompose", str(example_csv), "--out-dir", str(tmp_path / "dec")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("numerical failure: ") and "Traceback" not in err
 
     def test_forecast_window_too_short_exit_1(self, example_csv, tmp_path):
         code = main(["forecast", str(example_csv), "--window-start", "300",

@@ -294,6 +294,18 @@ class TestForecastY:
                           + fit.nonstat.coef @ (dec.x1[-1] - dec.x1[-2]))
             assert np.allclose(got, dec.A1 @ trend_only, atol=1e-10)
 
+    def test_no_stationary_factors_match_reference(self):
+        # r2 = 0: the (h, 0) @ (0, p) factor product is zeros, so the forecast
+        # is the trend part alone
+        y = np.cumsum(np.random.default_rng(5).normal(size=(300, 3)), axis=0)
+        dec, fit = self._decomp(y, PipelineConfig(c0=1e-6, l=1, m=5))
+        assert dec.r1_hat == 3 and dec.r2_hat == 0
+        levels, delta = [dec.x1[-1]], dec.x1[-1] - dec.x1[-2]
+        for _ in range(4):
+            delta = fit.nonstat.intercept + fit.nonstat.coef @ delta
+            levels.append(levels[-1] + delta)
+        assert np.array_equal(forecast_path(dec, fit, 4), np.array(levels[1:]) @ dec.A1.T)
+
     def test_wide_panel_forecasts_skip_the_completion(self, monkeypatch):
         # A2 U1 is read off A2's row-space block, where U1 has its nonzero rows
         spec = DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=1)
@@ -510,11 +522,26 @@ class TestBaselines:
         fc = baseline_pca(y, 1, "levels", 2)
         assert fc.shape == (2, 5)
 
-    def test_pca_zero_factors_mean_path(self):
-        rng = np.random.default_rng(11)
-        y = rng.normal(size=(40, 3)) + np.array([1.0, -2.0, 5.0])
-        got = baseline_pca(y, 0, "levels", 2)
-        assert np.allclose(got, y.mean(axis=0))
+    def test_pca_levels_zero_factors_match_reference(self):
+        # no components: the general path forecasts the sample mean
+        y = np.random.default_rng(11).normal(size=(40, 3)) + np.array([1.0, -2.0, 5.0])
+        expect = np.tile(y.sum(axis=0) / len(y), (4, 1))
+        assert np.array_equal(baseline_pca(y, 0, "levels", 4), expect)
+
+    def test_pca_differences_zero_factors_continue_the_mean_difference(self):
+        # like every nfac >= 1 forecast, nfac = 0 adds the mean difference back
+        y = np.cumsum(np.random.default_rng(12).normal(0.3, 1.0, size=(60, 3)), axis=0)
+        expect = y[-1] + np.arange(1, 5)[:, None] * np.diff(y, axis=0).mean(axis=0)
+        got = baseline_pca(y, 0, "differences", 4)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.abs(y).max()
+
+    def test_pca_mode_and_short_differences_rejected(self):
+        y = np.random.default_rng(12).normal(size=(30, 3))
+        with pytest.raises(ArgumentError, match="mode must be 'levels' or 'differences'"):
+            baseline_pca(y, 1, "logs", 1)
+        with pytest.raises(ArgumentError, match=r"differences mode needs n >= 5"):
+            baseline_pca(y[:4], 1, "differences", 1)
+        assert baseline_pca(y[:5], 1, "differences", 1).shape == (1, 3)
 
     def test_pca_nfac_validation(self):
         rng = np.random.default_rng(12)
@@ -706,6 +733,26 @@ class TestEvaluateForecasts:
         y = np.cumsum(np.random.default_rng(17).normal(size=(60, 2)), axis=0)
         with pytest.raises(ArgumentError, match="at least one method, each once"):
             evaluate_forecasts(y, PipelineConfig(horizons=(1,), window_start=40), methods=methods)
+
+    def test_unknown_method_rejected(self, monkeypatch):
+        def no_decompose(*args, **kwargs):
+            raise AssertionError("decompose ran before the method names were checked")
+
+        monkeypatch.setattr(forecast, "decompose", no_decompose)
+        y = np.cumsum(np.random.default_rng(17).normal(size=(60, 2)), axis=0)
+        with pytest.raises(ArgumentError, match="unknown forecast method 'arima'"):
+            evaluate_forecasts(y, PipelineConfig(horizons=(1,), window_start=40),
+                               methods=("gt", "arima"))
+
+    def test_first_listed_method_is_the_dm_reference(self):
+        # the methods keep the order given, gt included: the first is tested
+        # against each of the others
+        y = np.cumsum(np.random.default_rng(18).normal(size=(80, 3)), axis=0)
+        report = evaluate_forecasts(y, PipelineConfig(horizons=(1,), window_start=60),
+                                    methods=("dfar", "gt", "pca_levels"))
+        assert report.methods == ("dfar", "gt", "pca_levels")
+        assert list(report.dm) == [("dfar", "gt"), ("dfar", "pca_levels")]
+        assert list(report.fe) == list(report.forecasts) == ["dfar", "gt", "pca_levels"]
 
     @pytest.mark.parametrize("name", ["pca_nfac_levels", "pca_nfac_diff"])
     @pytest.mark.parametrize("nfac", [2.5, True, -1, 11])

@@ -343,6 +343,18 @@ class TestEstimateV2:
         g, gram_eig = factor_of(np.eye(3))
         assert estimate_V2(g, gram_eig, np.zeros(0, dtype=int), K=0).shape == (3, 0)
 
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_no_factors_match_reference(self, K):
+        # r2 = 0 runs the general path: an empty V2'U1 passes the conditioning
+        # check, and a 0 x 0 solve gives no factor paths
+        g, gram_eig = factor_of(np.diag([4.0, 2.0, 1.0, 0.0]))
+        none = np.zeros(0, dtype=int)
+        v2 = estimate_V2(g, gram_eig, none, K=K)
+        assert v2.shape == (4, 0)
+        xi = np.random.default_rng(18).normal(size=(30, 4))
+        z2 = recover_z2(v2, none, xi)
+        assert z2.shape == (30, 0) and np.array_equal(z2, np.zeros((30, 0)))
+
     def test_dimension_check(self):
         g, gram_eig = factor_of(np.diag([2.0, 1.0, 0.0, 0.0]))
         with pytest.raises(ArgumentError):
