@@ -4,7 +4,11 @@ Fits simple dynamics to the extracted factors (a VAR(1) on the differenced
 trend paths, one AR(1) per stationary factor), produces multi-step forecasts
 of the observed panel, and evaluates them against baseline methods over
 expanding-window origins.  Every AR(1) is a VAR(1) with a diagonal
-coefficient matrix, so one recursion iterates every forecast.
+coefficient matrix, so one recursion iterates every forecast.  Each method
+and horizon is scored from one error array ``e = yhat - y`` (origins by
+series): FE_h is the mean over origins of ``||e|| / sqrt(p)``, the mean of
+the loss series the DM test compares, and RMSFE is
+``sqrt(mean over origins of e**2)``, one value per series.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ __all__ = [
     "fit_factor_models",
     "forecast_path",
     "forecast_y",
-    "fe_h",
-    "rmsfe",
     "dm_test",
     "baseline_dfar",
     "baseline_pca",
@@ -184,36 +186,6 @@ def forecast_y(dec, fit: FactorModelFit, h: int) -> np.ndarray:
     return forecast_path(dec, fit, h)[h - 1]
 
 
-def fe_h(forecasts, actuals) -> float:
-    """Average scaled forecast error over origins.
-
-    Rows are forecast origins; the per-origin error is the Euclidean norm of
-    the error vector divided by ``sqrt(p)``.
-    """
-    f = np.atleast_2d(np.asarray(forecasts, dtype=float))
-    a = np.atleast_2d(np.asarray(actuals, dtype=float))
-    if f.shape != a.shape:
-        raise ArgumentError(f"shape mismatch: {f.shape} vs {a.shape}")
-    if f.size == 0:
-        raise ArgumentError("empty evaluation window")
-    p = f.shape[1]
-    return float(np.mean(np.linalg.norm(f - a, axis=1) / math.sqrt(p)))
-
-
-def rmsfe(forecasts, actuals):
-    """Root mean squared forecast error over origins (rows), one per series
-    (column); a 1-D input is one series and gives a float."""
-    f, a = np.asarray(forecasts, dtype=float), np.asarray(actuals, dtype=float)
-    if f.shape != a.shape:
-        raise ArgumentError(f"shape mismatch: {f.shape} vs {a.shape}")
-    if f.ndim not in (1, 2):
-        raise ArgumentError(f"forecasts must be 1- or 2-dimensional, got ndim={f.ndim}")
-    if f.size == 0:
-        raise ArgumentError("empty evaluation window")
-    err = np.sqrt(np.mean((f - a) ** 2, axis=0))
-    return float(err) if f.ndim == 1 else err
-
-
 class DmResult(NamedTuple):
     statistic: float
     lrv: float
@@ -319,11 +291,14 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
 class ForecastReport:
     """Expanding-window evaluation plus full-sample forecasts.
 
-    ``fe[method][h]`` is the average scaled error, ``rmsfe_series[method]``
-    an ``(H, p)`` array of per-series errors, ``dm[(a, b)][h]`` the
-    equal-predictive-ability test of method ``a`` against ``b``, and
-    ``forecasts[method]`` the ``(H, p)`` forecasts issued from the full
-    sample.
+    With ``e`` the forecast errors at horizon ``h`` (one row per origin),
+    ``fe[method][h]`` is FE_h, the mean over origins of ``||e|| / sqrt(p)``,
+    which is the mean of the loss series that ``dm`` compares;
+    ``rmsfe_series[method]`` is an ``(H, p)`` array whose row for ``h`` is
+    ``sqrt(mean over origins of e**2)``, one value per series;
+    ``dm[(a, b)][h]`` is the equal-predictive-ability test of method ``a``
+    against ``b``, and ``forecasts[method]`` the ``(H, p)`` forecasts
+    issued from the full sample.
     """
 
     horizons: tuple[int, ...]
@@ -359,7 +334,9 @@ def evaluate_forecasts(
     the default PCA factor counts (the trend count for levels, the total
     factor count for differences) and the gt forecast at the first origin,
     so when it is needed ``window_start`` must leave room for every lag
-    ``decompose`` probes.  When more than one method is requested,
+    ``decompose`` probes; ``dfar`` and ``pca_levels`` need
+    ``window_start >= 4`` and ``pca_diff`` needs 5.  When more than one
+    method is requested,
     ``window_start`` must leave at least ``MIN_DM_LOSSES`` (8) origins at
     the largest horizon, the fewest losses ``dm_test`` accepts; a single
     method may use fewer.
@@ -370,8 +347,6 @@ def evaluate_forecasts(
     horizons = tuple(sorted(set(config.horizons)))
     h_max = max(horizons)
     w = config.window_start if config.window_start is not None else max(int(0.8 * n), 20)
-    if not 3 <= w < n:
-        raise ArgumentError(f"window_start={w} outside [3, {n - 1}]")
     if w + h_max > n:
         raise ArgumentError(f"window too short: no forecast origin at horizon {h_max} fits "
                             f"before the data end (window_start={w}, n={n})")
@@ -390,17 +365,21 @@ def evaluate_forecasts(
     for name, nfac in (("pca_nfac_levels", pca_nfac_levels), ("pca_nfac_diff", pca_nfac_diff)):
         if nfac is not None and not (_is_int(nfac) and 0 <= nfac <= p):
             raise ArgumentError(f"{name} must be an integer in [0, {p}], got {nfac!r}")
-    dec0 = None
-    if "gt" in methods or pca_nfac_levels is None or pca_nfac_diff is None:
-        # every lag decompose probes (k0, j0, the Ljung-Box m and the largest
-        # ACF lag) must be at most the window length minus 2
-        need = max(int(probe_lags(config.l, config.m)[-1]), config.k0, config.j0, config.m) + 2
-        if w < need:
-            raise ArgumentError(
-                f"window_start={w} is too short to decompose the first training "
-                f"window: the configuration needs window_start >= {need}"
-            )
-        dec0 = decompose(y[:w], config)
+    default_counts = pca_nfac_levels is None or pca_nfac_diff is None
+    # the first training window's length bounds every fit: dfar's AR(1) and
+    # levels mode regress n - 2 differences on their lags, differences mode
+    # needs 4 differences, and every lag decompose probes (k0, j0, the
+    # Ljung-Box m and the largest ACF lag) must be at most n - 2
+    dec_need = max(int(probe_lags(config.l, config.m)[-1]), config.k0, config.j0, config.m) + 2
+    method_need = {"gt": dec_need, "dfar": 4, "pca_levels": 4, "pca_diff": 5}
+    needs = {f"method {m!r}": method_need[m] for m in methods}
+    if default_counts:
+        needs["the decomposition behind the default PCA factor counts"] = dec_need
+    binding = max(needs, key=needs.get)
+    if w < needs[binding]:
+        raise ArgumentError(f"window_start={w} is too short: {binding} needs "
+                            f"window_start >= {needs[binding]}")
+    dec0 = decompose(y[:w], config) if "gt" in methods or default_counts else None
     if pca_nfac_levels is None:
         pca_nfac_levels = max(dec0.r1_hat, 1)
     if pca_nfac_diff is None:
@@ -418,17 +397,14 @@ def evaluate_forecasts(
     origins = {h: n - h - w + 1 for h in horizons}
     taus = range(w, n - min(horizons) + 1)
     paths = {m: np.stack([forecasters[m](y[:tau], h_max) for tau in taus]) for m in methods}
-    fe: dict = {m: {} for m in methods}
-    rmsfe_series: dict = {}
-    losses: dict = {m: {} for m in methods}
-    for m in methods:
-        series_err = np.full((len(horizons), p), np.nan)
-        for hi, h in enumerate(horizons):
-            fc, ac = paths[m][:origins[h], h - 1], y[w + h - 1:]
-            fe[m][h] = fe_h(fc, ac)
-            losses[m][h] = np.linalg.norm(fc - ac, axis=1) / math.sqrt(p)
-            series_err[hi] = rmsfe(fc, ac)
-        rmsfe_series[m] = series_err
+    # one error array per method and horizon: rows are origins, columns series
+    errors = {m: {h: paths[m][:origins[h], h - 1] - y[w + h - 1:] for h in horizons}
+              for m in methods}
+    losses = {m: {h: np.linalg.norm(e, axis=1) / math.sqrt(p) for h, e in errors[m].items()}
+              for m in methods}
+    fe = {m: {h: float(np.mean(loss)) for h, loss in losses[m].items()} for m in methods}
+    rmsfe_series = {m: np.array([np.sqrt(np.mean(e ** 2, axis=0)) for e in errors[m].values()])
+                    for m in methods}
 
     lead = methods[0]
     dm = {(lead, other): {h: dm_test(losses[lead][h], losses[other][h]) for h in horizons}

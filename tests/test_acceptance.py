@@ -207,7 +207,7 @@ def test_criterion_7_invariant_suite(acceptance_report):
 def test_criterion_8_oracle_suite(acceptance_report):
     from scipy.special import chdtrc
 
-    from trendfactors.forecast import dm_test, fe_h, rmsfe
+    from trendfactors.forecast import dm_test
     from trendfactors.simgen import metric_Dbar
     from trendfactors.tsstats import sample_autocov
     from trendfactors.whitenoise import _ljung_box
@@ -222,8 +222,17 @@ def test_criterion_8_oracle_suite(acceptance_report):
     h1 = np.array([[1.0], [0.0]])
     h2 = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     checks["Dbar_half"] = abs(metric_Dbar(h1, h2) - np.sqrt(0.5)) <= 1e-6
-    checks["rmsfe_sqrt12p5"] = abs(rmsfe([3.0, 4.0], [0.0, 0.0]) - np.sqrt(12.5)) <= 1e-6
-    checks["fe_unit"] = abs(fe_h([[1.0, 1.0, 1.0, 1.0]], [[0.0] * 4]) - 1.0) <= 1e-6
+    # pca_levels with no components forecasts its training window's mean, so
+    # after rows of zeros the errors are set by hand: (3, 4) over two origins
+    # of one series, and (1, 1, 1, 1) at one origin
+    def mean_report(y, w):
+        return evaluate_forecasts(np.array(y), PipelineConfig(horizons=(1,), window_start=w),
+                                  methods=("pca_levels",), pca_nfac_levels=0, pca_nfac_diff=0)
+
+    rmsfe = mean_report([[0.0]] * 5 + [[3.0], [4.5]], 5).rmsfe_series["pca_levels"][0, 0]
+    checks["rmsfe_sqrt12p5"] = abs(rmsfe - np.sqrt(12.5)) <= 1e-6
+    fe = mean_report([[0.0] * 4] * 4 + [[1.0] * 4], 4).fe["pca_levels"][1]
+    checks["fe_unit"] = abs(fe - 1.0) <= 1e-6
     rng = np.random.default_rng(0)
     la, lb = rng.normal(size=40), rng.normal(size=40)
     checks["dm_antisymmetry"] = abs(

@@ -15,11 +15,9 @@ from trendfactors.forecast import (
     baseline_pca,
     dm_test,
     evaluate_forecasts,
-    fe_h,
     fit_factor_models,
     forecast_path,
     forecast_y,
-    rmsfe,
 )
 from trendfactors.pipeline import PipelineConfig, decompose
 from trendfactors.simgen import DgpSpec, generate
@@ -401,42 +399,79 @@ class TestOneRecursion:
         assert np.array_equal(baseline_dfar(y, 6), np.array(levels[1:]))
 
 
+def fe_h(forecasts, actuals):
+    """FE_h: the mean over origins (rows) of the error norm scaled by ``sqrt(p)``."""
+    f, a = np.atleast_2d(np.asarray(forecasts, dtype=float)), np.atleast_2d(actuals)
+    return float(np.mean(np.linalg.norm(f - a, axis=1) / math.sqrt(f.shape[1])))
+
+
+def rmsfe(forecasts, actuals):
+    """Root mean squared error over origins (rows), one per series (column)."""
+    return np.sqrt(np.mean((np.asarray(forecasts, dtype=float) - actuals) ** 2, axis=0))
+
+
+def mean_forecast_report(y, window_start):
+    """``evaluate_forecasts`` at horizon 1 of ``pca_levels`` with no components,
+    which forecasts each training window's mean: after rows of zeros the
+    errors are set by hand."""
+    return evaluate_forecasts(
+        np.asarray(y, dtype=float), PipelineConfig(horizons=(1,), window_start=window_start),
+        methods=("pca_levels",), pca_nfac_levels=0, pca_nfac_diff=0,
+    )
+
+
 class TestErrorMetrics:
+    """The scores of ``evaluate_forecasts`` on errors set by hand."""
+
     def test_fe_perfect(self):
-        assert fe_h(np.ones((3, 2)), np.ones((3, 2))) == 0.0
+        report = mean_forecast_report(np.ones((7, 2)), 4)
+        assert report.fe["pca_levels"][1] == 0.0
+        assert np.array_equal(report.rmsfe_series["pca_levels"], np.zeros((1, 2)))
 
     def test_fe_single_origin_scalar(self):
-        assert fe_h([[2.0]], [[1.0]]) == pytest.approx(1.0)
+        fe = mean_forecast_report([[0.0]] * 4 + [[1.0]], 4).fe["pca_levels"][1]
+        assert type(fe) is float and fe == 1.0
 
     def test_fe_unit_vector(self):
-        assert fe_h([[1.0, 1.0, 1.0, 1.0]], [[0.0] * 4]) == pytest.approx(1.0)
-
-    def test_fe_empty_raises(self):
-        with pytest.raises(ArgumentError):
-            fe_h(np.zeros((0, 3)), np.zeros((0, 3)))
+        # the error (1, 1, 1, 1) has norm 2 = sqrt(p)
+        report = mean_forecast_report([[0.0] * 4] * 4 + [[1.0] * 4], 4)
+        assert report.fe["pca_levels"][1] == pytest.approx(1.0)
 
     def test_rmsfe_values(self):
-        assert rmsfe([1.0], [1.0]) == 0.0
-        assert rmsfe([4.0], [1.0]) == pytest.approx(3.0)
-        assert rmsfe([3.0, 4.0], [0.0, 0.0]) == pytest.approx(math.sqrt(12.5), abs=1e-9)
-        assert type(rmsfe(np.array([3.0, 4.0]), np.zeros(2))) is float
+        assert mean_forecast_report(np.ones((5, 1)), 4).rmsfe_series["pca_levels"][0, 0] == 0.0
+        one = mean_forecast_report([[0.0]] * 4 + [[3.0]], 4)
+        assert one.rmsfe_series["pca_levels"][0, 0] == pytest.approx(3.0)
+        # the second origin forecasts 3 / 6 = 0.5, so both errors are set: 3 and 4
+        two = mean_forecast_report([[0.0]] * 5 + [[3.0], [4.5]], 5)
+        assert two.rmsfe_series["pca_levels"][0, 0] == pytest.approx(math.sqrt(12.5), abs=1e-9)
+        assert two.fe["pca_levels"][1] == pytest.approx(3.5)
 
     def test_rmsfe_column_wise(self):
         # rows are origins and columns series: one value per column
-        rng = np.random.default_rng(18)
-        f, a = rng.normal(size=(50, 7)), rng.normal(size=(50, 7))
-        per_column = [rmsfe(f[:, i], a[:, i]) for i in range(7)]
-        np.testing.assert_allclose(rmsfe(f, a), per_column, rtol=1e-15, atol=0)
-        for bad in ((f, a[:, :6]), (f[None], a[None])):
-            with pytest.raises(ArgumentError):
-                rmsfe(*bad)
+        y = np.cumsum(np.random.default_rng(18).normal(size=(60, 7)), axis=0)
+        report = evaluate_forecasts(y, PipelineConfig(horizons=(1, 2), window_start=10),
+                                    methods=("dfar",), pca_nfac_levels=1, pca_nfac_diff=1)
+        for hi, h in enumerate((1, 2)):
+            fc = np.array([baseline_dfar(y[:tau], h)[h - 1] for tau in range(10, 61 - h)])
+            ac = y[10 + h - 1:]
+            per_column = [rmsfe(fc[:, i], ac[:, i]) for i in range(7)]
+            np.testing.assert_allclose(report.rmsfe_series["dfar"][hi], per_column,
+                                       rtol=1e-15, atol=0)
 
     def test_permutation_invariance(self):
-        rng = np.random.default_rng(5)
-        f = rng.normal(size=(6, 4))
-        a = rng.normal(size=(6, 4))
-        perm = rng.permutation(4)
-        assert fe_h(f, a) == pytest.approx(fe_h(f[:, perm], a[:, perm]), rel=1e-12)
+        y = np.cumsum(np.random.default_rng(5).normal(size=(60, 4)), axis=0)
+        perm = np.random.default_rng(5).permutation(4)
+        config = PipelineConfig(horizons=(1, 3), window_start=40)
+        base, permuted = (evaluate_forecasts(panel, config, methods=("dfar", "pca_levels"))
+                          for panel in (y, y[:, perm]))
+        for m in ("dfar", "pca_levels"):
+            for h in (1, 3):
+                assert permuted.fe[m][h] == pytest.approx(base.fe[m][h], rel=1e-12)
+        # dfar forecasts each column on its own, so its errors permute bit for
+        # bit; the PCA forecasts permute only up to rounding
+        assert np.array_equal(permuted.rmsfe_series["dfar"], base.rmsfe_series["dfar"][:, perm])
+        np.testing.assert_allclose(permuted.rmsfe_series["pca_levels"],
+                                   base.rmsfe_series["pca_levels"][:, perm], rtol=1e-12, atol=0)
 
 
 class TestDmTest:
@@ -631,13 +666,22 @@ class TestEvaluateForecasts:
         assert len(calls) == report.origins[1] + 1
         assert sorted(calls) == list(range(240, 261))
 
-    def test_window_of_three_rows_names_panel_length(self):
-        y = np.cumsum(np.random.default_rng(15).normal(size=(12, 2)), axis=0)
-        with pytest.raises(ArgumentError, match=r"panel of n >= 4, got n = 3"):
-            evaluate_forecasts(
-                y, PipelineConfig(horizons=(1,), window_start=3), methods=("dfar",),
-                pca_nfac_levels=1, pca_nfac_diff=1,
-            )
+    @pytest.mark.parametrize("method, w", [("dfar", 3), ("pca_levels", 3), ("pca_diff", 4)])
+    def test_window_below_method_minimum_names_window_start(self, method, w, monkeypatch):
+        def no_forecast(*args, **kwargs):
+            raise AssertionError("a forecaster ran before window_start was checked")
+
+        y = np.cumsum(np.random.default_rng(15).normal(size=(40, 3)), axis=0)
+        config = PipelineConfig(horizons=(1,), window_start=w)
+        with monkeypatch.context() as patched:
+            for name in ("baseline_dfar", "baseline_pca", "decompose"):
+                patched.setattr(forecast, name, no_forecast)
+            with pytest.raises(ArgumentError, match=rf"^window_start={w} is too short: "
+                                                    rf"method '{method}' needs window_start >= {w + 1}$"):
+                evaluate_forecasts(y, config, methods=(method,), pca_nfac_levels=1, pca_nfac_diff=1)
+        report = evaluate_forecasts(y, replace(config, window_start=w + 1), methods=(method,),
+                                    pca_nfac_levels=1, pca_nfac_diff=1)
+        assert report.origins == {1: 39 - w}
 
     @pytest.mark.parametrize(
         "methods, nfac", [(("gt", "dfar"), 1), (("dfar",), None)], ids=["gt", "default_pca_count"]
@@ -698,9 +742,8 @@ class TestEvaluateForecasts:
         for m in methods:
             for hi, h in enumerate((1, 3)):
                 fc, ac = np.array(rows[m][h]), np.array(actual[h])
-                assert report.fe[m][h] == pytest.approx(fe_h(fc, ac), rel=1e-12)
-                expect = [rmsfe(fc[:, i], ac[:, i]) for i in range(5)]
-                np.testing.assert_allclose(report.rmsfe_series[m][hi], expect, rtol=1e-12)
+                assert report.fe[m][h] == fe_h(fc, ac)
+                assert np.array_equal(report.rmsfe_series[m][hi], rmsfe(fc, ac))
                 losses[m, h] = np.linalg.norm(fc - ac, axis=1) / math.sqrt(5)
         assert list(report.dm) == [("gt", m) for m in ("dfar", "pca_levels", "pca_diff")]
         for (_, other), per_h in report.dm.items():
