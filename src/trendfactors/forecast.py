@@ -330,13 +330,13 @@ def evaluate_forecasts(
     horizon, per-series errors are aggregated into RMSFE values, and the
     first method in ``methods``, in the order given, is tested pairwise
     against the others for equal predictive ability.  The first training
-    window ``y[:window_start]`` is decomposed once: that decomposition gives
-    the default PCA factor counts (the trend count for levels, the total
-    factor count for differences) and the gt forecast at the first origin,
-    so when it is needed ``window_start`` must leave room for every lag
-    ``decompose`` probes; ``dfar`` and ``pca_levels`` need
-    ``window_start >= 4`` and ``pca_diff`` needs 5.  When more than one
-    method is requested,
+    window ``y[:window_start]`` is decomposed only for the gt forecast at the
+    first origin and for a requested PCA method without a given count (the
+    trend count for levels, the total factor count for differences; ``meta``
+    holds each count used, ``None`` for a method not requested), so when it
+    is needed ``window_start`` must leave room for every lag ``decompose``
+    probes; ``dfar`` and ``pca_levels`` need ``window_start >= 4`` and
+    ``pca_diff`` needs 5.  When more than one method is requested,
     ``window_start`` must leave at least ``MIN_DM_LOSSES`` (8) origins at
     the largest horizon, the fewest losses ``dm_test`` accepts; a single
     method may use fewer.
@@ -365,7 +365,9 @@ def evaluate_forecasts(
     for name, nfac in (("pca_nfac_levels", pca_nfac_levels), ("pca_nfac_diff", pca_nfac_diff)):
         if nfac is not None and not (_is_int(nfac) and 0 <= nfac <= p):
             raise ArgumentError(f"{name} must be an integer in [0, {p}], got {nfac!r}")
-    default_counts = pca_nfac_levels is None or pca_nfac_diff is None
+    # the requested PCA methods' counts; a missing one is read off dec0 below
+    counts = {"pca_levels": pca_nfac_levels, "pca_diff": pca_nfac_diff}
+    counts = {m: counts[m] for m in methods if m in counts}
     # the first training window's length bounds every fit: dfar's AR(1) and
     # levels mode regress n - 2 differences on their lags, differences mode
     # needs 4 differences, and every lag decompose probes (k0, j0, the
@@ -373,24 +375,24 @@ def evaluate_forecasts(
     dec_need = max(int(probe_lags(config.l, config.m)[-1]), config.k0, config.j0, config.m) + 2
     method_need = {"gt": dec_need, "dfar": 4, "pca_levels": 4, "pca_diff": 5}
     needs = {f"method {m!r}": method_need[m] for m in methods}
-    if default_counts:
+    if None in counts.values():
         needs["the decomposition behind the default PCA factor counts"] = dec_need
     binding = max(needs, key=needs.get)
     if w < needs[binding]:
         raise ArgumentError(f"window_start={w} is too short: {binding} needs "
                             f"window_start >= {needs[binding]}")
-    dec0 = decompose(y[:w], config) if "gt" in methods or default_counts else None
-    if pca_nfac_levels is None:
-        pca_nfac_levels = max(dec0.r1_hat, 1)
-    if pca_nfac_diff is None:
-        pca_nfac_diff = min(max(dec0.r1_hat + dec0.r2_hat, 1), p)
+    dec0 = decompose(y[:w], config) if "gt" in methods or None in counts.values() else None
+    if "pca_levels" in counts and counts["pca_levels"] is None:
+        counts["pca_levels"] = max(dec0.r1_hat, 1)
+    if "pca_diff" in counts and counts["pca_diff"] is None:
+        counts["pca_diff"] = min(max(dec0.r1_hat + dec0.r2_hat, 1), p)
     # every training window is a prefix of y, so its length identifies it
     forecasters = {
         "gt": lambda train, h: _gt_forecast(dec0 if len(train) == w
                                             else decompose(train, config), h),
         "dfar": baseline_dfar,
-        "pca_levels": lambda train, h: baseline_pca(train, pca_nfac_levels, "levels", h),
-        "pca_diff": lambda train, h: baseline_pca(train, pca_nfac_diff, "differences", h),
+        "pca_levels": lambda train, h: baseline_pca(train, counts["pca_levels"], "levels", h),
+        "pca_diff": lambda train, h: baseline_pca(train, counts["pca_diff"], "differences", h),
     }
 
     # origin w + i forecasts row w + i + h - 1 of y, so horizon h has n - h - w + 1 origins
@@ -414,5 +416,6 @@ def evaluate_forecasts(
     return ForecastReport(
         horizons=horizons, methods=methods, window_start=w, origins=origins,
         forecasts=forecasts, fe=fe, rmsfe_series=rmsfe_series, dm=dm,
-        meta={"pca_nfac_levels": pca_nfac_levels, "pca_nfac_diff": pca_nfac_diff},
+        meta={"pca_nfac_levels": counts.get("pca_levels"),
+              "pca_nfac_diff": counts.get("pca_diff")},
     )

@@ -8,7 +8,10 @@ idiosyncratic noise.
 
 Every draw is deterministic given the spec's 64-bit seed; the Monte Carlo
 driver derives independent per-replication streams from (base seed, cell
-index, rep index) so replications can run in any order.
+index, rep index) so replications can run in any order.  Each replication
+scores the estimate by three span distances (``Dbar_A1``, ``Dbar_A2``,
+``Dbar_A2U1``) and two path RMSEs (``rmse_trend``, ``rmse_stationary``),
+the RMSEs from the R factor of the stacked loadings, with no ``n x p`` path.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "draw_panel",
     "generate",
     "metric_Dbar",
-    "rmse_factors",
     "run_montecarlo",
     "derive_seed",
     "VARIANTS",
@@ -89,7 +91,9 @@ class GroundTruth:
     ``A1``/``A2`` are the orthonormal mixing blocks used to build the panel,
     ``U22_1``/``U22_2`` the stationary mixing blocks, ``phi`` the AR
     coefficients, and ``x1``/``f2``/``eps`` the latent paths (in example 2
-    the strength exponent lives on the ``x1`` increments).
+    the strength exponent lives on the ``x1`` increments).  The panel is
+    ``y = x1 A1' + (f2 U22_1' + eps U22_2') A2'``, with the trend paths
+    ``x1 A1'`` and the stationary-factor paths ``f2 (A2 U22_1)'``.
     """
 
     A1: np.ndarray
@@ -100,14 +104,6 @@ class GroundTruth:
     x1: np.ndarray
     f2: np.ndarray
     eps: np.ndarray
-
-    def trend_paths(self) -> np.ndarray:
-        """The trend contribution ``A1 x1_t`` of every observation."""
-        return self.x1 @ self.A1.T
-
-    def factor_paths(self) -> np.ndarray:
-        """The stationary-factor contribution ``A2 U22_1 f2_t``."""
-        return self.f2 @ self.U22_1.T @ self.A2.T
 
 
 @dataclass(frozen=True)
@@ -222,8 +218,10 @@ def draw_panel(spec: DgpSpec, mixing: Mixing, seed) -> tuple[TimeSeriesPanel, Gr
     f2 = (paths * np.sqrt(1.0 - phi[:, None] ** 2)).T.copy()
     eps = rng.standard_normal((n, spec.v))
     a1, a2 = mixing.A[:, :r1], mixing.A[:, r1:]
-    x2 = f2 @ mixing.U22_1.T + eps @ mixing.U22_2.T
-    y = x1 @ a1.T + x2 @ a2.T
+    x2 = f2 @ mixing.U22_1.T
+    x2 += eps @ mixing.U22_2.T
+    y = x1 @ a1.T
+    y += x2 @ a2.T
     truth = GroundTruth(
         A1=a1, A2=a2, U22_1=mixing.U22_1, U22_2=mixing.U22_2,
         phi=mixing.phi, x1=x1, f2=f2, eps=eps,
@@ -259,22 +257,15 @@ def metric_Dbar(h1: np.ndarray, h2: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - overlap / max(d1, d2))))
 
 
-def rmse_factors(estimate: np.ndarray, truth: np.ndarray, normalization: str = "small") -> float:
-    """Root-mean-square error between reconstructed and true factor paths.
+def _path_rmse(x_hat, a_hat, x, a, denom) -> float:
+    """``sqrt(||x_hat a_hat' - x a'||_F^2 / denom)`` without forming either path.
 
-    ``small`` averages squared per-time errors over time only; ``large``
-    additionally divides by the dimension, which is the scaling used when
-    the panel width grows.
+    With ``[a_hat, a] = Q R`` (thin QR, ``Q`` with orthonormal columns), the
+    difference is ``[x_hat, -x] R' Q'`` and has the Frobenius norm of
+    ``[x_hat, -x] R'``: an ``n x (r_hat + r)`` product instead of ``n x p`` ones.
     """
-    est = np.asarray(estimate, dtype=float)
-    tru = np.asarray(truth, dtype=float)
-    if est.shape != tru.shape:
-        raise ArgumentError(f"shape mismatch: {est.shape} vs {tru.shape}")
-    if normalization not in ("small", "large"):
-        raise ArgumentError(f"normalization must be 'small' or 'large', got {normalization!r}")
-    n, p = est.shape
-    denom = n if normalization == "small" else n * p
-    return float(np.sqrt(np.sum((est - tru) ** 2) / denom))
+    r = np.linalg.qr(np.hstack([a_hat, a]), mode="r")
+    return float(np.linalg.norm(np.hstack([x_hat, -x]) @ r.T) / np.sqrt(denom))
 
 
 def _parse_variant(name: str) -> tuple[bool, bool]:
@@ -394,20 +385,22 @@ def _replication(
                "total": float(r1 + r2 == spec.r1 + spec.r2)}
         for name, (r1, r2) in zip(variants, counts)
     }
-    # span/path accuracy metrics, computed under the first requested variant
-    norm = "small" if spec.example == 1 else "large"
+    # span/path accuracy metrics under the first requested variant; example 2
+    # averages the squared path errors over the dimension as well as time
+    denom = spec.n if spec.example == 1 else spec.n * spec.p
     metrics = {
         "Dbar_A1": _span_distance(dec.A1, truth.A1),
         # A2 and truth.A2 complete A1 and truth.A1 to orthonormal bases
         "Dbar_A2": _complement_distance(dec.A1, truth.A1),
-        "rmse_trend": rmse_factors(dec.x1 @ dec.A1.T, truth.trend_paths(), norm),
+        "rmse_trend": _path_rmse(dec.x1, dec.A1, truth.x1, truth.A1, denom),
         "Dbar_A2U1": np.nan,
         "rmse_stationary": np.nan,
     }
     if dec.r2_hat >= 1:
         a2u1_hat = dec.A2_times(dec.U1)
-        metrics["Dbar_A2U1"] = _span_distance(a2u1_hat, truth.A2 @ truth.U22_1)
-        metrics["rmse_stationary"] = rmse_factors(dec.z2 @ a2u1_hat.T, truth.factor_paths(), norm)
+        a2u1 = truth.A2 @ truth.U22_1
+        metrics["Dbar_A2U1"] = _span_distance(a2u1_hat, a2u1)
+        metrics["rmse_stationary"] = _path_rmse(dec.z2, a2u1_hat, truth.f2, a2u1, denom)
     return indicators, metrics
 
 

@@ -137,9 +137,9 @@ def constant_floor(level):
 def constant_columns(variance: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Mask of the columns of ``x`` whose ``variance`` is at most the
     :func:`constant_floor` of their largest magnitude ``max |x|``."""
-    # a column-wise maximum over a narrow array costs several times one over
-    # all of it, and only a column under the all-column floor can be flagged
-    flat = variance <= constant_floor(np.abs(x).max(initial=0.0))
+    # max |x| over all of x first, as max(max x, -min x) with no |x| array: only
+    # a column under that floor can be flagged, and a column-wise max costs more
+    flat = variance <= constant_floor(max(x.max(initial=0.0), -x.min(initial=0.0)))
     if flat.any():
         flat = variance <= constant_floor(np.abs(x).max(axis=0, initial=0.0))
     return flat

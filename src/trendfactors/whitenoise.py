@@ -106,7 +106,8 @@ def _fill_peak(peak, xc, sd, m, rows, cols) -> None:
     block = _peak_abs_corr(xc, sd, m, rows, both)
     own, other = block[:, : rows.size], block[:, rows.size:]
     np.maximum(own, own.T, out=own)
-    np.maximum(other, _peak_abs_corr(xc, sd, m, rest, rows).T, out=other)
+    if rest.size:
+        np.maximum(other, _peak_abs_corr(xc, sd, m, rest, rows).T, out=other)
     peak[np.ix_(rows, both)] = block
     peak[np.ix_(both, rows)] = block.T
 

@@ -684,22 +684,41 @@ class TestEvaluateForecasts:
         assert report.origins == {1: 39 - w}
 
     @pytest.mark.parametrize(
-        "methods, nfac", [(("gt", "dfar"), 1), (("dfar",), None)], ids=["gt", "default_pca_count"]
+        "methods, nfac, decomposes",
+        [(("gt", "dfar"), 1, True), (("dfar",), None, False), (("dfar", "pca_diff"), None, True)],
+        ids=["gt", "default_pca_count", "pca_without_count"],
     )
-    def test_window_too_short_to_decompose(self, methods, nfac):
+    def test_window_too_short_to_decompose(self, methods, nfac, decomposes, monkeypatch):
+        # the first window is decomposed for gt and for a requested PCA method
+        # without a given count, and only then; a dfar-only run needs 4 rows
+        calls = []
+
+        def counting(y, config):
+            calls.append(len(y))
+            return decompose(y, config)
+
+        monkeypatch.setattr(forecast, "decompose", counting)
         y = np.cumsum(np.random.default_rng(15).normal(size=(60, 2)), axis=0)
         # the largest probed ACF lag is 1 + 3 * 9 = 28, so decompose needs 30 rows
-        for w in (3, 29):
-            with pytest.raises(ArgumentError, match=r"window_start=\d+ .*window_start >= 30"):
+        need = 30 if decomposes else 4
+        for w in sorted({3, need - 1}):
+            with pytest.raises(ArgumentError, match=rf"window_start={w} .*>= {need}\b"):
                 evaluate_forecasts(
                     y, PipelineConfig(horizons=(1,), window_start=w), methods=methods,
                     pca_nfac_levels=nfac, pca_nfac_diff=nfac,
                 )
         report = evaluate_forecasts(
-            y, PipelineConfig(horizons=(1,), window_start=30), methods=methods,
+            y, PipelineConfig(horizons=(1,), window_start=need), methods=methods,
             pca_nfac_levels=nfac, pca_nfac_diff=nfac,
         )
-        assert report.window_start == 30
+        assert report.window_start == need
+        # the first window's decomposition comes first; a dfar-only run has none
+        assert calls[:1] == ([need] if decomposes else [])
+        # a count no requested method uses is reported as None
+        assert report.meta["pca_nfac_levels"] is None
+        assert (report.meta["pca_nfac_diff"] is None) == ("pca_diff" not in methods)
+        if not decomposes:
+            return
         small = PipelineConfig(horizons=(1,), window_start=8, l=1, m=4, k0=6)
         with pytest.raises(ArgumentError, match=r"window_start >= 8\b"):
             evaluate_forecasts(y, replace(small, window_start=7), methods=methods,

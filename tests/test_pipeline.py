@@ -219,7 +219,8 @@ class TestDecompose:
         assert hits >= 90
 
     def test_stationary_rmse_improves_with_n(self):
-        from trendfactors.simgen import derive_seed, draw_mixing, draw_panel, rmse_factors
+        from dense_paths import factor_paths, rmse_factors
+        from trendfactors.simgen import derive_seed, draw_mixing, draw_panel
 
         spec_lo = DgpSpec(p=6, n=200, example=1)
         spec_hi = DgpSpec(p=6, n=3000, example=1)
@@ -232,7 +233,7 @@ class TestDecompose:
                 panel, truth = draw_panel(spec, mixing, derive_seed(4, 0, rep))
                 dec = decompose(panel)
                 est = dec.z2 @ (dec.A2 @ dec.U1).T
-                vals[spec.n] = rmse_factors(est, truth.factor_paths(), "small")
+                vals[spec.n] = rmse_factors(est, factor_paths(truth), "small")
             if vals[3000] < vals[200]:
                 better += 1
         assert better >= 0.95 * reps

@@ -1,5 +1,6 @@
 """Generators, subspace metrics, and the Monte Carlo driver."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from dense_paths import factor_paths, rmse_factors, trend_paths
 from scipy.signal import lfilter
 
 from trendfactors import stationary
@@ -16,6 +18,7 @@ from trendfactors.simgen import (
     DgpSpec,
     Mixing,
     _complement_distance,
+    _path_rmse,
     _replication,
     _span_distance,
     derive_seed,
@@ -24,7 +27,6 @@ from trendfactors.simgen import (
     generate,
     metric_Dbar,
     random_orthonormal,
-    rmse_factors,
     run_montecarlo,
 )
 from trendfactors.whitenoise import _ljung_box
@@ -278,7 +280,9 @@ class TestComplementDistance:
 
     def test_replication_matches_dense_A2(self):
         # the metrics are read off decompose's result under the first variant's
-        # config, bit for bit; the dense A2 agrees with the complement formula
+        # config: the span distances bit for bit, the RMSEs (computed without
+        # the n x p paths) to 1e-12 relative of the dense formula; the dense A2
+        # agrees with the complement formula
         cells = [
             DgpSpec(p=30, n=300, r1=2, r2=0, example=2, seed=2),  # narrow; aw and a*w* differ
             DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=4),  # wide
@@ -298,15 +302,19 @@ class TestComplementDistance:
                 expected = {
                     "Dbar_A1": _span_distance(dec.A1, truth.A1),
                     "Dbar_A2": _complement_distance(dec.A1, truth.A1),
-                    "rmse_trend": rmse_factors(dec.x1 @ dec.A1.T, truth.trend_paths(), "large"),
+                    "rmse_trend": rmse_factors(dec.x1 @ dec.A1.T, trend_paths(truth), "large"),
                     "Dbar_A2U1": (_span_distance(a2u1, truth.A2 @ truth.U22_1)
                                   if dec.r2_hat else np.nan),
-                    "rmse_stationary": (rmse_factors(dec.z2 @ a2u1.T, truth.factor_paths(), "large")
+                    "rmse_stationary": (rmse_factors(dec.z2 @ a2u1.T, factor_paths(truth), "large")
                                         if dec.r2_hat else np.nan),
                 }
                 assert metrics.keys() == expected.keys()
                 for key, value in expected.items():
-                    assert np.array_equal(metrics[key], value, equal_nan=True), key
+                    if key.startswith("rmse_"):
+                        assert metrics[key] == pytest.approx(value, rel=1e-12, abs=0,
+                                                             nan_ok=True), key
+                    else:
+                        assert np.array_equal(metrics[key], value, equal_nan=True), key
                 assert abs(metrics["Dbar_A2"] - metric_Dbar(dec.A2, truth.A2)) <= 1e-12
                 if dec.r2_hat and spec.r2:
                     dense = metric_Dbar(dec.A2 @ dec.U1, truth.A2 @ truth.U22_1)
@@ -335,6 +343,91 @@ class TestRmseFactors:
         assert rmse_factors(est, truth, "large") == pytest.approx(
             rmse_factors(est, truth, "small") / 2.0, rel=1e-12
         )
+
+
+class TestPathRmse:
+    """The replication RMSEs are read off the R factor of the stacked loadings;
+    they must equal the dense formula on the ``n x p`` paths."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DgpSpec(p=50, n=300, r1=4, r2=6, K=2, example=2, seed=1),  # narrow
+            DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=4),  # wide, p >= n
+            DgpSpec(p=20, n=200, r1=0, r2=0, example=2, seed=3),  # no factor
+            DgpSpec(p=6, n=200, example=1, seed=5),
+        ],
+        ids=["narrow", "wide", "no_factor", "ex1"],
+    )
+    def test_replication_matches_dense_paths(self, spec):
+        panel, truth = generate(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, metrics = _replication(panel, truth, spec, PipelineConfig(), ["a*w*"])
+            dec = decompose(panel)
+        norm = "small" if spec.example == 1 else "large"
+        trend = rmse_factors(dec.x1 @ dec.A1.T, trend_paths(truth), norm)
+        assert metrics["rmse_trend"] == pytest.approx(trend, rel=1e-12, abs=0)
+        if dec.r2_hat:
+            stationary = rmse_factors(dec.z2 @ dec.A2_times(dec.U1).T, factor_paths(truth), norm)
+            assert metrics["rmse_stationary"] == pytest.approx(stationary, rel=1e-12, abs=0)
+        else:
+            assert np.isnan(metrics["rmse_stationary"])
+
+    def test_empty_and_overfull_loadings(self):
+        # an estimate or a truth without columns, and r_hat + r > p, where R
+        # has fewer rows than columns
+        spec = DgpSpec(p=6, n=200, example=1, seed=2)
+        panel, truth = generate(spec)
+        dec = decompose(panel)
+        x2 = truth.f2 @ truth.U22_1.T + truth.eps @ truth.U22_2.T
+        cases = [
+            (dec.x1[:, :0], dec.A1[:, :0], truth.x1, truth.A1),  # r_hat = 0
+            (dec.x1, dec.A1, truth.x1[:, :0], truth.A1[:, :0]),  # r = 0
+            (dec.x1[:, :0], dec.A1[:, :0], truth.x1[:, :0], truth.A1[:, :0]),
+            (dec.x2, dec.A2, x2, truth.A2),  # r_hat + r = 8 > p = 6
+        ]
+        for x_hat, a_hat, x, a in cases:
+            dense = rmse_factors(x_hat @ a_hat.T, x @ a.T, "small")
+            assert _path_rmse(x_hat, a_hat, x, a, spec.n) == pytest.approx(dense, rel=1e-12, abs=0)
+        assert _path_rmse(*cases[2], spec.n) == 0.0
+        # the panel itself on identity loadings against its generative
+        # decomposition (r_hat + r = 12): the paths agree up to rounding
+        y = panel.data
+        exact = (y, np.eye(spec.p), np.hstack([truth.x1, x2]), np.hstack([truth.A1, truth.A2]))
+        assert _path_rmse(*exact, spec.n) <= 1e-13 * np.abs(y).max()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DgpSpec(p=50, n=2000, r1=4, r2=6, K=2, example=2, seed=1),
+            DgpSpec(p=200, n=300, r1=2, r2=3, K=1, example=2, seed=1),
+            DgpSpec(p=400, n=200, r1=2, r2=3, K=1, example=2, seed=4),
+        ],
+        ids=["narrow", "many_series", "wide"],
+    )
+    def test_replication_forms_no_panel_sized_array(self, spec, monkeypatch):
+        # with the stages precomputed, a replication's metrics allocate
+        # O((n + p) (r_hat + r)) doubles, not the O(n p) of the paths
+        from trendfactors import simgen
+
+        panel, truth = generate(spec)
+        variants = ["a*w*", "aw"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            staged = simgen._run_stages(panel, PipelineConfig(),
+                                        [simgen._parse_variant(v) for v in variants])
+        monkeypatch.setattr(simgen, "_run_stages", lambda *args: staged)
+        _replication(panel, truth, spec, PipelineConfig(), variants)
+        tracemalloc.start()
+        try:
+            _replication(panel, truth, spec, PipelineConfig(), variants)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dec = staged[0]
+        width = max(dec.r1_hat + spec.r1, dec.r2_hat + spec.r2)
+        assert peak / 8 <= 3 * (spec.n + spec.p) * width < spec.n * spec.p
 
 
 class TestRunMontecarlo:

@@ -125,6 +125,16 @@ class TestSampleAcf:
         assert constant.tolist() == (gamma0 <= (1e-13 * np.maximum(1.0, level)) ** 2).tolist()
         assert constant.tolist() == [False, False, True, True]
 
+    def test_floor_reads_a_negative_level(self):
+        # max |x| is read as max(max x, -min x): a constant at -1e6 - 0.1, the
+        # panel's largest magnitude, is flagged as the one at 1e6 + 0.1 is
+        from trendfactors.tsstats import centered_columns
+
+        x = np.column_stack([np.full(300, -1e6 - 0.1), np.linspace(-1.0, 1.0, 300)])
+        _, gamma0, constant = centered_columns(x)
+        assert gamma0[0] > (1e-13) ** 2
+        assert constant.tolist() == [True, False]
+
     def test_bounded_by_one(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -315,6 +315,23 @@ class TestCountFactors:
             assert start % _SCAN_BLOCK == width % _SCAN_BLOCK or start == 0
         assert counts.truncated == 0
 
+    def test_scan_forms_no_empty_products(self, monkeypatch):
+        # a scan that fits in one block has no other components to pair its
+        # rows with, so no cross-correlation product over zero rows is formed
+        from trendfactors import whitenoise
+
+        shapes = []
+        real = whitenoise._peak_abs_corr
+
+        def recording(xc, sd, m, rows, cols):
+            shapes.append((len(rows), len(cols)))
+            return real(xc, sd, m, rows, cols)
+
+        monkeypatch.setattr(whitenoise, "_peak_abs_corr", recording)
+        x = np.random.default_rng(24).normal(size=(400, 30))
+        count_factors(x, 5, 0.05, (True, False))
+        assert shapes and min(min(shape) for shape in shapes) > 0
+
     def test_bottom_up_keeps_input_order(self):
         rng = np.random.default_rng(19)
         x = np.column_stack([ar1(rng, 500, 0.8), rng.normal(size=500), rng.normal(size=500)])
