@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, IllConditionedError
 from .stationary import build_M2, estimate_K, estimate_V2, recover_z2
-from .tsstats import EigenDecomposition, as_panel, sample_autocov, sym_eigen
+from .tsstats import EigenDecomposition, as_panel, sym_eigen
 from .unitroot import M1Eigen, first_stage, null_width, scan_r1
 from .whitenoise import FactorCounts, count_factors
 
@@ -28,8 +28,6 @@ __all__ = ["PipelineConfig", "Decomposition", "decompose", "second_stage", "reco
 SMALL_P_THRESHOLD = 10
 # Largest prominent-noise count the eigenvalue-ratio rule considers.
 MAX_K = 10
-# The spectrum of a matrix over no components.
-_NO_SPECTRUM = EigenDecomposition(values=np.zeros(0), vectors=np.zeros((0, 0)))
 
 
 def _is_int(value) -> bool:
@@ -206,27 +204,23 @@ def second_stage(
     constant columns ``M2``'s eigenvalues are exact zeros and its
     eigenvectors unit vectors).  The constant columns count as white noise,
     last in the testing order.  A block with no other column (all of ``x2``
-    constant, or ``x2`` empty) has nothing to test: the eigendecomposition
-    and ``xi`` are empty, every p-value is 1, the testing order is the
-    column order, every count is 0 and nothing is truncated.
+    constant, or ``x2`` empty) runs the same code on an empty ``M2``: the
+    eigendecomposition and ``xi`` are empty and :func:`count_factors` gives
+    p-values 1, the column order and counts 0, with the truncation and scan
+    widths that the block's width sets.
     """
     lead = x2.shape[1] - null
-    if lead:
-        eig2 = sym_eigen(build_M2(x2[:, :lead], config.j0))
-        xi = x2[:, :lead] @ eig2.vectors
-        counts = count_factors(
-            xi,
-            config.m,
-            config.alpha,
-            reorders,
-            config.epsilon,
-            bottom_up=x2.shape[1] <= SMALL_P_THRESHOLD,
-            null=null,
-        )
-    else:
-        eig2, xi = _NO_SPECTRUM, np.zeros((x2.shape[0], 0))
-        counts = FactorCounts(np.ones(null), dict.fromkeys(reorders, np.arange(null)),
-                              dict.fromkeys(reorders, 0), 0, dict.fromkeys(reorders, 0))
+    eig2 = sym_eigen(build_M2(x2[:, :lead], config.j0) if lead else np.zeros((0, 0)))
+    xi = x2[:, :lead] @ eig2.vectors
+    counts = count_factors(
+        xi,
+        config.m,
+        config.alpha,
+        reorders,
+        config.epsilon,
+        bottom_up=x2.shape[1] <= SMALL_P_THRESHOLD,
+        null=null,
+    )
     return eig2, xi, counts
 
 
@@ -266,7 +260,11 @@ def recover_factors(
     null = d - lead
     v_lead = lead - r2
     factors = order[:r2]
-    g = sample_autocov(xi, 0)[:, order[r2:lead]] if lead else np.zeros((0, 0))
+    # S's factor W'G: the lag-0 covariance of the components, over the white ones
+    xc = xi - xi.sum(axis=0) / len(xi)
+    g = (xc.T @ xc / len(xi))[:, order[r2:lead]]
+    # freed before the G'G eigendecomposition, which would otherwise raise the peak
+    del xc
     eig_g = sym_eigen(g.T @ g)
     if config.K_override is not None:
         k_hat = min(config.K_override, v_lead)

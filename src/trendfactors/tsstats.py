@@ -1,9 +1,10 @@
 """Foundational time-series statistics.
 
-The panel type, sample autocovariances (divisor ``n`` at every lag) and
-their Gram sums, centered columns with their constant-column mask, the
-autocorrelations that both eigen-stages read, and the dense symmetric
-eigensolver contract used by every downstream stage.
+The panel type, the Gram sums of sample autocovariances that both
+eigen-stage matrices are built from, centered columns with their
+constant-column mask, the autocorrelations that the first stage and
+Ljung-Box read, and the dense symmetric eigensolver contract used by every
+downstream stage.
 
 All functions are pure: they never mutate their inputs and hold no state,
 so they are safe to call concurrently.
@@ -22,7 +23,6 @@ __all__ = [
     "TimeSeriesPanel",
     "EigenDecomposition",
     "as_panel",
-    "sample_autocov",
     "autocov_gram",
     "constant_floor",
     "constant_columns",
@@ -93,32 +93,12 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def sample_autocov(panel, k: int) -> np.ndarray:
-    """Lag-``k`` sample covariance matrix.
-
-    Returns ``(1/n) * sum_{t=k+1..n} (y_t - ybar)(y_{t-k} - ybar)'`` with
-    ``ybar`` the full-sample mean.  The divisor is ``n`` at every lag, which
-    keeps the Ljung-Box inputs consistent with the matrix statistics built
-    downstream.
-
-    Parameters
-    ----------
-    panel : TimeSeriesPanel or array-like, shape (n, p)
-    k : int
-        Lag, ``0 <= k <= n - 2``.
-    """
-    pan = as_panel(panel)
-    y, n = pan.data, pan.n
-    # k = n - 1 keeps exactly one summand and stays well defined
-    if not 0 <= k <= n - 1:
-        raise ArgumentError(f"lag k={k} outside [0, {n - 1}] for n={n}")
-    yc = y - y.sum(axis=0) / n
-    return yc[k:].T @ yc[: n - k] / n
-
-
 def autocov_gram(pan: TimeSeriesPanel, lags) -> np.ndarray:
-    """``sum_{k in lags} C(k) C(k)'`` of :func:`sample_autocov`, centering
-    the panel once for all lags; each ``C C'`` is one ``syrk``, exactly symmetric."""
+    """``sum_{k in lags} C(k) C(k)'`` over the lag-``k`` sample covariances
+    ``C(k) = (1/n) sum_{t=k+1..n} (y_t - ybar)(y_{t-k} - ybar)'``, with
+    ``ybar`` the full-sample mean and divisor ``n`` at every lag (the
+    convention of every stage).  The panel is centered once for all lags;
+    each ``C C'`` is one ``syrk``, exactly symmetric."""
     yc = pan.data - pan.data.sum(axis=0) / pan.n
     gram = np.zeros((pan.p, pan.p))
     for k in lags:

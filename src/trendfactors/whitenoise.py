@@ -170,11 +170,13 @@ def count_factors(
     ``t .. t + null - 1``.  They are not tested: they are white noise with p-value
     1, last in every order, and they count toward the width that sets the
     truncation and the threshold.  The constant-component warning concerns
-    the columns of ``xi`` only.
+    the columns of ``xi`` only.  ``xi`` may have no columns: every count is
+    then 0, every p-value 1 and each order ``arange(null)``, and without
+    ``bottom_up`` the scan reaches every kept component.
     """
     x = np.asarray(xi, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ArgumentError(f"component panel must be n x d with d >= 1, got {x.shape}")
+    if x.ndim != 2:
+        raise ArgumentError(f"component panel must be n x d, got {x.shape}")
     if not 0.0 < alpha < 1.0:
         raise ArgumentError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < epsilon <= 1.0:

@@ -209,7 +209,7 @@ def test_criterion_8_oracle_suite(acceptance_report):
 
     from trendfactors.forecast import dm_test
     from trendfactors.simgen import metric_Dbar
-    from trendfactors.tsstats import sample_autocov
+    from trendfactors.tsstats import TimeSeriesPanel, acf_profile, autocov_gram
     from trendfactors.whitenoise import _ljung_box
 
     checks = {}
@@ -217,8 +217,11 @@ def test_criterion_8_oracle_suite(acceptance_report):
     checks["ljung_box_Q"] = abs(q - 4.5) <= 1e-6
     checks["chi2_sf_4.5_df1"] = abs(pval - 0.0338948535246852) <= 1e-6
     checks["chi2_sf_2ln2_df2"] = abs(chdtrc(2, 2.0 * np.log(2.0)) - 0.5) <= 1e-6
-    checks["autocov_lag0"] = abs(sample_autocov([[1.0], [3.0]], 0)[0, 0] - 1.0) <= 1e-6
-    checks["autocov_lag1"] = abs(sample_autocov([[1.0], [3.0]], 1)[0, 0] + 0.5) <= 1e-6
+    # the stages' kernels divide by n at every lag: an n - 1 divisor would read
+    # 4.0 for C(0)^2, and an n - k divisor -1.0 for the lag-1 autocorrelation
+    checks["autocov_lag0"] = abs(autocov_gram(TimeSeriesPanel([[1.0], [3.0]]), [0])[0, 0]
+                                 - 1.0) <= 1e-6
+    checks["autocov_lag1"] = abs(acf_profile([[1.0], [3.0]], [1])[0, 0] + 0.5) <= 1e-6
     h1 = np.array([[1.0], [0.0]])
     h2 = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     checks["Dbar_half"] = abs(metric_Dbar(h1, h2) - np.sqrt(0.5)) <= 1e-6

@@ -292,6 +292,7 @@ class TestForecastY:
                           + fit.nonstat.coef @ (dec.x1[-1] - dec.x1[-2]))
             assert np.allclose(got, dec.A1 @ trend_only, atol=1e-10)
 
+    @pytest.mark.blas_threads
     def test_no_stationary_factors_match_reference(self):
         # r2 = 0: the (h, 0) @ (0, p) factor product is zeros, so the forecast
         # is the trend part alone
@@ -369,6 +370,7 @@ RECURSION_PANELS = {
 }
 
 
+@pytest.mark.blas_threads
 @pytest.mark.filterwarnings("ignore:projected PCA recovery is ill conditioned")
 @pytest.mark.parametrize("panel", list(RECURSION_PANELS))
 class TestOneRecursion:
@@ -557,6 +559,7 @@ class TestBaselines:
         fc = baseline_pca(y, 1, "levels", 2)
         assert fc.shape == (2, 5)
 
+    @pytest.mark.blas_threads
     def test_pca_levels_zero_factors_match_reference(self):
         # no components: the general path forecasts the sample mean
         y = np.random.default_rng(11).normal(size=(40, 3)) + np.array([1.0, -2.0, 5.0])

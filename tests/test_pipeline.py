@@ -11,6 +11,8 @@ from trendfactors.pipeline import PipelineConfig, decompose
 from trendfactors.simgen import DgpSpec, generate
 from trendfactors.tsstats import as_panel
 
+from autocov_reference import sample_autocov
+
 
 def check_decomposition_invariants(panel, dec, atol=1e-8):
     y = panel.data
@@ -194,7 +196,9 @@ class TestDecompose:
         assert trends.V2.shape == (21, 0) and trends.z2.shape == (40, 0)
         diag = trends.diagnostics
         assert diag["truncated_components"] == 0 and diag["v2_fallback"] is False
-        assert diag["scanned_components"] == 0
+        # the block (d = 21 > 10, d < n) runs the sequential test like any other,
+        # whose scan reaches all its constants without a rejection
+        assert diag["scanned_components"] == 21
         assert np.array_equal(diag["M2_eigenvalues"], np.zeros(21))
         assert np.array_equal(diag["S_eigenvalues"], np.zeros(21))
         assert np.array_equal(diag["lb_pvalues"], np.ones(21))
@@ -282,6 +286,7 @@ def counts(dec):
     return dec.r1_hat, dec.r2_hat, dec.v_hat, dec.K_hat
 
 
+@pytest.mark.blas_threads
 class TestInvariance:
     @pytest.mark.parametrize("spec", NARROW + WIDE, ids=spec_id)
     def test_column_permutation(self, spec):
@@ -303,6 +308,49 @@ class TestInvariance:
         base = counts(quiet_decompose(y))
         for c in (1e-3, 0.125, 7.5, 1e3):
             assert counts(quiet_decompose(c * y)) == base, f"c={c}"
+
+
+WALKS = {
+    # the row space of this wide panel is all trends, leaving only the constants
+    "all_constants": (np.cumsum(np.random.default_rng(0).normal(size=(40, 60)), axis=0),
+                      PipelineConfig(c0=1e-6, l=1, m=5)),
+    "no_stationary_block": (np.cumsum(np.random.default_rng(8).normal(size=(800, 2)), axis=0),
+                            PipelineConfig()),
+}
+
+
+class TestLag0Covariance:
+    @pytest.mark.blas_threads
+    @pytest.mark.parametrize("case", ["narrow", "wide", "all_constants", "no_stationary_block"])
+    def test_factor_of_S_match_reference(self, case, monkeypatch):
+        # recover_factors forms S's factor g = C(0)[:, white] of the components
+        # xi in place; it must give the bits of the reference covariance
+        from trendfactors import pipeline
+
+        y, config = WALKS[case] if case in WALKS else (
+            generate(NARROW[1] if case == "narrow" else WIDE[0])[0].data, PipelineConfig())
+        seen = {}
+
+        def recording_stage(*args, **kwargs):
+            seen["stage2"] = real_stage(*args, **kwargs)
+            return seen["stage2"]
+
+        def recording_v2(g, *args, **kwargs):
+            seen["g"] = g
+            return real_v2(g, *args, **kwargs)
+
+        real_stage, real_v2 = pipeline.second_stage, pipeline.estimate_V2
+        monkeypatch.setattr(pipeline, "second_stage", recording_stage)
+        monkeypatch.setattr(pipeline, "estimate_V2", recording_v2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dec = decompose(y, config)
+        xi = seen["stage2"][1]
+        lead, r2 = xi.shape[1], dec.r2_hat
+        order = dec.diagnostics["component_order"]
+        expected = sample_autocov(xi, 0)[:, order[r2:lead]] if lead else np.zeros((0, 0))
+        assert (lead > 0) == (case in ("narrow", "wide"))
+        assert seen["g"].shape == expected.shape and np.array_equal(seen["g"], expected)
 
 
 class TestWidePanel:

@@ -278,6 +278,7 @@ class TestComplementDistance:
         assert np.isnan(_complement_distance(q, q[:, :2]))
         assert np.isnan(_complement_distance(q[:, :2], q))
 
+    @pytest.mark.blas_threads
     def test_replication_matches_dense_A2(self):
         # the metrics are read off decompose's result under the first variant's
         # config: the span distances bit for bit, the RMSEs (computed without
@@ -349,6 +350,7 @@ class TestPathRmse:
     """The replication RMSEs are read off the R factor of the stacked loadings;
     they must equal the dense formula on the ``n x p`` paths."""
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize(
         "spec",
         [
@@ -509,6 +511,7 @@ class TestRunMontecarlo:
         with pytest.raises(TypeError):
             run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=1)
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize(
         "spec, config",
         [

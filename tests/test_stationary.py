@@ -15,9 +15,10 @@ from trendfactors.stationary import (
     estimate_V2,
     recover_z2,
 )
-from trendfactors.tsstats import EigenDecomposition, sample_autocov, sym_eigen
+from trendfactors.tsstats import EigenDecomposition, sym_eigen
 from trendfactors.unitroot import first_stage, null_width, scan_r1
 
+from autocov_reference import sample_autocov
 from lam_yao import lam_yao_ratio
 
 
@@ -170,6 +171,7 @@ class TestProjectedS:
         assert np.all(dec.diagnostics["S_eigenvalues"] == 0.0)
         check_dense_recovery(y, dec)
 
+    @pytest.mark.blas_threads
     def test_psd_and_sign_invariance(self):
         # S does not change when V1's columns (the M2 eigenvectors of the white
         # components) flip sign, and neither do V2's span and z2
@@ -214,6 +216,7 @@ DENSE = [
 ]
 
 
+@pytest.mark.blas_threads
 class TestDenseRecovery:
     """The recovery in the M2 eigenbasis against the dense route in x2's coordinates."""
 
@@ -343,6 +346,7 @@ class TestEstimateV2:
         g, gram_eig = factor_of(np.eye(3))
         assert estimate_V2(g, gram_eig, np.zeros(0, dtype=int), K=0).shape == (3, 0)
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("K", [0, 1])
     def test_no_factors_match_reference(self, K):
         # r2 = 0 runs the general path: an empty V2'U1 passes the conditioning
@@ -401,6 +405,7 @@ def v2_with_singular_values(rng, d, factors, sv):
     return v2
 
 
+@pytest.mark.blas_threads
 class TestRecoverZ2SolveOrder:
     """``recover_z2`` solves against ``V2'`` and then multiplies by ``xi``; the
     reference solves against ``V2' xi'``, one right-hand side per time point."""

@@ -7,9 +7,11 @@ from scipy.special import gammaln
 
 from trendfactors.errors import ArgumentError
 from trendfactors.pipeline import decompose
-from trendfactors.tsstats import TimeSeriesPanel, fix_signs, sample_autocov, sym_eigen
+from trendfactors.tsstats import TimeSeriesPanel, fix_signs, sym_eigen
 from trendfactors.unitroot import acf_profile
 from trendfactors.whitenoise import _ljung_box
+
+from autocov_reference import sample_autocov
 
 
 def chi2_sf_quadrature(x, df):

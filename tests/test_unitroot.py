@@ -5,7 +5,6 @@ import pytest
 
 from trendfactors.errors import ArgumentError
 from trendfactors.pipeline import PipelineConfig
-from trendfactors.tsstats import sample_autocov
 from trendfactors.unitroot import (
     acf_profile,
     build_M1,
@@ -13,6 +12,8 @@ from trendfactors.unitroot import (
     probe_lags,
     scan_r1,
 )
+
+from autocov_reference import sample_autocov
 
 
 def r1_count(y, config=PipelineConfig()):

@@ -124,6 +124,7 @@ class TestHdWnTest:
         oracle = np.sqrt(200) * max(abs(xc[k:] @ xc[: 200 - k] / (xc @ xc)) for k in (1, 2, 3))
         assert np.sqrt(200) * peak_abs_corr(x, 3).max() == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.blas_threads
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(300, 5))
@@ -250,6 +251,7 @@ class TestCountFactors:
                 return j
         return keep
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("n, d, keep", [(400, 30, 30), (60, 80, 45)])
     def test_both_variants_match_reference(self, n, d, keep):
         rng = np.random.default_rng(18)
@@ -264,6 +266,7 @@ class TestCountFactors:
                     assert counts.r2[reorder] == expected
             assert counts.truncated == d - keep
 
+    @pytest.mark.blas_threads
     def test_many_drops_match_reference(self):
         rng = np.random.default_rng(22)
         n = 400
@@ -274,6 +277,7 @@ class TestCountFactors:
             assert counts.r2[reorder] == self.sequential_reference(x, 5, 0.05, reorder, 80)
         assert counts.r2[True] >= 50
 
+    @pytest.mark.blas_threads
     def test_trailing_scan_with_many_drops_matches_reference(self):
         # both variants in one call, each scanning past two blocks, over kept
         # sets that differ because the panel is wide
@@ -293,6 +297,7 @@ class TestCountFactors:
         assert all(keep - scanned[r] <= counts.r2[r] for r in scanned)
         assert min(scanned.values()) < keep
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("width", [_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1,
                                        2 * _SCAN_BLOCK + 1])
     def test_trailing_scan_at_block_edges(self, width):
@@ -331,6 +336,22 @@ class TestCountFactors:
         x = np.random.default_rng(24).normal(size=(400, 30))
         count_factors(x, 5, 0.05, (True, False))
         assert shapes and min(min(shape) for shape in shapes) > 0
+
+    @pytest.mark.parametrize("null", [0, 5, 21, 40, 50])
+    def test_no_tested_column(self, null):
+        # only the null-space constants: nothing to test, but the block's width
+        # still sets the kept width, which the sequential scan reaches in full
+        n, epsilon = 40, 0.75
+        keep = null if null < n else int(epsilon * n)
+        for bottom_up in (True, False):
+            counts = count_factors(np.zeros((n, 0)), 5, 0.05, (True, False), epsilon,
+                                   bottom_up=bottom_up, null=null)
+            assert np.array_equal(counts.pvalues, np.ones(null))
+            for reorder in (True, False):
+                assert np.array_equal(counts.order[reorder], np.arange(null))
+                assert counts.r2[reorder] == 0
+                assert counts.scanned_components[reorder] == (0 if bottom_up else keep)
+            assert counts.truncated == (0 if bottom_up else null - keep)
 
     def test_bottom_up_keeps_input_order(self):
         rng = np.random.default_rng(19)
