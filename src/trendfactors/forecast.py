@@ -14,7 +14,7 @@ the loss series the DM test compares, and RMSFE is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -57,12 +57,12 @@ class Var1Fit:
 class FactorModelFit:
     """Dynamics fitted to the extracted factor paths.
 
-    ``nonstat`` holds the VAR(1)-on-differences fit for the trend paths
-    (``None`` when there are no trends); ``stat`` holds the scalar AR(1) fits
-    of the stationary factors as one VAR(1) with a diagonal ``coef``.
+    ``nonstat`` holds the VAR(1)-on-differences fit for the trend paths (an
+    empty one without trends); ``stat`` holds the scalar AR(1) fits of the
+    stationary factors as one VAR(1) with a diagonal ``coef``.
     """
 
-    nonstat: Var1Fit | None
+    nonstat: Var1Fit
     stat: Var1Fit
 
 
@@ -93,14 +93,16 @@ def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
     Returns the fit and the ``|t|`` statistic of each ``coef`` entry (``inf``
     where the standard error is zero).  Singular values below ``lstsq``'s
     default cutoff are treated as zero, so a rank-deficient design gets the
-    minimum-norm solution.
+    minimum-norm solution, and an ``f`` without columns an empty fit.
     """
     design = np.ones((f.shape[0] - 1, f.shape[1] + 1))
     design[:, 1:] = f[:-1]
     target = f[1:]
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
     inv_sv = np.zeros_like(sv)
-    np.divide(1.0, sv, out=inv_sv, where=sv > np.finfo(float).eps * max(design.shape) * sv[0])
+    # a design without rows (one difference and no trends) has no singular value
+    cutoff = np.finfo(float).eps * max(design.shape) * sv.max(initial=0.0)
+    np.divide(1.0, sv, out=inv_sv, where=sv > cutoff)
     beta = vt.T @ (inv_sv[:, None] * (u.T @ target))
     resid = target - design @ beta
     sigma2 = np.einsum("ij,ij->j", resid, resid) / max(design.shape[0] - design.shape[1], 1)
@@ -133,7 +135,7 @@ def _fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
     n, r = x1.shape
     if r and n < r + 3:
         raise ArgumentError(f"VAR(1)-on-differences needs n >= r + 3 = {r + 3}")
-    nonstat = _var1_least_squares(np.diff(x1, axis=0))[0] if r else None
+    nonstat = _var1_least_squares(np.diff(x1, axis=0))[0]
     phi, intercept, _ = _ar1_columns(z2)
     return FactorModelFit(nonstat=nonstat, stat=Var1Fit(np.diag(phi), intercept))
 
@@ -166,11 +168,11 @@ def forecast_path(dec, fit: FactorModelFit, h_max: int) -> np.ndarray:
     """Forecasts of the observed panel for every horizon ``1..h_max``.
 
     ``dec`` is the :class:`~trendfactors.pipeline.Decomposition` that ``fit``
-    was fitted to; the forecast reads its ``A1``, ``x1``, ``U1``, ``z2`` and
-    ``A2_times(U1)`` (``A2 @ U1`` without a wide panel's null-space
-    completion).  Each row is ``A1 x1_{n+h} + A2 U1 z2_{n+h}`` with the
-    factor forecasts iterated from the fitted recursions (trend differences
-    re-integrated).
+    was fitted to; the forecast reads its ``A1``, ``x1``, ``A2U1`` (the
+    stationary factors' loadings ``A2 @ U1``) and ``z2``.  Each row is
+    ``A1 x1_{n+h} + A2 U1 z2_{n+h}`` with the factor forecasts iterated
+    from the fitted recursions (trend differences re-integrated); with no
+    trends the trend part is an ``(h_max, 0)`` path and adds zeros.
 
     Known limitation: the white components are left out, their mean too,
     so a level shift of the stationary block biases the forecast (adding
@@ -179,10 +181,9 @@ def forecast_path(dec, fit: FactorModelFit, h_max: int) -> np.ndarray:
     if not _is_int(h_max) or h_max < 1:
         raise ArgumentError(f"horizon must be an integer >= 1, got {h_max!r}")
     x1 = dec.x1
-    x1f = (np.zeros((h_max, x1.shape[1])) if fit.nonstat is None
-           else _integrate(x1[-1], _var1_path(fit.nonstat, x1[-1] - x1[-2], h_max)))
+    x1f = _integrate(x1[-1], _var1_path(fit.nonstat, x1[-1] - x1[-2], h_max))
     z2f = _var1_path(fit.stat, dec.z2[-1], h_max)
-    return x1f @ dec.A1.T + z2f @ dec.A2_times(dec.U1).T
+    return x1f @ dec.A1.T + z2f @ dec.A2U1.T
 
 
 def forecast_y(dec, fit: FactorModelFit, h: int) -> np.ndarray:
@@ -313,7 +314,7 @@ class ForecastReport:
     fe: dict
     rmsfe_series: dict
     dm: dict
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def _gt_forecast(dec, h_max: int) -> np.ndarray:

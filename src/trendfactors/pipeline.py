@@ -133,15 +133,15 @@ class Decomposition:
     on them, ``V1`` ends in an identity block over them, and their ``M1``,
     ``M2`` and ``S`` eigenvalues and s-statistics are exact zeros.
 
-    ``A1`` and :meth:`A2_times` are products with ``eig1``, the
+    ``A1`` and ``A2U1`` (the stationary factors' loadings ``A2 @ U1``,
+    computed on each read) are products with ``eig1``, the
     :class:`~trendfactors.unitroot.M1Eigen` that
     :func:`~trendfactors.unitroot.first_stage` returns; ``x1`` and ``x2``
     come from stage one, not from ``A1`` and ``A2``.  ``A2`` and ``V1`` are
     built on first read and then kept: ``A2`` from ``eig1`` and ``V1`` from
     ``V1_lead``, its block over all but the null-space components.  On a
     wide panel that forms ``A2``'s null-space completion (a ``p x p``
-    array) and ``V1``'s identity block, which no stage reads;
-    :meth:`A2_times` gives ``A2 U1`` without the completion.
+    array) and ``V1``'s identity block, which no stage reads.
     """
 
     r1_hat: int
@@ -154,7 +154,7 @@ class Decomposition:
     x1: np.ndarray
     x2: np.ndarray
     z2: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
     eig1: M1Eigen = field(kw_only=True, repr=False)
     V1_lead: np.ndarray = field(kw_only=True, repr=False)
 
@@ -169,23 +169,20 @@ class Decomposition:
     @cached_property
     def V1(self) -> np.ndarray:
         lead, v_lead = self.V1_lead.shape
-        if v_lead == self.v_hat:
-            return self.V1_lead
         v1 = np.zeros((lead + self.v_hat - v_lead, self.v_hat))
         v1[:lead, :v_lead] = self.V1_lead
         # the null-space components are last in every order
         v1[np.arange(lead, len(v1)), np.arange(v_lead, self.v_hat)] = 1.0
         return v1
 
-    def A2_times(self, u: np.ndarray) -> np.ndarray:
-        """``A2 @ u`` for a ``u`` that is zero on the null-space rows, such as ``U1``.
-
-        One :meth:`~trendfactors.unitroot.M1Eigen.times` product over
-        ``A2``'s row-space columns: on a wide panel ``Q [W u; 0]`` by one
-        ``dormqr``, so neither ``Q W`` nor the null-space completion is formed.
-        """
+    @property
+    def A2U1(self) -> np.ndarray:
+        """``A2 @ U1`` by one :meth:`~trendfactors.unitroot.M1Eigen.times`
+        product over ``A2``'s row-space columns: on a wide panel
+        ``Q [W U1; 0]`` by one ``dormqr``, so neither ``Q W`` nor the
+        null-space completion is formed."""
         rank = self.eig1.W.shape[1]
-        return self.eig1.times(slice(self.r1_hat, rank), u[: rank - self.r1_hat])
+        return self.eig1.times(slice(self.r1_hat, rank), self.U1[: rank - self.r1_hat])
 
 
 def second_stage(

@@ -397,7 +397,7 @@ def _replication(
         "rmse_stationary": np.nan,
     }
     if dec.r2_hat >= 1:
-        a2u1_hat = dec.A2_times(dec.U1)
+        a2u1_hat = dec.A2U1
         a2u1 = truth.A2 @ truth.U22_1
         metrics["Dbar_A2U1"] = _span_distance(a2u1_hat, a2u1)
         metrics["rmse_stationary"] = _path_rmse(dec.z2, a2u1_hat, truth.f2, a2u1, denom)

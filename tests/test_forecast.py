@@ -305,6 +305,22 @@ class TestForecastY:
             levels.append(levels[-1] + delta)
         assert np.array_equal(forecast_path(dec, fit, 4), np.array(levels[1:]) @ dec.A1.T)
 
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_no_trends_fit_an_empty_var1(self, n):
+        z2 = np.random.default_rng(n).normal(size=(n, 2))
+        nonstat = fit_factor_models(np.zeros((n, 0)), z2).nonstat
+        assert isinstance(nonstat, forecast.Var1Fit)
+        assert nonstat.coef.shape == (0, 0) and nonstat.intercept.shape == (0,)
+
+    def test_no_trends_forecast_the_stationary_part(self):
+        # r1 = 0: the empty trend fit iterates an (h, 0) path, whose product
+        # with the (0, p) A1' adds zeros to the stationary part
+        panel, _ = generate(DgpSpec(p=6, n=300, r1=0, example=1, seed=1))
+        dec, fit = self._decomp(panel.data)
+        assert dec.r1_hat == 0 and dec.r2_hat >= 1
+        z2f = forecast._var1_path(fit.stat, dec.z2[-1], 4)
+        assert np.array_equal(forecast_path(dec, fit, 4), z2f @ dec.A2U1.T)
+
     def test_wide_panel_forecasts_skip_the_completion(self, monkeypatch):
         # A2 U1 is read off A2's row-space block, where U1 has its nonzero rows
         spec = DgpSpec(p=120, n=100, r1=2, r2=3, K=1, example=2, seed=1)
@@ -319,8 +335,7 @@ class TestForecastY:
             report = evaluate_forecasts(y, config, methods=("gt",))
         dec, fit = self._decomp(y, config)
         assert dec.eig1.reflectors is not None and dec.r2_hat >= 1
-        dense = SimpleNamespace(A1=dec.A1, A2_times=lambda u: dec.A2 @ u, x1=dec.x1,
-                                U1=dec.U1, z2=dec.z2)
+        dense = SimpleNamespace(A1=dec.A1, A2U1=dec.A2 @ dec.U1, x1=dec.x1, z2=dec.z2)
         expected = forecast_path(dense, fit, max(config.horizons))
         assert np.max(np.abs(report.forecasts["gt"] - expected)) <= 1e-12 * np.abs(expected).max()
 
@@ -328,14 +343,9 @@ class TestForecastY:
         # hand-built decomposition: one trend plus one exactly constant factor path
         class Dec:
             A1 = np.array([[1.0], [0.0]])
-            A2 = np.array([[0.0], [1.0]])
+            A2U1 = np.array([[0.0], [1.0]])
             x1 = np.linspace(0.0, 9.0, 10)[:, None]
-            U1 = np.array([[1.0]])
             z2 = np.full((10, 1), 4.2)
-
-            @staticmethod
-            def A2_times(u):
-                return Dec.A2 @ u
 
         fit = fit_factor_models(Dec.x1, Dec.z2)
         path = forecast_path(Dec, fit, 3)
@@ -387,7 +397,7 @@ class TestOneRecursion:
             levels.append(levels[-1] + delta)
         z2f = ar1_elementwise_reference(np.diag(fit.stat.coef), fit.stat.intercept,
                                         dec.z2[-1], 6)
-        expect = np.array(levels[1:]) @ dec.A1.T + z2f @ dec.A2_times(dec.U1).T
+        expect = np.array(levels[1:]) @ dec.A1.T + z2f @ dec.A2U1.T
         assert np.array_equal(forecast_path(dec, fit, 6), expect)
 
     def test_dfar_match_reference(self, panel):
@@ -846,3 +856,29 @@ class TestEvaluateForecasts:
         with pytest.raises(ArgumentError, match=r"no forecast origin at horizon 30 .*=100, n=120"):
             evaluate_forecasts(panel, PipelineConfig(horizons=(1, 30), window_start=100),
                                methods=("dfar",), pca_nfac_levels=1, pca_nfac_diff=1)
+
+
+SHIFT_FORECASTERS = {
+    "dfar": lambda y: baseline_dfar(y, 4),
+    "pca_levels": lambda y: baseline_pca(y, 2, "levels", 4),
+    "pca_diff": lambda y: baseline_pca(y, 4, "differences", 4),
+    "gt": lambda y: forecast._gt_forecast(decompose(y), 4),
+}
+
+
+class TestLocationShift:
+    @pytest.mark.parametrize("method", [
+        "dfar",
+        "pca_levels",
+        "pca_diff",
+        pytest.param("gt", marks=pytest.mark.xfail(strict=True, reason=(
+            "gt leaves out the white components' mean (CHANGES.md line 47, "
+            "ROADMAP item 5), so its path misses the shift"))),
+    ])
+    def test_paths_move_with_the_panel(self, method):
+        # a forecaster of the panel y + c must forecast its own paths plus c
+        y = generate(DgpSpec(p=10, n=1000, example=1, seed=2))[0].data
+        c = 10.0
+        path = SHIFT_FORECASTERS[method](y)
+        shifted = SHIFT_FORECASTERS[method](y + c)
+        assert np.abs(shifted - (path + c)).max() <= 1e-12 * np.abs(path + c).max()

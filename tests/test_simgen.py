@@ -299,7 +299,7 @@ class TestComplementDistance:
                     warnings.simplefilter("ignore")
                     _, metrics = _replication(panel, truth, spec, PipelineConfig(), methods)
                     dec = decompose(panel, variant)
-                a2u1 = dec.A2_times(dec.U1)
+                a2u1 = dec.A2U1
                 expected = {
                     "Dbar_A1": _span_distance(dec.A1, truth.A1),
                     "Dbar_A2": _complement_distance(dec.A1, truth.A1),
@@ -371,7 +371,7 @@ class TestPathRmse:
         trend = rmse_factors(dec.x1 @ dec.A1.T, trend_paths(truth), norm)
         assert metrics["rmse_trend"] == pytest.approx(trend, rel=1e-12, abs=0)
         if dec.r2_hat:
-            stationary = rmse_factors(dec.z2 @ dec.A2_times(dec.U1).T, factor_paths(truth), norm)
+            stationary = rmse_factors(dec.z2 @ dec.A2U1.T, factor_paths(truth), norm)
             assert metrics["rmse_stationary"] == pytest.approx(stationary, rel=1e-12, abs=0)
         else:
             assert np.isnan(metrics["rmse_stationary"])
