@@ -66,12 +66,12 @@ class FactorModelFit:
     stat: Var1Fit
 
 
-def _ar1_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """OLS regressions of ``x_t`` on ``(1, x_{t-1})``, one per column of ``x``.
+def _ar1_columns(x: np.ndarray) -> Var1Fit:
+    """OLS regressions of ``x_t`` on ``(1, x_{t-1})``, one per column of ``x``,
+    as one VAR(1) with a diagonal ``coef``.
 
-    Returns ``(phi, intercept, degenerate)``.  A column whose lagged part has
-    variance at or below the ``constant_floor`` of ``max|x_{t-1}|`` is
-    degenerate: its regressor is constant, so it gets ``phi = 0`` and its own
+    A column whose lagged part is constant (:func:`constant_columns` of its
+    variance) has a constant regressor, so it gets coefficient 0 and its own
     mean as the intercept, which continues a constant path.
     """
     xt = np.ascontiguousarray(x.T)  # reductions along contiguous rows run far faster
@@ -81,10 +81,10 @@ def _ar1_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lag_c = lagged - lag_mean[:, None]
     sxx = np.einsum("ij,ij->i", lag_c, lag_c) / n
     sxy = np.einsum("ij,ij->i", lag_c, current - cur_mean[:, None]) / n
-    degenerate = sxx <= constant_floor(np.abs(lagged).max(axis=1))
-    phi = np.where(degenerate, 0.0, sxy / np.where(degenerate, 1.0, sxx))
-    intercept = np.where(degenerate, xt.sum(axis=1) / xt.shape[1], cur_mean - phi * lag_mean)
-    return phi, intercept, degenerate
+    flat = constant_columns(sxx, lagged.T)
+    phi = np.where(flat, 0.0, sxy / np.where(flat, 1.0, sxx))
+    intercept = np.where(flat, xt.sum(axis=1) / xt.shape[1], cur_mean - phi * lag_mean)
+    return Var1Fit(np.diag(phi), intercept)
 
 
 def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
@@ -136,8 +136,7 @@ def _fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
     if r and n < r + 3:
         raise ArgumentError(f"VAR(1)-on-differences needs n >= r + 3 = {r + 3}")
     nonstat = _var1_least_squares(np.diff(x1, axis=0))[0]
-    phi, intercept, _ = _ar1_columns(z2)
-    return FactorModelFit(nonstat=nonstat, stat=Var1Fit(np.diag(phi), intercept))
+    return FactorModelFit(nonstat=nonstat, stat=_ar1_columns(z2))
 
 
 def _var1_path(fit: Var1Fit, state: np.ndarray, h_max: int) -> np.ndarray:
@@ -160,8 +159,7 @@ def _dfar_path(y: np.ndarray, h_max: int) -> np.ndarray:
     if len(y) < 4:  # the fit regresses n - 2 differences on their lags
         raise ArgumentError(f"differenced AR(1) needs a panel of n >= 4, got n = {len(y)}")
     d = np.diff(y, axis=0)
-    phi, intercept, _ = _ar1_columns(d)
-    return _integrate(y[-1], _var1_path(Var1Fit(np.diag(phi), intercept), d[-1], h_max))
+    return _integrate(y[-1], _var1_path(_ar1_columns(d), d[-1], h_max))
 
 
 def forecast_path(dec, fit: FactorModelFit, h_max: int) -> np.ndarray:

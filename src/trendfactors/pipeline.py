@@ -26,8 +26,6 @@ __all__ = ["PipelineConfig", "Decomposition", "decompose", "second_stage", "reco
 # Stationary panels at most this wide are counted by the bottom-up Ljung-Box
 # scan and get no prominent-noise correction.
 SMALL_P_THRESHOLD = 10
-# Largest prominent-noise count the eigenvalue-ratio rule considers.
-MAX_K = 10
 
 
 def _is_int(value) -> bool:
@@ -242,7 +240,9 @@ def recover_factors(
     where ``U1`` and ``V1`` are column selections of the identity;
     ``V2 = W v2`` is the one product with ``W``.  When the recovery is ill
     conditioned the factors are read off by direct projection instead
-    (``v2_fallback``: ``V2 = U1``, ``z2 = xi[:, order[:r2]]``).  ``U1`` and
+    (``v2_fallback``): ``V2 = U1``, and the same
+    :func:`~trendfactors.stationary.recover_z2` solve, now against the
+    identity, gives exactly ``z2 = xi[:, order[:r2]]``.  ``U1`` and
     ``V2`` are zero on the constant components, and ``S`` has exact zero
     eigenvalues there (all of them when ``d == null``).
     """
@@ -265,27 +265,27 @@ def recover_factors(
     eig_g = sym_eigen(g.T @ g)
     if config.K_override is not None:
         k_hat = min(config.K_override, v_lead)
-    elif d <= SMALL_P_THRESHOLD or v_lead <= 1:
+    elif d <= SMALL_P_THRESHOLD:
         # prominent noise is a diverging-eigenvalue phenomenon; the ratio rule
-        # only runs in the wide regime, and only on the nonzero spectrum
+        # only runs in the wide regime
         k_hat = 0
     else:
-        k_hat = estimate_K(eig_g.values, max_k=min(MAX_K, v_lead - 1))
+        k_hat = estimate_K(eig_g.values)
     fallback = False
     try:
         v2 = estimate_V2(g, eig_g, factors, k_hat)
     except IllConditionedError:
         # an ill-conditioned projected-PCA inversion falls back to the direct
         # projection recovery so the decomposition still completes
-        v2, z2 = np.eye(lead)[:, factors], xi[:, factors]
+        v2 = np.eye(lead)[:, factors]
         fallback = True
         warnings.warn(
             "projected PCA recovery is ill conditioned; using the direct "
             "factor projection instead",
             stacklevel=2,
         )
-    else:
-        z2 = recover_z2(v2, factors, xi)
+    # with V2 = U1 the solve is against the identity, so z2 is xi's factor columns
+    z2 = recover_z2(v2, factors, xi)
     diagnostics = {
         "M1_eigenvalues": eig1.values,
         "s_statistics": (np.abs(rho) if config.absolute_acf else rho).sum(axis=1) / rho.shape[1],

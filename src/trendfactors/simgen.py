@@ -369,22 +369,20 @@ def _replication(
     spec: DgpSpec,
     config: PipelineConfig,
     variants: list[str],
-) -> tuple[dict, dict]:
+) -> tuple[list, dict]:
     """Counts for every requested variant plus metrics for the first one.
 
-    Every variant (``a*`` is ``absolute_acf``, ``w*`` is ``reorder``) runs
-    the one stage sequence behind :func:`trendfactors.pipeline.decompose`,
-    which shares the stage-1 eigendecomposition and each distinct
-    stationary panel's second stage among them.  The metrics are read off
-    the :class:`~trendfactors.pipeline.Decomposition` of the first variant,
-    the one ``decompose`` returns under that variant's config.
+    Returns ``(counts, metrics)``: ``counts`` holds each variant's
+    ``(r1, r2)``, in the order of ``variants``, as
+    :func:`~trendfactors.pipeline._run_stages` gives them.  Every variant
+    (``a*`` is ``absolute_acf``, ``w*`` is ``reorder``) runs the one stage
+    sequence behind :func:`trendfactors.pipeline.decompose`, which shares
+    the stage-1 eigendecomposition and each distinct stationary panel's
+    second stage among them.  The metrics are read off the
+    :class:`~trendfactors.pipeline.Decomposition` of the first variant, the
+    one ``decompose`` returns under that variant's config.
     """
     dec, counts = _run_stages(panel, config, [_parse_variant(v) for v in variants])
-    indicators = {
-        name: {"r1": float(r1 == spec.r1), "r2": float(r2 == spec.r2),
-               "total": float(r1 + r2 == spec.r1 + spec.r2)}
-        for name, (r1, r2) in zip(variants, counts)
-    }
     # span/path accuracy metrics under the first requested variant; example 2
     # averages the squared path errors over the dimension as well as time
     denom = spec.n if spec.example == 1 else spec.n * spec.p
@@ -401,7 +399,7 @@ def _replication(
         a2u1 = truth.A2 @ truth.U22_1
         metrics["Dbar_A2U1"] = _span_distance(a2u1_hat, a2u1)
         metrics["rmse_stationary"] = _path_rmse(dec.z2, a2u1_hat, truth.f2, a2u1, denom)
-    return indicators, metrics
+    return counts, metrics
 
 
 def run_montecarlo(
@@ -419,8 +417,11 @@ def run_montecarlo(
     derived from ``(base_seed, cell index, rep index)``; every requested
     method variant is evaluated on the same draws.  Replications that raise a
     package error or a linear-algebra failure are recorded by exception class
-    and skipped rather than aborting the grid; any other exception propagates.  Aggregation is a
-    plain order-independent average.
+    and skipped rather than aborting the grid; any other exception propagates.
+    Each cell's ``probs[method]`` holds the fractions of successful
+    replications whose ``r1``, ``r2`` and ``r1 + r2`` counts equal the
+    spec's, under the keys ``"r1"``, ``"r2"`` and ``"total"``: the mean of
+    one row of 0/1 hits per replication, NaN when every replication failed.
     """
     for name, value, low in (("reps", reps, 1), ("base_seed", base_seed, 0)):
         if not _is_int(value) or value < low:
@@ -432,7 +433,7 @@ def run_montecarlo(
         _parse_variant(name)
     cells = []
     for ci, spec in enumerate(grid):
-        sums = {name: {"r1": 0.0, "r2": 0.0, "total": 0.0} for name in methods}
+        hits = []
         metric_samples: dict = {}
         failure_reasons: dict = {}
         cell_spec = replace(spec, seed=derive_seed(base_seed, ci))
@@ -441,22 +442,19 @@ def run_montecarlo(
             rep_spec = replace(spec, seed=derive_seed(base_seed, ci, rep))
             try:
                 panel, truth = draw_panel(rep_spec, mixing, rep_spec.seed)
-                indicators, metrics = _replication(panel, truth, rep_spec, config, list(methods))
+                counts, metrics = _replication(panel, truth, rep_spec, config, list(methods))
             except (TrendFactorsError, np.linalg.LinAlgError) as exc:
                 count, message = failure_reasons.get(type(exc).__name__, (0, str(exc)))
                 failure_reasons[type(exc).__name__] = (count + 1, message)
                 continue
-            for name in methods:
-                for key in sums[name]:
-                    sums[name][key] += indicators[name][key]
+            hits.append([(r1 == spec.r1, r2 == spec.r2, r1 + r2 == spec.r1 + spec.r2)
+                         for r1, r2 in counts])
             for key, value in metrics.items():
                 metric_samples.setdefault(key, []).append(value)
-        failures = sum(count for count, _ in failure_reasons.values())
-        good = reps - failures
-        probs = {
-            name: {key: (total / good if good else np.nan) for key, total in stat.items()}
-            for name, stat in sums.items()
-        }
+        # sums of 0s and 1s are exact, so the mean is the count over the successes
+        rates = np.mean(hits, axis=0) if hits else np.full((len(methods), 3), np.nan)
+        probs = {name: dict(zip(("r1", "r2", "total"), row.tolist()))
+                 for name, row in zip(methods, rates)}
         quartiles = {}
         for key, values in metric_samples.items():
             arr = np.asarray(values, dtype=float)
@@ -464,7 +462,7 @@ def run_montecarlo(
                 quartiles[key] = (np.nan, np.nan, np.nan)
             else:
                 quartiles[key] = tuple(np.nanquantile(arr, [0.25, 0.5, 0.75]))
-        cells.append(CellResult(spec=spec, reps=reps, failures=failures,
+        cells.append(CellResult(spec=spec, reps=reps, failures=reps - len(hits),
                                 failure_reasons=failure_reasons, probs=probs,
                                 metric_quartiles=quartiles))
     return MonteCarloResult(cells=cells, methods=methods, reps=reps, base_seed=base_seed)

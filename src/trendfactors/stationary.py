@@ -31,6 +31,8 @@ __all__ = [
 _SV_TOL = 1e-10
 # Smallest leading eigenvalue ratio that estimate_K counts as prominent.
 TAU = 10.0
+# Largest prominent-noise count the eigenvalue-ratio rule considers.
+MAX_K = 10
 
 
 def build_M2(x2, j0: int) -> np.ndarray:
@@ -46,20 +48,20 @@ def build_M2(x2, j0: int) -> np.ndarray:
     return autocov_gram(pan, range(1, j0 + 1))
 
 
-def estimate_K(s_eigenvalues, max_k: int) -> int:
+def estimate_K(s_eigenvalues) -> int:
     """Count prominent (diverging) noise eigenvalues by the leading ratio rule.
 
-    Returns the ``j <= max_k`` maximizing ``lam_j / lam_{j+1}`` provided that
-    ratio exceeds the prominence multiplier ``TAU``, else 0.  Callers should
-    cap ``max_k`` below the rank boundary of the spectrum, where ratios blow
-    up for structural rather than prominence reasons.
+    ``s_eigenvalues`` is ``S``'s nonzero spectrum in descending order (the
+    eigenvalues of ``G' G``), without the exact zeros past ``S``'s rank,
+    where the ratio would blow up for structural rather than prominence
+    reasons.  Returns the ``j <= min(MAX_K, len - 1)`` maximizing
+    ``lam_j / lam_{j+1}`` provided that ratio exceeds the prominence
+    multiplier ``TAU``, else 0; fewer than two eigenvalues give 0.
     """
-    lam = np.asarray(s_eigenvalues, dtype=float)
+    lam = np.maximum(np.asarray(s_eigenvalues, dtype=float), np.finfo(float).eps)
+    max_k = min(MAX_K, lam.size - 1)
     if max_k < 1:
-        raise ArgumentError(f"max_k must be >= 1, got {max_k}")
-    if lam.size < max_k + 1:
-        raise ArgumentError(f"need at least max_k+1={max_k + 1} eigenvalues, got {lam.size}")
-    lam = np.maximum(lam, np.finfo(float).eps)
+        return 0
     ratios = lam[:max_k] / lam[1 : max_k + 1]
     j = int(np.argmax(ratios))
     return j + 1 if ratios[j] > TAU else 0

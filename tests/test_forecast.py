@@ -39,11 +39,10 @@ def trend_fit(x1):
 class TestFitAr1:
     def test_exact_geometric(self):
         x = 0.9 ** np.arange(30)
-        phi, intercept, degenerate = forecast._ar1_columns(x[:, None])
-        assert phi[0] == pytest.approx(0.9, abs=1e-10)
-        assert intercept[0] == pytest.approx(0.0, abs=1e-10)
-        assert not degenerate[0]
-        assert np.array_equal(stationary_fits(x[:, None]).coef, phi[:, None])
+        fit = forecast._ar1_columns(x[:, None])
+        assert fit.coef[0, 0] == pytest.approx(0.9, abs=1e-10)
+        assert fit.intercept[0] == pytest.approx(0.0, abs=1e-10)
+        assert np.array_equal(stationary_fits(x[:, None]).coef, fit.coef)
 
     def test_seeded_ar_recovered(self):
         rng = np.random.default_rng(0)
@@ -51,7 +50,7 @@ class TestFitAr1:
         x[0] = 0.0
         for t in range(1, 5000):
             x[t] = 0.5 * x[t - 1] + rng.normal()
-        phi = forecast._ar1_columns(x[:, None])[0][0]
+        phi = forecast._ar1_columns(x[:, None]).coef[0, 0]
         assert 0.45 <= phi <= 0.55
 
     def test_explosive_flagged(self):
@@ -144,14 +143,17 @@ class TestAr1Columns:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_lstsq_reference(self, seed):
         y = panel_with_degenerate_columns(seed)
-        for x in (y, np.diff(y, axis=0)):
-            phi, intercept, degenerate = forecast._ar1_columns(x)
+        # the constant column is constant in levels; the trend only in differences
+        for x, flat in ((y, [2]), (np.diff(y, axis=0), [2, 4])):
+            fit = forecast._ar1_columns(x)
+            phi = np.diag(fit.coef)
+            assert np.array_equal(fit.coef, np.diag(phi))
             ref_phi, ref_intercept = ols_ar1_reference(x)
             np.testing.assert_allclose(phi, ref_phi, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(intercept, ref_intercept, rtol=1e-12, atol=1e-12)
-        # the constant column is degenerate in levels; the trend only in differences
-        assert forecast._ar1_columns(y)[2].tolist() == [c == 2 for c in range(6)]
-        assert degenerate.tolist() == [c in (2, 4) for c in range(6)]
+            np.testing.assert_allclose(fit.intercept, ref_intercept, rtol=1e-12, atol=1e-12)
+            # a constant lagged part: coefficient 0 and the column's own mean
+            assert (phi == 0.0).tolist() == [c in flat for c in range(6)]
+            np.testing.assert_allclose(fit.intercept[flat], x[:, flat].mean(axis=0), rtol=1e-15)
 
     def test_fit_ar1_matches_reference(self):
         # the AR(1) fits that fit_factor_models hands to the forecasts
@@ -403,8 +405,8 @@ class TestOneRecursion:
     def test_dfar_match_reference(self, panel):
         y = RECURSION_PANELS[panel]()
         d = np.diff(y, axis=0)
-        phi, intercept, _ = forecast._ar1_columns(d)
-        steps = ar1_elementwise_reference(phi, intercept, d[-1], 6)
+        fit = forecast._ar1_columns(d)
+        steps = ar1_elementwise_reference(np.diag(fit.coef), fit.intercept, d[-1], 6)
         levels = [y[-1]]
         for step in steps:
             levels.append(levels[-1] + step)

@@ -486,6 +486,27 @@ class TestRunMontecarlo:
         assert cell.failure_reasons == {"TrendFactorsError": (1, "forced failure")}
         assert {r["failure_reasons"] for r in res.rows()} == {"TrendFactorsError x1: forced failure"}
 
+    def test_cell_where_every_replication_fails(self, monkeypatch):
+        from trendfactors import simgen
+
+        def always_fail(*args, **kwargs):
+            raise TrendFactorsError("forced failure")
+
+        monkeypatch.setattr(simgen, "_replication", always_fail)
+        methods = ("a*w*", "aw", "aw*")
+        res = run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=3, methods=methods,
+                             base_seed=3)
+        cell = res.cells[0]
+        assert cell.failures == 3
+        assert cell.probs.keys() == set(methods)
+        assert all(np.isnan(v) for stats in cell.probs.values() for v in stats.values())
+        assert cell.metric_quartiles == {}
+        rows = res.rows()
+        assert len(rows) == 3 * len(methods)
+        assert [(r["method"], r["statistic"]) for r in rows] == [
+            (m, s) for m in methods for s in ("r1", "r2", "total")]
+        assert all(np.isnan(r["value"]) for r in rows)
+
     def test_empty_methods_rejected(self):
         with pytest.raises(ArgumentError, match="at least one variant"):
             run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=1, methods=())

@@ -10,6 +10,7 @@ from trendfactors.errors import ArgumentError, IllConditionedError
 from trendfactors.pipeline import PipelineConfig, decompose, recover_factors, second_stage
 from trendfactors.simgen import DgpSpec, generate
 from trendfactors.stationary import (
+    MAX_K,
     build_M2,
     estimate_K,
     estimate_V2,
@@ -232,30 +233,49 @@ class TestDenseRecovery:
         check_dense_recovery(y, dec)
 
     def test_ill_conditioned_fallback_projects_directly(self, monkeypatch):
-        # every inversion counts as singular: V2 = U1 and z2 = U1' x2
-        from trendfactors import stationary
+        # every inversion counts as singular: V2 = U1 and z2 = U1' x2, which
+        # recover_z2's solve against the identity gives as xi's factor columns
+        from trendfactors import pipeline, stationary
 
+        seen = {}
+
+        def recording_stage(*args, **kwargs):
+            seen["stage2"] = real_stage(*args, **kwargs)
+            return seen["stage2"]
+
+        real_stage = pipeline.second_stage
+        monkeypatch.setattr(pipeline, "second_stage", recording_stage)
         monkeypatch.setattr(stationary, "_SV_TOL", 1.0 - 1e-6)
         dec = quiet_decompose(generate(DENSE[1])[0].data)
         assert dec.diagnostics["v2_fallback"]
         assert np.array_equal(dec.V2, dec.U1)
         expected = dec.x2 @ dec.U1
         assert np.max(np.abs(dec.z2 - expected)) <= 1e-12 * np.abs(expected).max()
+        xi = seen["stage2"][1]
+        order = dec.diagnostics["component_order"]
+        assert np.array_equal(dec.z2, xi[:, order[: dec.r2_hat]])
 
 
 class TestEstimateK:
     def test_prominent_gap(self):
-        assert estimate_K([100.0, 2.0, 1.9, 1.8], max_k=2) == 1
+        assert estimate_K([100.0, 2.0, 1.9, 1.8]) == 1
 
     def test_flat_spectrum(self):
-        assert estimate_K([3.0, 2.9, 2.8, 2.7], max_k=3) == 0
+        assert estimate_K([3.0, 2.9, 2.8, 2.7]) == 0
 
     def test_floors_nonpositive(self):
-        assert estimate_K([1.0, 0.0, -1e-12], max_k=1) == 1
+        assert estimate_K([1.0, 0.0, -1e-12]) == 1
 
     def test_needs_enough_eigenvalues(self):
-        with pytest.raises(ArgumentError):
-            estimate_K([1.0, 0.5], max_k=2)
+        # no ratio to read: nothing counts as prominent
+        assert estimate_K([]) == 0
+        assert estimate_K([5.0]) == 0
+
+    def test_reads_at_most_max_k_ratios(self):
+        # the only large ratio sits at j = 11, past MAX_K = 10; at j = 10 it counts
+        assert MAX_K == 10
+        assert estimate_K([1.0] * 11 + [1e-6] * 2) == 0
+        assert estimate_K([1.0] * 10 + [1e-6] * 3) == 10
 
 
 class TestEstimateV2:
