@@ -109,8 +109,8 @@ def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
     # the diagonal of the pseudo-inverse of design' design
     gram_inv_diag = (vt * vt).T @ (inv_sv * inv_sv)
     se = np.sqrt(np.outer(gram_inv_diag[1:], sigma2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstat = np.where(se > 0, np.abs(beta[1:] / se), np.inf).T
+    # |b| / se is |b / se| exactly; a zero standard error gives inf
+    tstat = np.divide(np.abs(beta[1:]), se, out=np.full_like(se, np.inf), where=se > 0).T
     return Var1Fit(coef=beta[1:].T, intercept=beta[0]), tstat
 
 
@@ -135,7 +135,7 @@ def _fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
     n, r = x1.shape
     if r and n < r + 3:
         raise ArgumentError(f"VAR(1)-on-differences needs n >= r + 3 = {r + 3}")
-    nonstat = _var1_least_squares(np.diff(x1, axis=0))[0]
+    nonstat = _var1_least_squares(x1[1:] - x1[:-1])[0]
     return FactorModelFit(nonstat=nonstat, stat=_ar1_columns(z2))
 
 
@@ -151,14 +151,14 @@ def _var1_path(fit: Var1Fit, state: np.ndarray, h_max: int) -> np.ndarray:
 
 def _integrate(level: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Levels after each row of ``steps``, accumulated row by row from ``level``."""
-    return np.cumsum(np.vstack([level, steps]), axis=0)[1:]
+    return np.cumsum(np.concatenate([level[None], steps]), axis=0)[1:]
 
 
 def _dfar_path(y: np.ndarray, h_max: int) -> np.ndarray:
     """AR(1) on the first differences of every column, re-integrated."""
     if len(y) < 4:  # the fit regresses n - 2 differences on their lags
         raise ArgumentError(f"differenced AR(1) needs a panel of n >= 4, got n = {len(y)}")
-    d = np.diff(y, axis=0)
+    d = y[1:] - y[:-1]
     return _integrate(y[-1], _var1_path(_ar1_columns(d), d[-1], h_max))
 
 
@@ -267,16 +267,16 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
         raise ArgumentError(f"horizon must be an integer >= 1, got {h_max!r}")
     y = pan.data
     if mode == "levels":
-        mean = y.sum(axis=0) / pan.n
+        mean = np.einsum("ti->i", y) / pan.n
         yc = y - mean
         loadings = sym_eigen(yc.T @ yc / pan.n).vectors[:, :nfac]
         return _dfar_path(yc @ loadings, h_max) @ loadings.T + mean
-    d = np.diff(y, axis=0)
+    d = y[1:] - y[:-1]
     if d.shape[0] < 4:
         raise ArgumentError("differences mode needs n >= 5")
-    dmean = d.sum(axis=0) / len(d)
+    dmean = np.einsum("ti->i", d) / len(d)
     dc = d - dmean
-    var = (dc * dc).sum(axis=0) / len(d)
+    var = np.einsum("ti,ti->i", dc, dc) / len(d)
     # the differences of an exact linear trend are constant only up to
     # rounding; standardized, that rounding would become a unit-variance series
     flat = constant_columns(var, d)

@@ -258,7 +258,7 @@ def recover_factors(
     v_lead = lead - r2
     factors = order[:r2]
     # S's factor W'G: the lag-0 covariance of the components, over the white ones
-    xc = xi - xi.sum(axis=0) / len(xi)
+    xc = xi - np.einsum("ti->i", xi) / len(xi)
     g = (xc.T @ xc / len(xi))[:, order[r2:lead]]
     # freed before the G'G eigendecomposition, which would otherwise raise the peak
     del xc

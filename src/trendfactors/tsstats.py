@@ -70,7 +70,7 @@ def _real_array(values, name: str) -> np.ndarray:
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ArgumentError(f"{name} is not a numeric array: {exc}") from None
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ArgumentError(f"{name} contains non-finite entries")
     return arr
 
@@ -97,9 +97,13 @@ def autocov_gram(pan: TimeSeriesPanel, lags) -> np.ndarray:
     """``sum_{k in lags} C(k) C(k)'`` over the lag-``k`` sample covariances
     ``C(k) = (1/n) sum_{t=k+1..n} (y_t - ybar)(y_{t-k} - ybar)'``, with
     ``ybar`` the full-sample mean and divisor ``n`` at every lag (the
-    convention of every stage).  The panel is centered once for all lags;
-    each ``C C'`` is one ``syrk``, exactly symmetric."""
-    yc = pan.data - pan.data.sum(axis=0) / pan.n
+    convention of every stage).  The panel is centered once for all lags,
+    with the column sums taken by ``einsum`` as in :func:`centered_columns`
+    (the last bits can differ from ``sum(axis=0)`` on one column and on a
+    Fortran-ordered panel, such as :func:`~trendfactors.unitroot.first_stage`'s
+    row-space coordinates when ``p >= n``); each ``C C'`` is one ``syrk``,
+    exactly symmetric."""
+    yc = pan.data - np.einsum("ti->i", pan.data) / pan.n
     gram = np.zeros((pan.p, pan.p))
     for k in lags:
         c = yc[k:].T @ yc[: pan.n - k] / pan.n
@@ -136,8 +140,15 @@ def centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     whether such a column is flagged depends on the scale of the data it
     came from; the null space of a panel with ``p >= n`` is therefore
     handled without it.
+
+    The column sums are ``np.einsum("ti->i", x)``, which on a narrow
+    C-ordered array costs a fraction of ``x.sum(axis=0)``.  On a C-ordered
+    array of two or more columns both add each column's entries in row
+    order, so the bits are the same.  Where a column is contiguous in memory
+    (one column, or a Fortran-ordered array) both sum it in blocks, in
+    different orders, so the last bits can differ.
     """
-    xc = x - x.sum(axis=0) / x.shape[0]
+    xc = x - np.einsum("ti->i", x) / x.shape[0]
     gamma0 = np.einsum("ti,ti->i", xc, xc) / x.shape[0]
     return xc, gamma0, constant_columns(gamma0, x)
 
@@ -145,20 +156,29 @@ def centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def acf_profile(components: np.ndarray, lags, centered=None) -> np.ndarray:
     """Sample autocorrelations of every column at every lag in ``lags``.
 
-    Returns an array of shape ``(d, len(lags))``.  Columns that
+    Returns a C-ordered array of shape ``(d, len(lags))``.  Columns that
     :func:`centered_columns` flags as constant get a row of exact zeros:
     stationary to the first stage, white noise to Ljung-Box.  ``centered``
-    may pass in ``centered_columns(components)``.
+    may pass in ``centered_columns(components)``; otherwise the columns are
+    centered with its ``einsum`` column sums, whose last bits can differ
+    from ``sum(axis=0)``'s on one column or a Fortran-ordered array.  Each
+    lag's sums of products are one ``einsum`` into a row of one
+    ``(len(lags), d)`` array, divided by ``n`` and then by ``gamma0`` in
+    one operation each: every entry gets the operations of a lag-by-lag
+    ``einsum(...) / n / gamma0``.
     """
     x = np.asarray(components, dtype=float)
     n, d = x.shape
     xc, gamma0, degenerate = centered_columns(x) if centered is None else centered
-    ok = ~degenerate
-    out = np.zeros((d, len(lags)))
+    gk = np.empty((len(lags), d))
     for j, k in enumerate(lags):
         k = int(k)
-        gk = np.einsum("ti,ti->i", xc[k:], xc[: n - k]) / n
-        np.divide(gk, gamma0, out=out[:, j], where=ok)
+        np.einsum("ti,ti->i", xc[k:], xc[: n - k], out=gk[j])
+    gk /= n
+    # C-ordered like the lag-by-lag result: scan_r1 sums its rows, and a row
+    # sum's bits follow the layout
+    out = np.zeros((d, len(lags)))
+    np.divide(gk.T, gamma0[:, None], out=out, where=~degenerate[:, None])
     return out
 
 
@@ -198,11 +218,12 @@ def _lapack(routine, *args, **kwargs) -> np.ndarray:
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Copy of ``vectors`` with each column's largest-magnitude entry made positive.
 
-    Ties go to the first such entry; negation is exact, so the result is
-    bit-identical to flipping the columns one at a time.
+    Ties go to the first such entry.  The columns are multiplied by a row of
+    signs, and multiplying by 1 or -1 is exact, so the result is bit-identical
+    to flipping the columns one at a time.
     """
     out = np.asarray(vectors, dtype=float).copy()
     if out.size:
-        peak = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
-        out[:, peak < 0] *= -1.0
+        peak = out[np.abs(out).argmax(axis=0), np.arange(out.shape[1])]
+        out *= np.where(peak < 0, -1.0, 1.0)
     return out

@@ -61,13 +61,14 @@ def _ljung_box(x: np.ndarray, m: int, centered=None) -> tuple[np.ndarray, ...]:
     :func:`~trendfactors.tsstats.acf_profile`, their p-values and the
     degenerate-column mask (a constant column has ``Q = 0`` and p-value 1);
     ``centered`` may pass in ``centered_columns(x)``."""
-    n, d = x.shape
+    n = x.shape[0]
     if not 1 <= m <= n - 2:
         raise ArgumentError(f"m={m} outside [1, {n - 2}] for n={n}")
     centered = centered_columns(x) if centered is None else centered
-    q = np.zeros(d)
-    for k, rho in enumerate(acf_profile(x, range(1, m + 1), centered).T, start=1):
-        q += rho * rho / (n - k)
+    lags = np.arange(1, m + 1)
+    rho = acf_profile(x, lags, centered)
+    # cumsum adds the lags one at a time, in order, as a loop over them would
+    q = np.cumsum(rho * rho / (n - lags), axis=1)[:, -1]
     q *= n * (n + 2)
     return q, chdtrc(m, q), centered[2]
 

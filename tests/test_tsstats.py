@@ -7,11 +7,17 @@ from scipy.special import gammaln
 
 from trendfactors.errors import ArgumentError
 from trendfactors.pipeline import decompose
-from trendfactors.tsstats import TimeSeriesPanel, fix_signs, sym_eigen
+from trendfactors.tsstats import (
+    TimeSeriesPanel,
+    autocov_gram,
+    centered_columns,
+    fix_signs,
+    sym_eigen,
+)
 from trendfactors.unitroot import acf_profile
 from trendfactors.whitenoise import _ljung_box
 
-from autocov_reference import sample_autocov
+from autocov_reference import acf_profile_reference, sample_autocov
 
 
 def chi2_sf_quadrature(x, df):
@@ -149,6 +155,79 @@ class TestSampleAcf:
             rho = acf_profile(x[:, None], np.array([k]))[0, 0]
             assert rho == pytest.approx(xc[k:] @ xc[: n - k] / (xc @ xc), rel=1e-12, abs=1e-15)
             assert abs(rho) <= 1.0 + 1e-12
+
+
+def _kernel_blocks():
+    """Blocks whose column sums take different routes: C-ordered and narrow,
+    a column slice (not contiguous), one contiguous column, and the
+    Fortran-ordered row-space coordinates that ``first_stage`` builds for a
+    panel with ``p >= n``."""
+    rng = np.random.default_rng(21)
+    y = np.cumsum(rng.normal(size=(300, 8)), axis=0) + 5.0 + rng.normal(size=(300, 8))
+    wide = np.cumsum(rng.normal(size=(60, 90)), axis=0) + 3.0
+    yc = wide - wide.mean(axis=0)
+    raw, _ = np.linalg.qr(yc[:-1].T, mode="raw")
+    r = np.triu(raw.T[:59])
+    coords = np.vstack([r.T, -r.sum(axis=1)])
+    assert coords.flags.f_contiguous and not coords.flags.c_contiguous
+    return {"narrow": y, "column-slice": y[:, 2:7], "one-column": y[:, :1].copy(),
+            "row-space": coords}
+
+
+@pytest.mark.blas_threads
+class TestAcfProfileReference:
+    """:func:`acf_profile` against the lag-by-lag loop, bit for bit."""
+
+    LAGS = np.array([1, 4, 7, 10, 13])
+
+    @pytest.mark.parametrize(
+        "case", ["narrow", "column-slice", "one-column", "constant-column", "no-columns"])
+    def test_bit_identical_to_lag_loop(self, case):
+        y = _kernel_blocks()["narrow"]
+        x = {
+            "narrow": y,
+            "column-slice": y[:, 2:7],
+            "one-column": y[:, :1].copy(),
+            "constant-column": np.column_stack([y[:, :3], np.full(300, 1e6 + 0.1), y[:, 3:]]),
+            "no-columns": y[:, :0],
+        }[case]
+        got = acf_profile(x, self.LAGS)
+        assert got.shape == (x.shape[1], len(self.LAGS)) and got.flags.c_contiguous
+        assert np.array_equal(got, acf_profile_reference(x, self.LAGS))
+        if case == "constant-column":
+            assert np.all(got[3] == 0.0) and np.all(got[np.arange(9) != 3] != 0.0)
+
+    def test_ljung_box_is_the_lag_by_lag_sum(self):
+        x = _kernel_blocks()["column-slice"]
+        n, m = x.shape[0], 10
+        q = np.zeros(x.shape[1])
+        for k, rho in enumerate(acf_profile_reference(x, range(1, m + 1)).T, start=1):
+            q += rho * rho / (n - k)
+        q *= n * (n + 2)
+        assert np.array_equal(_ljung_box(x, m)[0], q)
+
+
+class TestEinsumColumnSums:
+    """The ``einsum`` centering of :func:`centered_columns` and
+    :func:`autocov_gram` against :func:`sample_autocov`'s ``sum(axis=0)``: the
+    bits may differ on a contiguous column, the values agree to 1e-14."""
+
+    @pytest.mark.parametrize("case", ["one-column", "column-slice", "row-space"])
+    def test_centered_columns(self, case):
+        x = _kernel_blocks()[case]
+        xc, gamma0, constant = centered_columns(x)
+        reference = x - x.sum(axis=0) / len(x)
+        assert np.abs(xc - reference).max() <= 1e-14 * np.abs(reference).max()
+        lag0 = np.diag(sample_autocov(x, 0))
+        assert np.abs(gamma0 - lag0).max() <= 1e-14 * lag0.max()
+        assert not constant.any()
+
+    @pytest.mark.parametrize("case", ["one-column", "column-slice", "row-space"])
+    def test_autocov_gram(self, case):
+        x = _kernel_blocks()[case]
+        gram = autocov_gram(TimeSeriesPanel(x), range(3))
+        reference = sum(c @ c.T for c in (sample_autocov(x, k) for k in range(3)))
+        assert np.abs(gram - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 class TestLjungBox:
