@@ -15,18 +15,11 @@ cores stay in their submodules: ``unitroot.first_stage`` / ``scan_r1``,
 from .errors import (
     ArgumentError,
     CsvParseError,
-    DegenerateSeriesError,
     IllConditionedError,
     NumericalError,
     TrendFactorsError,
 )
-from .forecast import (
-    FactorModelFit,
-    ForecastReport,
-    evaluate_forecasts,
-    fit_factor_models,
-    forecast_y,
-)
+from .forecast import ForecastReport, evaluate_forecasts, forecast_y
 from .pipeline import Decomposition, PipelineConfig, decompose
 from .simgen import DgpSpec, GroundTruth, MonteCarloResult, generate, run_montecarlo
 from .tsstats import TimeSeriesPanel
@@ -37,9 +30,7 @@ __all__ = [
     "ArgumentError",
     "CsvParseError",
     "Decomposition",
-    "DegenerateSeriesError",
     "DgpSpec",
-    "FactorModelFit",
     "ForecastReport",
     "GroundTruth",
     "IllConditionedError",
@@ -50,7 +41,6 @@ __all__ = [
     "TrendFactorsError",
     "decompose",
     "evaluate_forecasts",
-    "fit_factor_models",
     "forecast_y",
     "generate",
     "run_montecarlo",

@@ -29,14 +29,5 @@ class NumericalError(TrendFactorsError):
     """A computation failed for numerical rather than usage reasons."""
 
 
-class DegenerateSeriesError(NumericalError):
-    """A series has zero variance where variation is required.
-
-    No library call raises it: constant components get zero autocorrelations
-    in the first stage and count as white noise in the second.  It stays
-    exported so that existing ``except`` clauses keep working.
-    """
-
-
 class IllConditionedError(NumericalError):
     """A recovery step hit a (near-)singular matrix."""

@@ -1,8 +1,9 @@
 """Factor-based forecasting, error metrics, and equal-predictive-ability tests.
 
-Fits simple dynamics to the extracted factors (a VAR(1) on the differenced
-trend paths, one AR(1) per stationary factor), produces multi-step forecasts
-of the observed panel, and evaluates them against baseline methods over
+The gt forecast reads one decomposition only: it fits a VAR(1) to the
+differenced trend paths and one AR(1) per stationary factor, iterates both
+and maps the factor forecasts back through the loadings.  The forecasts of
+the observed panel are evaluated against baseline methods over
 expanding-window origins.  Every AR(1) is a VAR(1) with a diagonal
 coefficient matrix, so one recursion iterates every forecast.  Each method
 and horizon is scored from one error array ``e = yhat - y`` (origins by
@@ -22,16 +23,13 @@ from scipy.special import ndtr
 
 from .errors import ArgumentError
 from .pipeline import PipelineConfig, _is_int, decompose
-from .tsstats import _real_array, as_panel, constant_columns, constant_floor, sym_eigen
+from .tsstats import as_panel, constant_columns, constant_floor, sym_eigen
 from .unitroot import probe_lags
 
 __all__ = [
     "Var1Fit",
-    "FactorModelFit",
     "DmResult",
     "ForecastReport",
-    "fit_factor_models",
-    "forecast_path",
     "forecast_y",
     "dm_test",
     "baseline_dfar",
@@ -51,19 +49,6 @@ class Var1Fit:
 
     coef: np.ndarray
     intercept: np.ndarray
-
-
-@dataclass(frozen=True)
-class FactorModelFit:
-    """Dynamics fitted to the extracted factor paths.
-
-    ``nonstat`` holds the VAR(1)-on-differences fit for the trend paths (an
-    empty one without trends); ``stat`` holds the scalar AR(1) fits of the
-    stationary factors as one VAR(1) with a diagonal ``coef``.
-    """
-
-    nonstat: Var1Fit
-    stat: Var1Fit
 
 
 def _ar1_columns(x: np.ndarray) -> Var1Fit:
@@ -114,31 +99,6 @@ def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
     return Var1Fit(coef=beta[1:].T, intercept=beta[0]), tstat
 
 
-def fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
-    """Fit the trend VAR(1)-on-differences and per-factor AR(1) models to the
-    factor paths ``x1`` and ``z2``: finite 2-D arrays of the same length, at
-    least 2 rows long."""
-    x1, z2 = _real_array(x1, "x1"), _real_array(z2, "z2")
-    for name, arr in (("x1", x1), ("z2", z2)):
-        if arr.ndim != 2:
-            raise ArgumentError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
-    if len(x1) != len(z2):
-        raise ArgumentError(f"x1 and z2 must have equal row counts, got {len(x1)} and {len(z2)}")
-    if len(x1) < 2:
-        raise ArgumentError(f"factor paths need at least 2 rows, got {len(x1)}")
-    return _fit_factor_models(x1, z2)
-
-
-def _fit_factor_models(x1: np.ndarray, z2: np.ndarray) -> FactorModelFit:
-    """:func:`fit_factor_models` on validated factor paths, such as a
-    :class:`~trendfactors.pipeline.Decomposition`'s."""
-    n, r = x1.shape
-    if r and n < r + 3:
-        raise ArgumentError(f"VAR(1)-on-differences needs n >= r + 3 = {r + 3}")
-    nonstat = _var1_least_squares(x1[1:] - x1[:-1])[0]
-    return FactorModelFit(nonstat=nonstat, stat=_ar1_columns(z2))
-
-
 def _var1_path(fit: Var1Fit, state: np.ndarray, h_max: int) -> np.ndarray:
     """Iterate ``x <- intercept + coef @ x`` from ``state``; row ``j`` is step ``j + 1``."""
     # a diagonal coef gives the bits of phi * x: one rounded product plus exact zeros per row
@@ -162,15 +122,17 @@ def _dfar_path(y: np.ndarray, h_max: int) -> np.ndarray:
     return _integrate(y[-1], _var1_path(_ar1_columns(d), d[-1], h_max))
 
 
-def forecast_path(dec, fit: FactorModelFit, h_max: int) -> np.ndarray:
+def _gt_forecast(dec, h_max: int) -> np.ndarray:
     """Forecasts of the observed panel for every horizon ``1..h_max``.
 
-    ``dec`` is the :class:`~trendfactors.pipeline.Decomposition` that ``fit``
-    was fitted to; the forecast reads its ``A1``, ``x1``, ``A2U1`` (the
-    stationary factors' loadings ``A2 @ U1``) and ``z2``.  Each row is
-    ``A1 x1_{n+h} + A2 U1 z2_{n+h}`` with the factor forecasts iterated
-    from the fitted recursions (trend differences re-integrated); with no
-    trends the trend part is an ``(h_max, 0)`` path and adds zeros.
+    ``dec`` is a :class:`~trendfactors.pipeline.Decomposition`; the forecast
+    reads its ``A1``, ``x1``, ``A2U1`` (the stationary factors' loadings
+    ``A2 @ U1``) and ``z2``.  It fits a VAR(1) to the first differences of
+    the trend paths ``x1`` and one AR(1) per stationary factor path of
+    ``z2``, iterates both, and re-integrates the trend differences.  Each
+    row is ``A1 x1_{n+h} + A2 U1 z2_{n+h}``; with no trends the trend part
+    is an ``(h_max, 0)`` path and adds zeros.  The trend VAR(1) needs
+    ``r1_hat + 3`` rows.
 
     Known limitation: the white components are left out, their mean too,
     so a level shift of the stationary block biases the forecast (adding
@@ -179,14 +141,21 @@ def forecast_path(dec, fit: FactorModelFit, h_max: int) -> np.ndarray:
     if not _is_int(h_max) or h_max < 1:
         raise ArgumentError(f"horizon must be an integer >= 1, got {h_max!r}")
     x1 = dec.x1
-    x1f = _integrate(x1[-1], _var1_path(fit.nonstat, x1[-1] - x1[-2], h_max))
-    z2f = _var1_path(fit.stat, dec.z2[-1], h_max)
+    n, r = x1.shape
+    if r and n < r + 3:
+        raise ArgumentError(f"gt's trend VAR(1) on differences needs r1_hat + 3 = {r + 3} "
+                            f"rows, got {n} rows with r1_hat = {r}")
+    trend = _var1_least_squares(x1[1:] - x1[:-1])[0]
+    stat = _ar1_columns(dec.z2)
+    x1f = _integrate(x1[-1], _var1_path(trend, x1[-1] - x1[-2], h_max))
+    z2f = _var1_path(stat, dec.z2[-1], h_max)
     return x1f @ dec.A1.T + z2f @ dec.A2U1.T
 
 
-def forecast_y(dec, fit: FactorModelFit, h: int) -> np.ndarray:
-    """The ``h``-step-ahead forecast vector of the observed panel."""
-    return forecast_path(dec, fit, h)[h - 1]
+def forecast_y(dec, h: int) -> np.ndarray:
+    """The ``h``-step-ahead forecast vector of the observed panel, from the
+    gt forecast of the :class:`~trendfactors.pipeline.Decomposition` ``dec``."""
+    return _gt_forecast(dec, h)[h - 1]
 
 
 class DmResult(NamedTuple):
@@ -315,10 +284,6 @@ class ForecastReport:
     meta: dict
 
 
-def _gt_forecast(dec, h_max: int) -> np.ndarray:
-    return forecast_path(dec, _fit_factor_models(dec.x1, dec.z2), h_max)
-
-
 def evaluate_forecasts(
     panel,
     config: PipelineConfig = PipelineConfig(),
@@ -339,10 +304,12 @@ def evaluate_forecasts(
     holds each count used, ``None`` for a method not requested), so when it
     is needed ``window_start`` must leave room for every lag ``decompose``
     probes; ``dfar`` and ``pca_levels`` need ``window_start >= 4`` and
-    ``pca_diff`` needs 5.  When more than one method is requested,
-    ``window_start`` must leave at least ``MIN_DM_LOSSES`` (8) origins at
-    the largest horizon, the fewest losses ``dm_test`` accepts; a single
-    method may use fewer.
+    ``pca_diff`` needs 5.  gt also needs ``r1_hat + 3`` rows at every origin
+    for its trend VAR(1); ``r1_hat`` depends on the window's data, so that
+    is checked origin by origin, not up front.  When more than one method
+    is requested, ``window_start`` must leave at least ``MIN_DM_LOSSES`` (8)
+    origins at the largest horizon, the fewest losses ``dm_test`` accepts;
+    a single method may use fewer.
     """
     pan = as_panel(panel)
     y = pan.data

@@ -105,8 +105,8 @@ class Decomposition:
 
     :func:`recover_factors` assembles it from the two stages' results; the
     same object is what :func:`decompose` returns, what the Monte Carlo reads
-    its accuracy metrics from and what
-    :func:`~trendfactors.forecast.forecast_path` forecasts from.
+    its accuracy metrics from and the only input of the gt forecast,
+    :func:`~trendfactors.forecast.forecast_y`.
 
     Loadings ``A1`` (trends) and ``A2`` (stationary block) live in the
     observation space, and the components ``x1 = y @ A1`` and ``x2 = y @ A2``

@@ -295,6 +295,18 @@ class TestCommands:
                      "--out-dir", str(tmp_path)])
         assert code == 1
 
+    def test_forecast_window_too_short_for_the_trend_var1_exit_1(self, tmp_path, capsys):
+        # the 29-row first window gives r1_hat = 28 trends, whose VAR(1) needs 31 rows
+        panel = tmp_path / "walk.csv"
+        write_csv(panel, np.cumsum(np.random.default_rng(0).normal(size=(40, 60)), axis=0))
+        code = main(["forecast", str(panel), "--c0", "1e-6", "--l", "1", "--m", "5",
+                     "--window-start", "29", "--methods", "gt", "--out-dir", str(tmp_path / "fc")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "needs r1_hat + 3 = 31 rows, got 29 rows with r1_hat = 28" in err
+        assert not (tmp_path / "fc" / "forecast.json").exists()
+
     def test_forecast_repeated_method_exit_1(self, example_csv, tmp_path, capsys):
         code = main(["forecast", str(example_csv), "--window-start", "280",
                      "--methods", "dfar", "dfar", "--out-dir", str(tmp_path / "fc")])

@@ -1,7 +1,6 @@
 """Forecasting: factor-model fits, error metrics, DM test, baselines."""
 
 import math
-import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,8 +14,6 @@ from trendfactors.forecast import (
     baseline_pca,
     dm_test,
     evaluate_forecasts,
-    fit_factor_models,
-    forecast_path,
     forecast_y,
 )
 from trendfactors.pipeline import PipelineConfig, decompose
@@ -25,15 +22,14 @@ from trendfactors.unitroot import M1Eigen
 
 
 def stationary_fits(z2):
-    """The per-factor AR(1) fits of :func:`fit_factor_models` without trends:
-    one VAR(1) with a diagonal ``coef``."""
-    return fit_factor_models(np.zeros((z2.shape[0], 0)), z2).stat
+    """The per-factor AR(1) fits the gt forecast iterates: one VAR(1) with a
+    diagonal ``coef``."""
+    return forecast._ar1_columns(z2)
 
 
 def trend_fit(x1):
-    """The VAR(1)-on-differences fit of :func:`fit_factor_models` without
-    stationary factors."""
-    return fit_factor_models(x1, np.zeros((x1.shape[0], 0))).nonstat
+    """The VAR(1) on first differences the gt forecast fits to the trend paths."""
+    return forecast._var1_least_squares(x1[1:] - x1[:-1])[0]
 
 
 class TestFitAr1:
@@ -42,7 +38,6 @@ class TestFitAr1:
         fit = forecast._ar1_columns(x[:, None])
         assert fit.coef[0, 0] == pytest.approx(0.9, abs=1e-10)
         assert fit.intercept[0] == pytest.approx(0.0, abs=1e-10)
-        assert np.array_equal(stationary_fits(x[:, None]).coef, fit.coef)
 
     def test_seeded_ar_recovered(self):
         rng = np.random.default_rng(0)
@@ -156,7 +151,7 @@ class TestAr1Columns:
             np.testing.assert_allclose(fit.intercept[flat], x[:, flat].mean(axis=0), rtol=1e-15)
 
     def test_fit_ar1_matches_reference(self):
-        # the AR(1) fits that fit_factor_models hands to the forecasts
+        # the AR(1) fits that the gt forecast iterates
         y = panel_with_degenerate_columns(3)
         ref_phi, ref_intercept = ols_ar1_reference(y)
         fit = stationary_fits(y)
@@ -205,7 +200,7 @@ class TestAr1Columns:
 
 
 class TestFitVar1Diff:
-    """The trend VAR(1) on first differences that fit_factor_models fits to x1."""
+    """The trend VAR(1) on first differences that the gt forecast fits to x1."""
 
     def test_exact_recovery_noise_free(self):
         a = np.array([[0.5, 0.2], [-0.1, 0.3]])
@@ -224,37 +219,18 @@ class TestFitVar1Diff:
         fit = trend_fit(y)
         assert np.linalg.norm(fit.coef, 2) <= 0.1
 
-    def test_complex_input_rejected(self):
-        # a cast to float would fit the real part with only a ComplexWarning
-        rng = np.random.default_rng(3)
-        x1 = np.cumsum(rng.normal(size=(50, 1)), axis=0)
-        z2 = rng.normal(size=(50, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ArgumentError, match="^x1 has complex entries"):
-                fit_factor_models(x1 + 1j, z2)
-            with pytest.raises(ArgumentError, match="^z2 has complex entries"):
-                fit_factor_models(x1, z2.astype(complex))
-            with pytest.raises(ArgumentError, match="^x1 is not a numeric array"):
-                fit_factor_models([["a"], ["b"]], z2)
-
     def test_malformed_factor_paths_rejected(self):
-        # unchecked, these surface as a LinAlgError from the SVD or an IndexError
+        # too few rows for the trend VAR(1): unchecked, its fit is rank deficient;
+        # the message names r1_hat, the rows needed and the rows given
         rng = np.random.default_rng(4)
         x1 = np.cumsum(rng.normal(size=(50, 1)), axis=0)
-        z2 = rng.normal(size=(50, 2))
-        bad_x1 = x1.copy()
-        bad_x1[7, 0] = np.nan
-        for args, message in [((bad_x1, z2), "^x1 contains non-finite"),
-                              ((x1, np.where(z2 > 2.0, np.inf, z2)), "^z2 contains non-finite"),
-                              ((x1, z2[:, 0]), "^z2 must be 2-dimensional"),
-                              ((x1[:, 0], z2), "^x1 must be 2-dimensional"),
-                              ((x1[1:], z2), "^x1 and z2 must have equal row counts"),
-                              ((np.zeros((1, 0)), np.ones((1, 1))),
-                               "^factor paths need at least 2 rows"),
-                              ((x1[:3], z2[:3]), r"needs n >= r \+ 3 = 4")]:
-            with pytest.raises(ArgumentError, match=message):
-                fit_factor_models(*args)
+        dec = SimpleNamespace(A1=np.ones((3, 1)), A2U1=np.ones((3, 2)),
+                              x1=x1[:3], z2=rng.normal(size=(3, 2)))
+        with pytest.raises(ArgumentError, match=r"needs r1_hat \+ 3 = 4 rows, got 3 rows "
+                                                r"with r1_hat = 1$"):
+            forecast._gt_forecast(dec, 2)
+        dec.x1, dec.z2 = x1[:4], rng.normal(size=(4, 2))
+        assert forecast._gt_forecast(dec, 2).shape == (2, 3)
 
     def test_single_column_matches_ar1(self):
         rng = np.random.default_rng(2)
@@ -268,18 +244,17 @@ class TestFitVar1Diff:
 class TestForecastY:
     def _decomp(self, y, config=PipelineConfig()):
         dec = decompose(y, config)
-        fit = fit_factor_models(dec.x1, dec.z2)
-        return dec, fit
+        return dec, SimpleNamespace(nonstat=trend_fit(dec.x1), stat=stationary_fits(dec.z2))
 
     def test_constant_factor_continues(self):
         # trend paths with exactly constant differences forecast linearly
         rng = np.random.default_rng(3)
         spec = DgpSpec(p=4, n=300, r1=1, r2=1, example=1, seed=9)
         panel, _ = generate(spec)
-        dec, fit = self._decomp(panel.data)
-        path = forecast_path(dec, fit, 3)
+        dec = decompose(panel.data)
+        path = forecast._gt_forecast(dec, 3)
         assert path.shape == (3, 4)
-        assert np.allclose(forecast_y(dec, fit, 2), path[1])
+        assert np.allclose(forecast_y(dec, 2), path[1])
 
     def test_no_stationary_factors_trend_only(self):
         rng = np.random.default_rng(4)
@@ -288,10 +263,9 @@ class TestForecastY:
         )
         dec = decompose(y, PipelineConfig())
         if dec.r2_hat == 0:
-            fit = fit_factor_models(dec.x1, dec.z2)
-            got = forecast_y(dec, fit, 1)
-            trend_only = (dec.x1[-1] + fit.nonstat.intercept
-                          + fit.nonstat.coef @ (dec.x1[-1] - dec.x1[-2]))
+            fit = trend_fit(dec.x1)
+            got = forecast_y(dec, 1)
+            trend_only = dec.x1[-1] + fit.intercept + fit.coef @ (dec.x1[-1] - dec.x1[-2])
             assert np.allclose(got, dec.A1 @ trend_only, atol=1e-10)
 
     @pytest.mark.blas_threads
@@ -305,14 +279,26 @@ class TestForecastY:
         for _ in range(4):
             delta = fit.nonstat.intercept + fit.nonstat.coef @ delta
             levels.append(levels[-1] + delta)
-        assert np.array_equal(forecast_path(dec, fit, 4), np.array(levels[1:]) @ dec.A1.T)
+        assert np.array_equal(forecast._gt_forecast(dec, 4), np.array(levels[1:]) @ dec.A1.T)
 
     @pytest.mark.parametrize("n", [2, 50])
     def test_no_trends_fit_an_empty_var1(self, n):
         z2 = np.random.default_rng(n).normal(size=(n, 2))
-        nonstat = fit_factor_models(np.zeros((n, 0)), z2).nonstat
+        nonstat = trend_fit(np.zeros((n, 0)))
         assert isinstance(nonstat, forecast.Var1Fit)
         assert nonstat.coef.shape == (0, 0) and nonstat.intercept.shape == (0,)
+        dec = SimpleNamespace(A1=np.zeros((2, 0)), A2U1=np.eye(2), x1=np.zeros((n, 0)), z2=z2)
+        z2f = forecast._var1_path(stationary_fits(z2), z2[-1], 3)
+        assert np.array_equal(forecast._gt_forecast(dec, 3), z2f)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_forecast_y_is_a_row_of_the_path(self, h):
+        dec = decompose(generate(DgpSpec(p=6, n=400, example=1, seed=21))[0].data)
+        assert np.array_equal(forecast_y(dec, h), forecast._gt_forecast(dec, h)[h - 1])
+        # the factor paths share their first h rows; a one-row loadings product
+        # takes BLAS's matrix-vector route, which can round the last bit apart
+        path = forecast._gt_forecast(dec, 4)
+        assert np.abs(forecast_y(dec, h) - path[h - 1]).max() <= 1e-15 * np.abs(path).max()
 
     def test_no_trends_forecast_the_stationary_part(self):
         # r1 = 0: the empty trend fit iterates an (h, 0) path, whose product
@@ -321,7 +307,7 @@ class TestForecastY:
         dec, fit = self._decomp(panel.data)
         assert dec.r1_hat == 0 and dec.r2_hat >= 1
         z2f = forecast._var1_path(fit.stat, dec.z2[-1], 4)
-        assert np.array_equal(forecast_path(dec, fit, 4), z2f @ dec.A2U1.T)
+        assert np.array_equal(forecast._gt_forecast(dec, 4), z2f @ dec.A2U1.T)
 
     def test_wide_panel_forecasts_skip_the_completion(self, monkeypatch):
         # A2 U1 is read off A2's row-space block, where U1 has its nonzero rows
@@ -335,10 +321,10 @@ class TestForecastY:
         with monkeypatch.context() as patched:
             patched.setattr(M1Eigen, "basis", refuse)
             report = evaluate_forecasts(y, config, methods=("gt",))
-        dec, fit = self._decomp(y, config)
+        dec = decompose(y, config)
         assert dec.eig1.reflectors is not None and dec.r2_hat >= 1
         dense = SimpleNamespace(A1=dec.A1, A2U1=dec.A2 @ dec.U1, x1=dec.x1, z2=dec.z2)
-        expected = forecast_path(dense, fit, max(config.horizons))
+        expected = forecast._gt_forecast(dense, max(config.horizons))
         assert np.max(np.abs(report.forecasts["gt"] - expected)) <= 1e-12 * np.abs(expected).max()
 
     def test_constant_stationary_factor_continues(self):
@@ -349,8 +335,7 @@ class TestForecastY:
             x1 = np.linspace(0.0, 9.0, 10)[:, None]
             z2 = np.full((10, 1), 4.2)
 
-        fit = fit_factor_models(Dec.x1, Dec.z2)
-        path = forecast_path(Dec, fit, 3)
+        path = forecast._gt_forecast(Dec, 3)
         assert np.allclose(path[:, 1], 4.2, atol=1e-10)
         assert np.allclose(path[:, 0], [10.0, 11.0, 12.0], atol=1e-8)
 
@@ -358,7 +343,7 @@ class TestForecastY:
         spec = DgpSpec(p=6, n=400, example=1, seed=21)
         panel, _ = generate(spec)
         dec, fit = self._decomp(panel.data)
-        got = forecast_y(dec, fit, 1)
+        got = forecast_y(dec, 1)
         x1_next = dec.x1[-1] + fit.nonstat.intercept + fit.nonstat.coef @ (
             dec.x1[-1] - dec.x1[-2]
         )
@@ -389,9 +374,9 @@ class TestOneRecursion:
     """Every AR(1) runs through the VAR(1) recursion with a diagonal ``coef``;
     that product gives the bits of the elementwise recursion."""
 
-    def test_forecast_path_match_reference(self, panel):
+    def test_gt_forecast_match_reference(self, panel):
         dec = decompose(RECURSION_PANELS[panel]())
-        fit = fit_factor_models(dec.x1, dec.z2)
+        fit = SimpleNamespace(nonstat=trend_fit(dec.x1), stat=stationary_fits(dec.z2))
         assert dec.r1_hat >= 1 and dec.r2_hat >= 1
         levels, delta = [dec.x1[-1]], dec.x1[-1] - dec.x1[-2]
         for _ in range(6):
@@ -400,7 +385,7 @@ class TestOneRecursion:
         z2f = ar1_elementwise_reference(np.diag(fit.stat.coef), fit.stat.intercept,
                                         dec.z2[-1], 6)
         expect = np.array(levels[1:]) @ dec.A1.T + z2f @ dec.A2U1.T
-        assert np.array_equal(forecast_path(dec, fit, 6), expect)
+        assert np.array_equal(forecast._gt_forecast(dec, 6), expect)
 
     def test_dfar_match_reference(self, panel):
         y = RECURSION_PANELS[panel]()
@@ -749,12 +734,8 @@ class TestEvaluateForecasts:
         report = evaluate_forecasts(y, config)
         nfac_levels, nfac_diff = report.meta["pca_nfac_levels"], report.meta["pca_nfac_diff"]
 
-        def gt(train, h):
-            dec = decompose(train, config)
-            return forecast_path(dec, fit_factor_models(dec.x1, dec.z2), h)
-
         methods = {
-            "gt": gt,
+            "gt": lambda train, h: forecast._gt_forecast(decompose(train, config), h),
             "dfar": baseline_dfar,
             "pca_levels": lambda train, h: baseline_pca(train, nfac_levels, "levels", h),
             "pca_diff": lambda train, h: baseline_pca(train, nfac_diff, "differences", h),
@@ -848,6 +829,16 @@ class TestEvaluateForecasts:
         panel, _ = generate(spec)
         with pytest.raises(ArgumentError):
             evaluate_forecasts(panel, PipelineConfig(horizons=(1,), window_start=120))
+
+    def test_window_too_short_for_the_trend_var1(self):
+        # window_start = 29 clears the largest probed lag + 2 (7), but the
+        # 29-row window gives r1_hat = 28 trends, whose VAR(1) needs 31 rows
+        y = np.cumsum(np.random.default_rng(0).normal(size=(40, 60)), axis=0)
+        config = PipelineConfig(c0=1e-6, l=1, m=5, window_start=29)
+        assert decompose(y[:29], config).r1_hat == 28
+        with pytest.raises(ArgumentError, match=r"needs r1_hat \+ 3 = 31 rows, got 29 rows "
+                                                r"with r1_hat = 28$"):
+            evaluate_forecasts(y, config, methods=("gt",))
 
     def test_horizon_beyond_end(self):
         spec = DgpSpec(p=4, n=120, example=1, seed=2)

@@ -17,14 +17,14 @@ UNCALLED = set(trendfactors.__all__)
 
 PUBLIC = [
     # entry points
-    "decompose", "PipelineConfig", "generate", "DgpSpec", "fit_factor_models",
-    "forecast_y", "evaluate_forecasts", "run_montecarlo",
+    "decompose", "PipelineConfig", "generate", "DgpSpec", "forecast_y",
+    "evaluate_forecasts", "run_montecarlo",
     # the types they take or return
-    "Decomposition", "FactorModelFit", "ForecastReport", "MonteCarloResult",
+    "Decomposition", "ForecastReport", "MonteCarloResult",
     "GroundTruth", "TimeSeriesPanel",
     # the error classes behind the CLI exit codes
     "TrendFactorsError", "ArgumentError", "CsvParseError", "NumericalError",
-    "DegenerateSeriesError", "IllConditionedError",
+    "IllConditionedError",
 ]
 
 
