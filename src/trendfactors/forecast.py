@@ -2,14 +2,14 @@
 
 The gt forecast reads one decomposition only: it fits a VAR(1) to the
 differenced trend paths and one AR(1) per stationary factor, iterates both
-and maps the factor forecasts back through the loadings.  The forecasts of
-the observed panel are evaluated against baseline methods over
-expanding-window origins.  Every AR(1) is a VAR(1) with a diagonal
-coefficient matrix, so one recursion iterates every forecast.  Each method
-and horizon is scored from one error array ``e = yhat - y`` (origins by
-series): FE_h is the mean over origins of ``||e|| / sqrt(p)``, the mean of
-the loss series the DM test compares, and RMSFE is
-``sqrt(mean over origins of e**2)``, one value per series.
+and maps the factor forecasts back through the loadings, around the panel's
+column means.  The forecasts of the observed panel are evaluated against
+baseline methods over expanding-window origins.  Every AR(1) is a VAR(1)
+with a diagonal coefficient matrix, so one recursion iterates every
+forecast.  Each method and horizon is scored from one error array
+``e = yhat - y`` (origins by series): FE_h is the mean over origins of
+``||e|| / sqrt(p)``, the mean of the loss series the DM test compares, and
+RMSFE is ``sqrt(mean over origins of e**2)``, one value per series.
 """
 
 from __future__ import annotations
@@ -127,29 +127,30 @@ def _gt_forecast(dec, h_max: int) -> np.ndarray:
 
     ``dec`` is a :class:`~trendfactors.pipeline.Decomposition`; the forecast
     reads its ``A1``, ``x1``, ``A2U1`` (the stationary factors' loadings
-    ``A2 @ U1``) and ``z2``.  It fits a VAR(1) to the first differences of
-    the trend paths ``x1`` and one AR(1) per stationary factor path of
-    ``z2``, iterates both, and re-integrates the trend differences.  Each
-    row is ``A1 x1_{n+h} + A2 U1 z2_{n+h}``; with no trends the trend part
-    is an ``(h_max, 0)`` path and adds zeros.  The trend VAR(1) needs
-    ``r1_hat + 3`` rows.
-
-    Known limitation: the white components are left out, their mean too,
-    so a level shift of the stationary block biases the forecast (adding
-    10 to a (400, 5) panel moves gt's 1-step FE from 1.160 to 7.825).
+    ``A2 @ U1``), ``z2`` and ``ybar`` (the panel's column means).  It fits a
+    VAR(1) to the first differences of the trend paths ``x1`` and one AR(1)
+    per stationary factor path of ``z2``, iterates both, and re-integrates
+    the trend differences.  Each row is ``ybar + A1 (x1_{n+h} - mean x1)
+    + A2 U1 (z2_{n+h} - mean z2)``: the stationary block keeps its mean
+    ``A2 A2' ybar``, so the forecast of ``y + c`` is the forecast of ``y``
+    plus ``c``.  With no trends the trend part is an ``(h_max, 0)`` path
+    and adds zeros.  The trend VAR(1) needs ``r1_hat + 3`` rows.
     """
     if not _is_int(h_max) or h_max < 1:
         raise ArgumentError(f"horizon must be an integer >= 1, got {h_max!r}")
-    x1 = dec.x1
+    x1, z2 = dec.x1, dec.z2
     n, r = x1.shape
     if r and n < r + 3:
         raise ArgumentError(f"gt's trend VAR(1) on differences needs r1_hat + 3 = {r + 3} "
                             f"rows, got {n} rows with r1_hat = {r}")
     trend = _var1_least_squares(x1[1:] - x1[:-1])[0]
-    stat = _ar1_columns(dec.z2)
+    stat = _ar1_columns(z2)
     x1f = _integrate(x1[-1], _var1_path(trend, x1[-1] - x1[-2], h_max))
-    z2f = _var1_path(stat, dec.z2[-1], h_max)
-    return x1f @ dec.A1.T + z2f @ dec.A2U1.T
+    z2f = _var1_path(stat, z2[-1], h_max)
+    # the means of x1 = y A1 are ybar A1, so the trend part keeps ybar A1 A1'
+    x1f -= np.einsum("ti->i", x1) / n
+    z2f -= np.einsum("ti->i", z2) / n
+    return dec.ybar + x1f @ dec.A1.T + z2f @ dec.A2U1.T
 
 
 def forecast_y(dec, h: int) -> np.ndarray:

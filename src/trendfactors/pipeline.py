@@ -134,7 +134,8 @@ class Decomposition:
     ``A1`` and ``A2U1`` (the stationary factors' loadings ``A2 @ U1``,
     computed on each read) are products with ``eig1``, the
     :class:`~trendfactors.unitroot.M1Eigen` that
-    :func:`~trendfactors.unitroot.first_stage` returns; ``x1`` and ``x2``
+    :func:`~trendfactors.unitroot.first_stage` returns, and ``ybar``
+    (the panel's column means) is read off it; ``x1`` and ``x2``
     come from stage one, not from ``A1`` and ``A2``.  ``A2`` and ``V1`` are
     built on first read and then kept: ``A2`` from ``eig1`` and ``V1`` from
     ``V1_lead``, its block over all but the null-space components.  On a
@@ -172,6 +173,11 @@ class Decomposition:
         # the null-space components are last in every order
         v1[np.arange(lead, len(v1)), np.arange(v_lead, self.v_hat)] = 1.0
         return v1
+
+    @property
+    def ybar(self) -> np.ndarray:
+        """The panel's column means, as stage one kept them."""
+        return self.eig1.ybar
 
     @property
     def A2U1(self) -> np.ndarray:

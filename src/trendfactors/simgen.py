@@ -1,4 +1,4 @@
-"""Data-generating processes, subspace metrics, and the Monte Carlo driver.
+"""Data-generating processes and the Monte Carlo driver with its accuracy metrics.
 
 Two synthetic designs exercise the pipeline: a small-dimension design with an
 orthonormal mixing matrix (example 1) and a high-dimensional design with
@@ -11,12 +11,13 @@ driver derives independent per-replication streams from (base seed, cell
 index, rep index) so replications can run in any order.  Each replication
 scores the estimate by three span distances (``Dbar_A1``, ``Dbar_A2``,
 ``Dbar_A2U1``) and two path RMSEs (``rmse_trend``, ``rmse_stationary``),
-the RMSEs from the R factor of the stacked loadings, with no ``n x p`` path.
+all five from the R factor of each pair's stacked loadings: the RMSEs
+with no ``n x p`` path, and the distances from the principal-angle sines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -35,7 +36,6 @@ __all__ = [
     "draw_mixing",
     "draw_panel",
     "generate",
-    "metric_Dbar",
     "run_montecarlo",
     "derive_seed",
     "VARIANTS",
@@ -235,37 +235,30 @@ def generate(spec: DgpSpec) -> tuple[TimeSeriesPanel, GroundTruth]:
     return draw_panel(spec, draw_mixing(spec, rng), rng)
 
 
-def metric_Dbar(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Projector-based span distance in [0, 1] for full-column-rank matrices.
+def _score_pair(x_hat, a_hat, x, a, denom) -> tuple[float, float]:
+    """``(rmse, outside)`` of an estimated loading pair against the truth.
 
-    0 means equal spans and 1 orthogonal spans; a span of width d1 nested in
-    one of width d2 gives ``sqrt(1 - d1 / d2)``.  For half-orthonormal inputs
-    of equal width r this is the paper's ``D = sqrt(1 - ||h1' h2||_F^2 / r)``.
+    With ``[a_hat, a] = Q R`` (one thin QR), ``x_hat a_hat' - x a'`` has the
+    Frobenius norm of ``[x_hat, -x] R'``, so the path RMSE
+    ``sqrt(||x_hat a_hat' - x a'||_F^2 / denom)`` forms no ``n x p`` path.
+    In ``Q``'s coordinates ``a_hat`` (``k`` columns, full rank) spans the
+    first ``k`` axes and ``a`` the span of ``R[:, k:] = Q_s R_s``, so
+    ``outside = ||Q_s[k:]||_F^2`` is the sum of the squared sines of the
+    principal angles between the spans, free of cancellation.
     """
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    if h1.ndim != 2 or h2.ndim != 2 or h1.shape[0] != h2.shape[0]:
-        raise ArgumentError("inputs must share the row dimension")
-    d1, d2 = h1.shape[1], h2.shape[1]
-    if min(d1, d2) < 1:
-        raise ArgumentError("need at least one column")
-    q1 = np.linalg.qr(h1)[0]
-    q2 = np.linalg.qr(h2)[0]
-    if np.linalg.matrix_rank(h1) < d1 or np.linalg.matrix_rank(h2) < d2:
-        raise ArgumentError("inputs must have full column rank")
-    overlap = float(np.sum((q1.T @ q2) ** 2))
-    return float(np.sqrt(max(0.0, 1.0 - overlap / max(d1, d2))))
-
-
-def _path_rmse(x_hat, a_hat, x, a, denom) -> float:
-    """``sqrt(||x_hat a_hat' - x a'||_F^2 / denom)`` without forming either path.
-
-    With ``[a_hat, a] = Q R`` (thin QR, ``Q`` with orthonormal columns), the
-    difference is ``[x_hat, -x] R' Q'`` and has the Frobenius norm of
-    ``[x_hat, -x] R'``: an ``n x (r_hat + r)`` product instead of ``n x p`` ones.
-    """
+    k = a_hat.shape[1]
     r = np.linalg.qr(np.hstack([a_hat, a]), mode="r")
-    return float(np.linalg.norm(np.hstack([x_hat, -x]) @ r.T) / np.sqrt(denom))
+    rmse = float(np.linalg.norm(np.hstack([x_hat, -x]) @ r.T) / np.sqrt(denom))
+    q_s = np.linalg.qr(r[:, k:])[0]
+    return rmse, float(np.einsum("ij,ij->", q_s[k:], q_s[k:]))
+
+
+def _sine_distance(k: int, j: int, outside: float) -> float:
+    """The paper's span distance ``sqrt(1 - ||Q_hat' Q||_F^2 / max(k, j))`` for
+    widths ``k`` and ``j``, with ``||Q_hat' Q||_F^2 = j - outside``; NaN when
+    either span is empty."""
+    wide = max(k, j)
+    return float(np.sqrt(max(0.0, wide - j + outside) / wide)) if min(k, j) else np.nan
 
 
 def _parse_variant(name: str) -> tuple[bool, bool]:
@@ -342,27 +335,6 @@ class MonteCarloResult:
         return out
 
 
-def _span_distance(h1: np.ndarray, h2: np.ndarray) -> float:
-    # an empty basis on either side leaves no span to compare
-    return metric_Dbar(h1, h2) if min(h1.shape[1], h2.shape[1]) else np.nan
-
-
-def _complement_distance(a1: np.ndarray, b1: np.ndarray) -> float:
-    """:func:`metric_Dbar` of the orthogonal complements of two orthonormal bases.
-
-    For ``p x a`` and ``p x b`` orthonormal ``a1`` and ``b1`` with complements
-    ``a2`` and ``b2``, ``||a2' b2||_F^2 = p - a - b + ||a1' b1||_F^2``, so
-    neither complement is formed.  An empty complement gives NaN, as in
-    :func:`_span_distance`.
-    """
-    p, a = a1.shape
-    b = b1.shape[1]
-    if max(a, b) == p:
-        return np.nan
-    overlap = p - a - b + float(np.sum((a1.T @ b1) ** 2))
-    return float(np.sqrt(max(0.0, 1.0 - overlap / (p - min(a, b)))))
-
-
 def _replication(
     panel: TimeSeriesPanel,
     truth: GroundTruth,
@@ -386,19 +358,20 @@ def _replication(
     # span/path accuracy metrics under the first requested variant; example 2
     # averages the squared path errors over the dimension as well as time
     denom = spec.n if spec.example == 1 else spec.n * spec.p
+    k, j = dec.r1_hat, spec.r1
+    rmse, outside = _score_pair(dec.x1, dec.A1, truth.x1, truth.A1, denom)
     metrics = {
-        "Dbar_A1": _span_distance(dec.A1, truth.A1),
-        # A2 and truth.A2 complete A1 and truth.A1 to orthonormal bases
-        "Dbar_A2": _complement_distance(dec.A1, truth.A1),
-        "rmse_trend": _path_rmse(dec.x1, dec.A1, truth.x1, truth.A1, denom),
+        "Dbar_A1": _sine_distance(k, j, outside),
+        # A2 and truth.A2 complete the orthonormal A1 and truth.A1: sines k - j + outside
+        "Dbar_A2": _sine_distance(spec.p - k, spec.p - j, k - j + outside),
+        "rmse_trend": rmse,
         "Dbar_A2U1": np.nan,
         "rmse_stationary": np.nan,
     }
     if dec.r2_hat >= 1:
-        a2u1_hat = dec.A2U1
-        a2u1 = truth.A2 @ truth.U22_1
-        metrics["Dbar_A2U1"] = _span_distance(a2u1_hat, a2u1)
-        metrics["rmse_stationary"] = _path_rmse(dec.z2, a2u1_hat, truth.f2, a2u1, denom)
+        rmse, outside = _score_pair(dec.z2, dec.A2U1, truth.f2, truth.A2 @ truth.U22_1, denom)
+        metrics["Dbar_A2U1"] = _sine_distance(dec.r2_hat, spec.r2, outside)
+        metrics["rmse_stationary"] = rmse
     return counts, metrics
 
 
@@ -436,13 +409,11 @@ def run_montecarlo(
         hits = []
         metric_samples: dict = {}
         failure_reasons: dict = {}
-        cell_spec = replace(spec, seed=derive_seed(base_seed, ci))
-        mixing = draw_mixing(cell_spec, cell_spec.seed)
+        mixing = draw_mixing(spec, derive_seed(base_seed, ci))
         for rep in range(reps):
-            rep_spec = replace(spec, seed=derive_seed(base_seed, ci, rep))
             try:
-                panel, truth = draw_panel(rep_spec, mixing, rep_spec.seed)
-                counts, metrics = _replication(panel, truth, rep_spec, config, list(methods))
+                panel, truth = draw_panel(spec, mixing, derive_seed(base_seed, ci, rep))
+                counts, metrics = _replication(panel, truth, spec, config, list(methods))
             except (TrendFactorsError, np.linalg.LinAlgError) as exc:
                 count, message = failure_reasons.get(type(exc).__name__, (0, str(exc)))
                 failure_reasons[type(exc).__name__] = (count + 1, message)

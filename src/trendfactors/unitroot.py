@@ -93,11 +93,14 @@ class M1Eigen:
     reflectors below it) and ``tau`` their scale factors; both are ``None``
     when ``p < n``, where ``Q`` is the identity.  :meth:`times` is the one
     product with the eigenvectors and forms neither ``Q`` nor ``Q W``;
-    :meth:`basis` forms the complete eigenbasis.
+    :meth:`basis` forms the complete eigenbasis.  ``ybar`` holds the
+    panel's column means, which ``M1`` (built on the centered panel) leaves
+    out and the gt forecast adds back.
     """
 
     values: np.ndarray
     W: np.ndarray
+    ybar: np.ndarray
     reflectors: np.ndarray | None = None
     tau: np.ndarray | None = None
 
@@ -156,7 +159,8 @@ def first_stage(
     if not null:
         eig = sym_eigen(build_M1(pan, k0))
         x = pan.data @ eig.vectors
-        return M1Eigen(eig.values, eig.vectors), acf_profile(x, lags), x
+        ybar = np.einsum("ti->i", pan.data) / pan.n
+        return M1Eigen(eig.values, eig.vectors, ybar), acf_profile(x, lags), x
     rank = pan.p - null
     ybar = pan.data.mean(axis=0)
     yc = pan.data - ybar
@@ -178,5 +182,5 @@ def first_stage(
     x = np.empty((pan.n, pan.p))
     np.add(x_lead, qybar[:rank] @ w.vectors, out=x[:, :rank])
     x[:, rank:] = qybar[rank:]
-    eig = M1Eigen(np.concatenate([w.values, np.zeros(null)]), w.vectors, reflectors, tau)
+    eig = M1Eigen(np.concatenate([w.values, np.zeros(null)]), w.vectors, ybar, reflectors, tau)
     return eig, np.concatenate([rho, np.zeros((null, len(lags)))]), x

@@ -208,7 +208,7 @@ def test_criterion_8_oracle_suite(acceptance_report):
     from scipy.special import chdtrc
 
     from trendfactors.forecast import dm_test
-    from trendfactors.simgen import metric_Dbar
+    from trendfactors.simgen import _score_pair, _sine_distance
     from trendfactors.tsstats import TimeSeriesPanel, acf_profile, autocov_gram
     from trendfactors.whitenoise import _ljung_box
 
@@ -224,7 +224,9 @@ def test_criterion_8_oracle_suite(acceptance_report):
     checks["autocov_lag1"] = abs(acf_profile([[1.0], [3.0]], [1])[0, 0] + 0.5) <= 1e-6
     h1 = np.array([[1.0], [0.0]])
     h2 = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-    checks["Dbar_half"] = abs(metric_Dbar(h1, h2) - np.sqrt(0.5)) <= 1e-6
+    # the library's D: the principal-angle sines of one loading pair's QR
+    d_half = _sine_distance(1, 1, _score_pair(h1[:0], h1, h2[:0], h2, 1)[1])
+    checks["Dbar_half"] = abs(d_half - np.sqrt(0.5)) <= 1e-6
     # pca_levels with no components forecasts its training window's mean, so
     # after rows of zeros the errors are set by hand: (3, 4) over two origins
     # of one series, and (1, 1, 1, 1) at one origin

@@ -11,6 +11,7 @@ import pytest
 
 from trendfactors.cli import (
     _config_from_args,
+    _write_json,
     build_parser,
     main,
     read_panel_csv,
@@ -264,8 +265,8 @@ class TestCommands:
             assert (out / name).read_bytes() == buf.getvalue().encode()
 
     def test_forecast_json_is_standard_json(self, tmp_path):
-        # on a constant panel every DM long-run variance is degenerate and every
-        # mean loss differential nonzero: the statistics are infinite
+        # on a constant panel every method forecasts the constant, so every loss
+        # is 0 and every DM result degenerate with statistic 0
         path = tmp_path / "const.csv"
         write_csv(path, np.ones((120, 3)))
         out = tmp_path / "fc"
@@ -275,9 +276,25 @@ class TestCommands:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         report = json.loads((out / "forecast.json").read_text(), parse_constant=refuse)
+        for m in report["methods"]:
+            assert np.array_equal(np.loadtxt(out / f"forecasts_{m}.csv", delimiter=","),
+                                  np.ones((4, 3)))
+            assert set(report["fe"][m].values()) == {0.0}
         results = [r for per_h in report["dm"].values() for r in per_h.values()]
         assert len(results) == 12
-        assert all(r["statistic"] is None and r["degenerate"] is True for r in results)
+        assert all(r["statistic"] == 0.0 and r["degenerate"] is True for r in results)
+
+    def test_non_finite_json_values_written_as_null(self, tmp_path):
+        path = tmp_path / "report.json"
+        _write_json(path, {"nan": np.nan, "inf": [np.inf, -np.float64(np.inf)],
+                           "finite": np.float64(2.5)})
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(path.read_text(), parse_constant=refuse)
+        assert report["nan"] is None and report["inf"] == [None, None]
+        assert report["finite"] == 2.5
 
     def test_numerical_failure_exit_2(self, example_csv, tmp_path, monkeypatch, capsys):
         from trendfactors import cli

@@ -32,6 +32,15 @@ def trend_fit(x1):
     return forecast._var1_least_squares(x1[1:] - x1[:-1])[0]
 
 
+def gt_levels(dec, x1f, z2f):
+    """The gt forecast of the panel from forecast trend and factor paths:
+    ``ybar + (x1f - mean x1) A1' + (z2f - mean z2) (A2 U1)'``, with the
+    column means taken as the library takes them."""
+    x1_mean = np.einsum("ti->i", dec.x1) / len(dec.x1)
+    z2_mean = np.einsum("ti->i", dec.z2) / len(dec.z2)
+    return dec.ybar + (x1f - x1_mean) @ dec.A1.T + (z2f - z2_mean) @ dec.A2U1.T
+
+
 class TestFitAr1:
     def test_exact_geometric(self):
         x = 0.9 ** np.arange(30)
@@ -224,7 +233,7 @@ class TestFitVar1Diff:
         # the message names r1_hat, the rows needed and the rows given
         rng = np.random.default_rng(4)
         x1 = np.cumsum(rng.normal(size=(50, 1)), axis=0)
-        dec = SimpleNamespace(A1=np.ones((3, 1)), A2U1=np.ones((3, 2)),
+        dec = SimpleNamespace(A1=np.ones((3, 1)), A2U1=np.ones((3, 2)), ybar=np.zeros(3),
                               x1=x1[:3], z2=rng.normal(size=(3, 2)))
         with pytest.raises(ArgumentError, match=r"needs r1_hat \+ 3 = 4 rows, got 3 rows "
                                                 r"with r1_hat = 1$"):
@@ -279,7 +288,8 @@ class TestForecastY:
         for _ in range(4):
             delta = fit.nonstat.intercept + fit.nonstat.coef @ delta
             levels.append(levels[-1] + delta)
-        assert np.array_equal(forecast._gt_forecast(dec, 4), np.array(levels[1:]) @ dec.A1.T)
+        expect = gt_levels(dec, np.array(levels[1:]), np.zeros((4, 0)))
+        assert np.array_equal(forecast._gt_forecast(dec, 4), expect)
 
     @pytest.mark.parametrize("n", [2, 50])
     def test_no_trends_fit_an_empty_var1(self, n):
@@ -287,9 +297,10 @@ class TestForecastY:
         nonstat = trend_fit(np.zeros((n, 0)))
         assert isinstance(nonstat, forecast.Var1Fit)
         assert nonstat.coef.shape == (0, 0) and nonstat.intercept.shape == (0,)
-        dec = SimpleNamespace(A1=np.zeros((2, 0)), A2U1=np.eye(2), x1=np.zeros((n, 0)), z2=z2)
+        dec = SimpleNamespace(A1=np.zeros((2, 0)), A2U1=np.eye(2), ybar=np.full(2, 0.5),
+                              x1=np.zeros((n, 0)), z2=z2)
         z2f = forecast._var1_path(stationary_fits(z2), z2[-1], 3)
-        assert np.array_equal(forecast._gt_forecast(dec, 3), z2f)
+        assert np.array_equal(forecast._gt_forecast(dec, 3), gt_levels(dec, np.zeros((3, 0)), z2f))
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_forecast_y_is_a_row_of_the_path(self, h):
@@ -307,7 +318,7 @@ class TestForecastY:
         dec, fit = self._decomp(panel.data)
         assert dec.r1_hat == 0 and dec.r2_hat >= 1
         z2f = forecast._var1_path(fit.stat, dec.z2[-1], 4)
-        assert np.array_equal(forecast._gt_forecast(dec, 4), z2f @ dec.A2U1.T)
+        assert np.array_equal(forecast._gt_forecast(dec, 4), gt_levels(dec, np.zeros((4, 0)), z2f))
 
     def test_wide_panel_forecasts_skip_the_completion(self, monkeypatch):
         # A2 U1 is read off A2's row-space block, where U1 has its nonzero rows
@@ -323,7 +334,8 @@ class TestForecastY:
             report = evaluate_forecasts(y, config, methods=("gt",))
         dec = decompose(y, config)
         assert dec.eig1.reflectors is not None and dec.r2_hat >= 1
-        dense = SimpleNamespace(A1=dec.A1, A2U1=dec.A2 @ dec.U1, x1=dec.x1, z2=dec.z2)
+        dense = SimpleNamespace(A1=dec.A1, A2U1=dec.A2 @ dec.U1, ybar=dec.ybar, x1=dec.x1,
+                                z2=dec.z2)
         expected = forecast._gt_forecast(dense, max(config.horizons))
         assert np.max(np.abs(report.forecasts["gt"] - expected)) <= 1e-12 * np.abs(expected).max()
 
@@ -334,10 +346,17 @@ class TestForecastY:
             A2U1 = np.array([[0.0], [1.0]])
             x1 = np.linspace(0.0, 9.0, 10)[:, None]
             z2 = np.full((10, 1), 4.2)
+            ybar = np.array([4.5, 4.2])  # the means of x1 A1' + z2 A2U1'
 
         path = forecast._gt_forecast(Dec, 3)
         assert np.allclose(path[:, 1], 4.2, atol=1e-10)
         assert np.allclose(path[:, 0], [10.0, 11.0, 12.0], atol=1e-8)
+
+    def test_constant_panel_forecasts_its_constant(self):
+        # a panel of ones has nothing to forecast but its mean; leaving the
+        # stationary block's mean out forecast 0
+        dec = decompose(np.ones((120, 3)))
+        assert np.array_equal(forecast._gt_forecast(dec, 4), np.ones((4, 3)))
 
     def test_compositionality_one_step(self):
         spec = DgpSpec(p=6, n=400, example=1, seed=21)
@@ -348,7 +367,8 @@ class TestForecastY:
             dec.x1[-1] - dec.x1[-2]
         )
         z2_next = fit.stat.intercept + np.diag(fit.stat.coef) * dec.z2[-1]
-        manual = dec.A1 @ x1_next + dec.A2 @ dec.U1 @ z2_next
+        manual = (dec.ybar + dec.A1 @ (x1_next - dec.x1.mean(axis=0))
+                  + dec.A2 @ dec.U1 @ (z2_next - dec.z2.mean(axis=0)))
         assert np.allclose(got, manual, atol=1e-10)
 
 
@@ -384,7 +404,7 @@ class TestOneRecursion:
             levels.append(levels[-1] + delta)
         z2f = ar1_elementwise_reference(np.diag(fit.stat.coef), fit.stat.intercept,
                                         dec.z2[-1], 6)
-        expect = np.array(levels[1:]) @ dec.A1.T + z2f @ dec.A2U1.T
+        expect = gt_levels(dec, np.array(levels[1:]), z2f)
         assert np.array_equal(forecast._gt_forecast(dec, 6), expect)
 
     def test_dfar_match_reference(self, panel):
@@ -860,14 +880,7 @@ SHIFT_FORECASTERS = {
 
 
 class TestLocationShift:
-    @pytest.mark.parametrize("method", [
-        "dfar",
-        "pca_levels",
-        "pca_diff",
-        pytest.param("gt", marks=pytest.mark.xfail(strict=True, reason=(
-            "gt leaves out the white components' mean (CHANGES.md line 47, "
-            "ROADMAP item 5), so its path misses the shift"))),
-    ])
+    @pytest.mark.parametrize("method", ["dfar", "pca_levels", "pca_diff", "gt"])
     def test_paths_move_with_the_panel(self, method):
         # a forecaster of the panel y + c must forecast its own paths plus c
         y = generate(DgpSpec(p=10, n=1000, example=1, seed=2))[0].data

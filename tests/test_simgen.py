@@ -3,29 +3,28 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from dense_paths import factor_paths, rmse_factors, trend_paths
+from dense_paths import factor_paths, metric_Dbar, rmse_factors, trend_paths
 from scipy.signal import lfilter
 
-from trendfactors import stationary
+from trendfactors import simgen, stationary
 from trendfactors.errors import ArgumentError, TrendFactorsError
 from trendfactors.pipeline import PipelineConfig, decompose
 from trendfactors.simgen import (
     DgpSpec,
     Mixing,
-    _complement_distance,
-    _path_rmse,
     _replication,
-    _span_distance,
+    _score_pair,
+    _sine_distance,
     derive_seed,
     draw_mixing,
     draw_panel,
     generate,
-    metric_Dbar,
     random_orthonormal,
     run_montecarlo,
 )
@@ -199,41 +198,81 @@ class TestFactorPaths:
             draw_panel(spec, mixing, 1)
 
 
+def span_distance(h1, h2):
+    """The library's span distance D of ``span(h1)`` and ``span(h2)``: the
+    sines of one :func:`_score_pair` (on paths without rows) into
+    :func:`_sine_distance`."""
+    _, outside = _score_pair(h1[:0], h1, h2[:0], h2, 1)
+    return _sine_distance(h1.shape[1], h2.shape[1], outside)
+
+
+def replication_metrics(monkeypatch, a1_hat, a1):
+    """``_replication``'s metrics for a decomposition with trend loadings
+    ``a1_hat``, no stationary factor and zero paths, against trend loadings ``a1``."""
+    (p, k), j = a1_hat.shape, a1.shape[1]
+    dec = SimpleNamespace(r1_hat=k, r2_hat=0, A1=a1_hat, x1=np.zeros((2, k)))
+    truth = SimpleNamespace(A1=a1, x1=np.zeros((2, j)))
+    spec = SimpleNamespace(n=2, p=p, example=1, r1=j, r2=0)
+    monkeypatch.setattr(simgen, "_run_stages", lambda *args: (dec, []))
+    return _replication(None, truth, spec, None, ["aw"])[1]
+
+
 class TestMetricD:
     def test_equal_spans_zero(self):
         q = random_orthonormal(5, 0)[:, :2]
-        # the QR inside metric_Dbar leaves a 1e-16 residual under the sqrt
-        assert metric_Dbar(q, q) == pytest.approx(0.0, abs=1e-7)
+        # the sines are read directly, so nothing cancels
+        assert span_distance(q, q) <= 1e-15
 
     def test_orthogonal_spans_one(self):
         e = np.eye(4)
-        assert metric_Dbar(e[:, :2], e[:, 2:]) == pytest.approx(1.0)
+        assert span_distance(e[:, :2], e[:, 2:]) == pytest.approx(1.0)
 
     def test_hand_value(self):
         h1 = np.array([[1.0], [0.0]])
         h2 = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        assert metric_Dbar(h1, h2) == pytest.approx(np.sqrt(0.5), abs=1e-9)
+        assert span_distance(h1, h2) == pytest.approx(np.sqrt(0.5), abs=1e-9)
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
             h1, h2 = q[:, :3], np.linalg.qr(rng.normal(size=(6, 3)))[0]
-            assert metric_Dbar(h1, h2) == pytest.approx(metric_Dbar(h2, h1), rel=1e-10)
+            assert span_distance(h1, h2) == pytest.approx(span_distance(h2, h1), rel=1e-10)
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-9])
+    def test_small_angle_keeps_its_digits(self, theta):
+        # two orthonormal columns in R^8, the second rotated by theta: D is
+        # sin(theta) / sqrt(2); the cosine form reads 2.4e-8 at theta = 1e-9
+        e = np.eye(8)
+        h2 = np.column_stack([e[:, 0], np.cos(theta) * e[:, 1] + np.sin(theta) * e[:, 2]])
+        assert span_distance(e[:, :2], h2) == pytest.approx(np.sin(theta) / np.sqrt(2.0),
+                                                             rel=1e-6)
+
+    def test_empty_span_is_nan(self):
+        q = random_orthonormal(5, 0)
+        for h1, h2 in ((q[:, :0], q[:, :2]), (q[:, :2], q[:, :0]), (q[:, :0], q[:, :0])):
+            assert np.isnan(span_distance(h1, h2))
+
+    @pytest.mark.parametrize("k, j", [(3, 3), (4, 2), (2, 4), (5, 5)])
+    def test_overfull_pair_matches_dense(self, k, j):
+        # k + j > p = 5: R has fewer rows than columns
+        rng = np.random.default_rng(10 * k + j)
+        h1, h2 = rng.normal(size=(5, k)), np.linalg.qr(rng.normal(size=(5, j)))[0]
+        assert abs(span_distance(h1, h2) - metric_Dbar(h1, h2)) <= 1e-12
 
 
 class TestMetricDbar:
     def test_identical(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, 2))
-        assert metric_Dbar(h, h) == pytest.approx(0.0, abs=1e-7)
+        assert span_distance(h, h) <= 1e-15
 
     def test_nested_subspaces(self):
         rng = np.random.default_rng(3)
         q = np.linalg.qr(rng.normal(size=(6, 4)))[0]
         h2 = q
         h1 = q[:, :2] @ rng.normal(size=(2, 2))  # span(h1) inside span(h2)
-        assert metric_Dbar(h1, h2) == pytest.approx(np.sqrt(1.0 - 2.0 / 4.0), abs=1e-8)
+        assert span_distance(h1, h2) == pytest.approx(np.sqrt(1.0 - 2.0 / 4.0), abs=1e-8)
 
     @given(st.floats(min_value=0.1, max_value=40.0), st.integers(0, 4))
     @settings(max_examples=30, deadline=None)
@@ -241,42 +280,43 @@ class TestMetricDbar:
         rng = np.random.default_rng(seed)
         h1 = rng.normal(size=(5, 2))
         h2 = rng.normal(size=(5, 3))
-        base = metric_Dbar(h1, h2)
-        assert metric_Dbar(h1 * c, h2) == pytest.approx(base, abs=1e-9)
+        base = span_distance(h1, h2)
+        assert span_distance(h1 * c, h2) == pytest.approx(base, abs=1e-9)
 
     def test_invertible_right_multiplication(self):
         rng = np.random.default_rng(4)
         h1 = rng.normal(size=(6, 3))
         h2 = rng.normal(size=(6, 2))
         g = rng.normal(size=(3, 3)) + 3 * np.eye(3)
-        assert metric_Dbar(h1 @ g, h2) == pytest.approx(metric_Dbar(h1, h2), abs=1e-8)
+        assert span_distance(h1 @ g, h2) == pytest.approx(span_distance(h1, h2), abs=1e-8)
 
     def test_reduces_to_D_when_orthonormal(self):
         rng = np.random.default_rng(5)
         h1 = np.linalg.qr(rng.normal(size=(7, 3)))[0]
         h2 = np.linalg.qr(rng.normal(size=(7, 3)))[0]
         d = np.sqrt(1.0 - np.sum((h1.T @ h2) ** 2) / 3)
-        assert metric_Dbar(h1, h2) == pytest.approx(d, rel=1e-10)
+        assert span_distance(h1, h2) == pytest.approx(d, rel=1e-10)
 
 
 class TestComplementDistance:
-    """``Dbar_A2`` is read off the leading blocks ``A1`` of two orthonormal bases."""
+    """``Dbar_A2`` is read off the sines between the leading blocks ``A1`` of
+    two orthonormal bases."""
 
     @pytest.mark.parametrize("a, b", [(0, 0), (0, 3), (3, 0), (2, 2), (1, 4), (4, 1), (6, 6)])
-    def test_matches_dense_complements(self, a, b):
+    def test_matches_dense_complements(self, a, b, monkeypatch):
         rng = np.random.default_rng(10 * a + b)
         p = 9
         est = random_orthonormal(p, rng)
         # a small rotation of est, so the spans are close and the identity cancels most
         truth = np.linalg.qr(est + 1e-3 * rng.normal(size=(p, p)))[0]
         for other in (truth, random_orthonormal(p, rng)):
-            got = _complement_distance(est[:, :a], other[:, :b])
+            got = replication_metrics(monkeypatch, est[:, :a], other[:, :b])["Dbar_A2"]
             assert abs(got - metric_Dbar(est[:, a:], other[:, b:])) <= 1e-12
 
-    def test_empty_complement_is_nan(self):
+    def test_empty_complement_is_nan(self, monkeypatch):
         q = random_orthonormal(5, 0)
-        assert np.isnan(_complement_distance(q, q[:, :2]))
-        assert np.isnan(_complement_distance(q[:, :2], q))
+        assert np.isnan(replication_metrics(monkeypatch, q, q[:, :2])["Dbar_A2"])
+        assert np.isnan(replication_metrics(monkeypatch, q[:, :2], q)["Dbar_A2"])
 
     @pytest.mark.blas_threads
     def test_replication_matches_dense_A2(self):
@@ -300,11 +340,13 @@ class TestComplementDistance:
                     _, metrics = _replication(panel, truth, spec, PipelineConfig(), methods)
                     dec = decompose(panel, variant)
                 a2u1 = dec.A2U1
+                k, j = dec.r1_hat, spec.r1
+                outside = _score_pair(dec.x1, dec.A1, truth.x1, truth.A1, spec.n * spec.p)[1]
                 expected = {
-                    "Dbar_A1": _span_distance(dec.A1, truth.A1),
-                    "Dbar_A2": _complement_distance(dec.A1, truth.A1),
+                    "Dbar_A1": _sine_distance(k, j, outside),
+                    "Dbar_A2": _sine_distance(spec.p - k, spec.p - j, k - j + outside),
                     "rmse_trend": rmse_factors(dec.x1 @ dec.A1.T, trend_paths(truth), "large"),
-                    "Dbar_A2U1": (_span_distance(a2u1, truth.A2 @ truth.U22_1)
+                    "Dbar_A2U1": (span_distance(a2u1, truth.A2 @ truth.U22_1)
                                   if dec.r2_hat else np.nan),
                     "rmse_stationary": (rmse_factors(dec.z2 @ a2u1.T, factor_paths(truth), "large")
                                         if dec.r2_hat else np.nan),
@@ -316,6 +358,8 @@ class TestComplementDistance:
                                                              nan_ok=True), key
                     else:
                         assert np.array_equal(metrics[key], value, equal_nan=True), key
+                if dec.r1_hat:
+                    assert abs(metrics["Dbar_A1"] - metric_Dbar(dec.A1, truth.A1)) <= 1e-12
                 assert abs(metrics["Dbar_A2"] - metric_Dbar(dec.A2, truth.A2)) <= 1e-12
                 if dec.r2_hat and spec.r2:
                     dense = metric_Dbar(dec.A2 @ dec.U1, truth.A2 @ truth.U22_1)
@@ -391,13 +435,14 @@ class TestPathRmse:
         ]
         for x_hat, a_hat, x, a in cases:
             dense = rmse_factors(x_hat @ a_hat.T, x @ a.T, "small")
-            assert _path_rmse(x_hat, a_hat, x, a, spec.n) == pytest.approx(dense, rel=1e-12, abs=0)
-        assert _path_rmse(*cases[2], spec.n) == 0.0
+            rmse = _score_pair(x_hat, a_hat, x, a, spec.n)[0]
+            assert rmse == pytest.approx(dense, rel=1e-12, abs=0)
+        assert _score_pair(*cases[2], spec.n)[0] == 0.0
         # the panel itself on identity loadings against its generative
         # decomposition (r_hat + r = 12): the paths agree up to rounding
         y = panel.data
         exact = (y, np.eye(spec.p), np.hstack([truth.x1, x2]), np.hstack([truth.A1, truth.A2]))
-        assert _path_rmse(*exact, spec.n) <= 1e-13 * np.abs(y).max()
+        assert _score_pair(*exact, spec.n)[0] <= 1e-13 * np.abs(y).max()
 
     @pytest.mark.parametrize(
         "spec",

@@ -65,7 +65,7 @@ class TestBuildM2:
 
 class TestSplitU1V1:
     def test_factor_direction_recovered(self):
-        from trendfactors.simgen import metric_Dbar
+        from dense_paths import metric_Dbar
 
         rng = np.random.default_rng(5)
         n, d, r2 = 3000, 6, 2
