@@ -335,6 +335,8 @@ def cmd_benchmark(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
+    records = result.replication_rows()
+    _write_table(out / "replications.csv", list(records[0]), (r.values() for r in records))
     table = _format_benchmark_table(result)
     (out / "benchmark.txt").write_text(table + "\n")
     print(table)

@@ -8,11 +8,13 @@ idiosyncratic noise.
 
 Every draw is deterministic given the spec's 64-bit seed; the Monte Carlo
 driver derives independent per-replication streams from (base seed, cell
-index, rep index) so replications can run in any order.  Each replication
-scores the estimate by three span distances (``Dbar_A1``, ``Dbar_A2``,
-``Dbar_A2U1``) and two path RMSEs (``rmse_trend``, ``rmse_stationary``),
-all five from the R factor of each pair's stacked loadings: the RMSEs
-with no ``n x p`` path, and the distances from the principal-angle sines.
+index, rep index) so replications can run in any order, and keeps one
+record per replication (seed, counts, ``K_hat``, metrics, error) from which
+every cell summary is computed.  The metrics are three span distances
+(``Dbar_A1``, ``Dbar_A2``, ``Dbar_A2U1``) and two path RMSEs
+(``rmse_trend``, ``rmse_stationary``), all five from the R factor of each
+pair's stacked loadings: the RMSEs with no ``n x p`` path, and the
+distances from the principal-angle sines.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ __all__ = [
 ]
 
 VARIANTS = ("a*w*", "aw", "a*w", "aw*")
+METRICS = ("Dbar_A1", "Dbar_A2", "rmse_trend", "Dbar_A2U1", "rmse_stationary")
+_SPEC_COLUMNS = ("example", "p", "n", "delta", "r1", "r2", "K")  # in benchmark.csv's order
 
 
 @dataclass(frozen=True)
@@ -282,18 +286,58 @@ def derive_seed(base_seed: int, cell_index: int, rep_index: int | None = None) -
 
 @dataclass(frozen=True)
 class CellResult:
-    """Per-cell Monte Carlo summary.
+    """One Monte Carlo cell: one record per replication, and summaries derived from it.
 
-    ``failure_reasons`` maps each failing exception class name to
-    ``(count, first message)``; ``failures`` is the total count.
+    Each record field is an array over the replications, in rep order:
+    ``seeds`` (the derived seed that redraws the panel), ``counts``
+    (``reps x methods x 2``, each method's ``(r1_hat, r2_hat)``), ``K_hat``
+    (the first method's), ``metrics`` (:data:`METRICS` name -> array) and
+    ``errors`` (``(exception class name, message)`` or ``None``).  A failed
+    replication has counts and ``K_hat`` of -1 and NaN metrics.
     """
 
     spec: DgpSpec
-    reps: int
-    failures: int
-    failure_reasons: dict
-    probs: dict
-    metric_quartiles: dict
+    methods: tuple
+    seeds: np.ndarray
+    counts: np.ndarray
+    K_hat: np.ndarray
+    metrics: dict
+    errors: np.ndarray
+
+    @property
+    def reps(self) -> int:
+        return len(self.seeds)
+
+    @property
+    def failures(self) -> int:
+        return sum(error is not None for error in self.errors)
+
+    @property
+    def failure_reasons(self) -> dict:
+        """Failing exception class names, by first failure -> ``(count, first message)``."""
+        reasons: dict = {}
+        for name, message in filter(None, self.errors):
+            count, first = reasons.get(name, (0, message))
+            reasons[name] = (count + 1, first)
+        return reasons
+
+    @property
+    def probs(self) -> dict:
+        """Each method's share of successes with the spec's r1, r2 and total; NaN if none."""
+        s, c = self.spec, self.counts[self.counts[:, 0, 0] >= 0]
+        hits = np.stack([c[..., 0] == s.r1, c[..., 1] == s.r2, c.sum(-1) == s.r1 + s.r2], -1)
+        # sums of 0s and 1s are exact, so the mean is the count over the successes
+        rates = hits.mean(axis=0) if len(c) else np.full(hits.shape[1:], np.nan)
+        return {m: dict(zip(("r1", "r2", "total"), row.tolist()))
+                for m, row in zip(self.methods, rates)}
+
+    @property
+    def metric_quartiles(self) -> dict:
+        """Each metric's (q25, median, q75) over its non-NaN values; {} if every rep failed."""
+        if self.failures == self.reps:
+            return {}
+        return {name: (np.nan,) * 3 if np.isnan(v).all() else
+                tuple(np.nanquantile(v, [0.25, 0.5, 0.75])) for name, v in self.metrics.items()}
 
 
 @dataclass(frozen=True)
@@ -302,37 +346,35 @@ class MonteCarloResult:
 
     cells: list
     methods: tuple
-    reps: int
     base_seed: int
 
     def rows(self) -> list[dict]:
         """One flat record per cell x method x statistic (for CSV export)."""
         out = []
         for cell in self.cells:
-            base = {
-                "example": cell.spec.example,
-                "p": cell.spec.p,
-                "n": cell.spec.n,
-                "delta": cell.spec.delta,
-                "r1": cell.spec.r1,
-                "r2": cell.spec.r2,
-                "K": cell.spec.K,
-                "reps": cell.reps,
-                "failures": cell.failures,
-                "failure_reasons": "; ".join(
-                    f"{name} x{count}: {message}"
-                    for name, (count, message) in cell.failure_reasons.items()
-                ),
-            }
-            for method in self.methods:
-                for stat, value in cell.probs[method].items():
-                    out.append({**base, "method": method, "statistic": stat, "value": value})
-            for name, (q1, q2, q3) in cell.metric_quartiles.items():
-                for q, v in (("q25", q1), ("median", q2), ("q75", q3)):
-                    out.append(
-                        {**base, "method": self.methods[0], "statistic": f"{name}_{q}", "value": v}
-                    )
+            reasons = "; ".join(f"{name} x{count}: {message}"
+                                for name, (count, message) in cell.failure_reasons.items())
+            base = {**{k: getattr(cell.spec, k) for k in _SPEC_COLUMNS}, "reps": cell.reps,
+                    "failures": cell.failures, "failure_reasons": reasons}
+            stats = [(m, key, v) for m in self.methods for key, v in cell.probs[m].items()]
+            stats += [(self.methods[0], f"{name}_{q}", v)
+                      for name, qs in cell.metric_quartiles.items()
+                      for q, v in zip(("q25", "median", "q75"), qs)]
+            out += [{**base, "method": m, "statistic": key, "value": v} for m, key, v in stats]
         return out
+
+    def replication_rows(self) -> list[dict]:
+        """One flat record per cell x replication (for CSV export); the error is
+        ``"class: message"``, or ``""`` for a success."""
+        names = [f"{m}_{c}_hat" for m in self.methods for c in ("r1", "r2")]
+        return [{"cell": ci, **{k: getattr(cell.spec, k) for k in _SPEC_COLUMNS},
+                 "rep": rep, "seed": seed,
+                 **dict(zip(names, cell.counts[rep].ravel().tolist())),
+                 "K_hat": int(cell.K_hat[rep]),
+                 **{name: float(v[rep]) for name, v in cell.metrics.items()},
+                 "error": ": ".join(cell.errors[rep] or ())}
+                for ci, cell in enumerate(self.cells)
+                for rep, seed in enumerate(cell.seeds.tolist())]
 
 
 def _replication(
@@ -340,17 +382,16 @@ def _replication(
     truth: GroundTruth,
     spec: DgpSpec,
     config: PipelineConfig,
-    variants: list[str],
-) -> tuple[list, dict]:
-    """Counts for every requested variant plus metrics for the first one.
+    variants: tuple[str, ...],
+) -> tuple[list, int, dict]:
+    """Counts for every requested variant plus ``K_hat`` and metrics for the first one.
 
-    Returns ``(counts, metrics)``: ``counts`` holds each variant's
-    ``(r1, r2)``, in the order of ``variants``, as
-    :func:`~trendfactors.pipeline._run_stages` gives them.  Every variant
+    Returns ``(counts, K_hat, metrics)``: ``counts`` holds each variant's
+    ``(r1, r2)``, in the order of ``variants``.  Every variant
     (``a*`` is ``absolute_acf``, ``w*`` is ``reorder``) runs the one stage
     sequence behind :func:`trendfactors.pipeline.decompose`, which shares
     the stage-1 eigendecomposition and each distinct stationary panel's
-    second stage among them.  The metrics are read off the
+    second stage among them.  ``K_hat`` and the metrics are read off the
     :class:`~trendfactors.pipeline.Decomposition` of the first variant, the
     one ``decompose`` returns under that variant's config.
     """
@@ -372,7 +413,7 @@ def _replication(
         rmse, outside = _score_pair(dec.z2, dec.A2U1, truth.f2, truth.A2 @ truth.U22_1, denom)
         metrics["Dbar_A2U1"] = _sine_distance(dec.r2_hat, spec.r2, outside)
         metrics["rmse_stationary"] = rmse
-    return counts, metrics
+    return counts, dec.K_hat, metrics
 
 
 def run_montecarlo(
@@ -382,19 +423,15 @@ def run_montecarlo(
     base_seed: int = 0,
     config: PipelineConfig = PipelineConfig(),
 ) -> MonteCarloResult:
-    """Empirical count probabilities and accuracy metrics over a grid of cells.
+    """One record per replication over a grid of cells (see :class:`CellResult`).
 
     Mixing matrices and AR coefficients are drawn once per cell (stream
     derived from ``(base_seed, cell index)``), after which the panel is
     regenerated ``reps`` times from independent per-replication shock streams
     derived from ``(base_seed, cell index, rep index)``; every requested
     method variant is evaluated on the same draws.  Replications that raise a
-    package error or a linear-algebra failure are recorded by exception class
-    and skipped rather than aborting the grid; any other exception propagates.
-    Each cell's ``probs[method]`` holds the fractions of successful
-    replications whose ``r1``, ``r2`` and ``r1 + r2`` counts equal the
-    spec's, under the keys ``"r1"``, ``"r2"`` and ``"total"``: the mean of
-    one row of 0/1 hits per replication, NaN when every replication failed.
+    package error or a linear-algebra failure are recorded, with their
+    exception, rather than aborting the grid; any other exception propagates.
     """
     for name, value, low in (("reps", reps, 1), ("base_seed", base_seed, 0)):
         if not _is_int(value) or value < low:
@@ -406,34 +443,20 @@ def run_montecarlo(
         _parse_variant(name)
     cells = []
     for ci, spec in enumerate(grid):
-        hits = []
-        metric_samples: dict = {}
-        failure_reasons: dict = {}
         mixing = draw_mixing(spec, derive_seed(base_seed, ci))
-        for rep in range(reps):
+        seeds = np.array([derive_seed(base_seed, ci, rep) for rep in range(reps)], np.uint64)
+        counts = np.full((reps, len(methods), 2), -1)
+        k_hat = np.full(reps, -1)
+        metrics = {name: np.full(reps, np.nan) for name in METRICS}
+        errors = np.full(reps, None, dtype=object)
+        for rep, seed in enumerate(seeds.tolist()):
             try:
-                panel, truth = draw_panel(spec, mixing, derive_seed(base_seed, ci, rep))
-                counts, metrics = _replication(panel, truth, spec, config, list(methods))
+                panel, truth = draw_panel(spec, mixing, seed)
+                counts[rep], k_hat[rep], values = _replication(panel, truth, spec, config, methods)
             except (TrendFactorsError, np.linalg.LinAlgError) as exc:
-                count, message = failure_reasons.get(type(exc).__name__, (0, str(exc)))
-                failure_reasons[type(exc).__name__] = (count + 1, message)
+                errors[rep] = (type(exc).__name__, str(exc))
                 continue
-            hits.append([(r1 == spec.r1, r2 == spec.r2, r1 + r2 == spec.r1 + spec.r2)
-                         for r1, r2 in counts])
-            for key, value in metrics.items():
-                metric_samples.setdefault(key, []).append(value)
-        # sums of 0s and 1s are exact, so the mean is the count over the successes
-        rates = np.mean(hits, axis=0) if hits else np.full((len(methods), 3), np.nan)
-        probs = {name: dict(zip(("r1", "r2", "total"), row.tolist()))
-                 for name, row in zip(methods, rates)}
-        quartiles = {}
-        for key, values in metric_samples.items():
-            arr = np.asarray(values, dtype=float)
-            if np.all(np.isnan(arr)):
-                quartiles[key] = (np.nan, np.nan, np.nan)
-            else:
-                quartiles[key] = tuple(np.nanquantile(arr, [0.25, 0.5, 0.75]))
-        cells.append(CellResult(spec=spec, reps=reps, failures=reps - len(hits),
-                                failure_reasons=failure_reasons, probs=probs,
-                                metric_quartiles=quartiles))
-    return MonteCarloResult(cells=cells, methods=methods, reps=reps, base_seed=base_seed)
+            for name, value in values.items():
+                metrics[name][rep] = value
+        cells.append(CellResult(spec, methods, seeds, counts, k_hat, metrics, errors))
+    return MonteCarloResult(cells=cells, methods=methods, base_seed=base_seed)

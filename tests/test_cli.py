@@ -343,6 +343,49 @@ class TestCommands:
         header = lines[0].split(",")
         assert header[header.index("failures") + 1] == "failure_reasons"
 
+    def test_benchmark_summaries_rebuilt_from_replications(self, tmp_path, monkeypatch):
+        # replications.csv has one row per cell x replication, and every count
+        # probability and metric quartile of benchmark.csv is a function of it;
+        # a forced failure is left out of both
+        from trendfactors import simgen
+
+        real, calls = simgen._replication, []
+
+        def fail_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise IllConditionedError("forced failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simgen, "_replication", fail_third)
+        out = tmp_path / "bm"
+        assert main(["benchmark", "--example", "1", "--p", "5", "--n", "150", "300",
+                     "--reps", "4", "--seed", "1", "--out-dir", str(out)]) == 0
+        with open(out / "replications.csv", newline="") as fh:
+            reps = list(csv.DictReader(fh))
+        with open(out / "benchmark.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        assert [(r["cell"], r["n"], r["rep"]) for r in reps] == [
+            (str(ci), n, str(rep)) for ci, n in enumerate(("150", "300")) for rep in range(4)]
+        errors = [""] * 8
+        errors[2] = "IllConditionedError: forced failure"
+        assert [r["error"] for r in reps] == errors
+        assert len(summary) == 2 * (2 * 3 + 5 * 3)
+        for row in summary:
+            ok = [r for r in reps if r["n"] == row["n"] and not r["error"]]
+            assert int(row["failures"]) == 4 - len(ok)
+            method, stat, value = row["method"], row["statistic"], float(row["value"])
+            if stat in ("r1", "r2", "total"):
+                r1, r2 = (np.array([int(r[f"{method}_{c}_hat"]) for r in ok])
+                          for c in ("r1", "r2"))
+                hits = {"r1": r1 == int(row["r1"]), "r2": r2 == int(row["r2"]),
+                        "total": r1 + r2 == int(row["r1"]) + int(row["r2"])}[stat]
+                assert value == np.mean(hits)
+            else:
+                name, q = stat.rsplit("_", 1)
+                quartiles = np.nanquantile([float(r[name]) for r in ok], [0.25, 0.5, 0.75])
+                assert value == quartiles[("q25", "median", "q75").index(q)]
+
     def test_benchmark_deterministic(self, tmp_path):
         outs = []
         for name in ("x", "y"):

@@ -8,7 +8,7 @@ import pytest
 
 from trendfactors.errors import ArgumentError
 from trendfactors.pipeline import PipelineConfig, decompose
-from trendfactors.simgen import DgpSpec, generate
+from trendfactors.simgen import DgpSpec, generate, random_orthonormal
 from trendfactors.tsstats import as_panel
 
 from autocov_reference import sample_autocov
@@ -308,6 +308,26 @@ class TestInvariance:
         base = counts(quiet_decompose(y))
         for c in (1e-3, 0.125, 7.5, 1e3):
             assert counts(quiet_decompose(c * y)) == base, f"c={c}"
+
+    @pytest.mark.parametrize("spec", [
+        DgpSpec(p=6, n=1000, example=1, seed=3),
+        DgpSpec(p=50, n=1000, r1=4, r2=6, example=2, seed=3),
+        DgpSpec(p=20, n=400, r1=2, r2=3, K=1, delta=0.5, example=2, seed=5),
+        DgpSpec(p=120, n=100, r1=2, r2=3, example=2, seed=1),
+    ], ids=spec_id)
+    def test_orthogonal_rotation(self, spec):
+        # M1, M2 and S rotate with Q and a component's ACF does not change, so
+        # decompose(y Q) has the counts of decompose(y) and loadings Q' A1, Q' A2 U1
+        y = generate(spec)[0].data
+        dec = quiet_decompose(y)
+        projectors = [a @ a.T for a in (dec.A1, dec.A2U1)]
+        rng = np.random.default_rng(spec.seed)
+        for _ in range(3):
+            q = random_orthonormal(spec.p, rng)
+            got = quiet_decompose(y @ q)
+            assert counts(got) == counts(dec)
+            for a, proj in zip((got.A1, got.A2U1), projectors):
+                assert np.abs((q @ a) @ (q @ a).T - proj).max(initial=0.0) <= 1e-10
 
     @pytest.mark.parametrize("spec", [
         DgpSpec(p=6, n=1000, example=1, seed=3),

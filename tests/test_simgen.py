@@ -210,11 +210,11 @@ def replication_metrics(monkeypatch, a1_hat, a1):
     """``_replication``'s metrics for a decomposition with trend loadings
     ``a1_hat``, no stationary factor and zero paths, against trend loadings ``a1``."""
     (p, k), j = a1_hat.shape, a1.shape[1]
-    dec = SimpleNamespace(r1_hat=k, r2_hat=0, A1=a1_hat, x1=np.zeros((2, k)))
+    dec = SimpleNamespace(r1_hat=k, r2_hat=0, K_hat=0, A1=a1_hat, x1=np.zeros((2, k)))
     truth = SimpleNamespace(A1=a1, x1=np.zeros((2, j)))
     spec = SimpleNamespace(n=2, p=p, example=1, r1=j, r2=0)
     monkeypatch.setattr(simgen, "_run_stages", lambda *args: (dec, []))
-    return _replication(None, truth, spec, None, ["aw"])[1]
+    return _replication(None, truth, spec, None, ["aw"])[2]
 
 
 class TestMetricD:
@@ -337,7 +337,7 @@ class TestComplementDistance:
                                          reorder=methods[0] == "a*w*")
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    _, metrics = _replication(panel, truth, spec, PipelineConfig(), methods)
+                    _, _, metrics = _replication(panel, truth, spec, PipelineConfig(), methods)
                     dec = decompose(panel, variant)
                 a2u1 = dec.A2U1
                 k, j = dec.r1_hat, spec.r1
@@ -409,7 +409,7 @@ class TestPathRmse:
         panel, truth = generate(spec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, metrics = _replication(panel, truth, spec, PipelineConfig(), ["a*w*"])
+            _, _, metrics = _replication(panel, truth, spec, PipelineConfig(), ["a*w*"])
             dec = decompose(panel)
         norm = "small" if spec.example == 1 else "large"
         trend = rmse_factors(dec.x1 @ dec.A1.T, trend_paths(truth), norm)
@@ -517,19 +517,44 @@ class TestRunMontecarlo:
 
         real = simgen._replication
         calls = []
+        forced = {2: TrendFactorsError("forced failure"), 3: np.linalg.LinAlgError("singular"),
+                  4: TrendFactorsError("second message")}
 
-        def fail_second(*args, **kwargs):
+        def fail_some(*args, **kwargs):
             calls.append(None)
-            if len(calls) == 2:
-                raise TrendFactorsError("forced failure")
+            if len(calls) in forced:
+                raise forced[len(calls)]
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simgen, "_replication", fail_second)
-        res = run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=3, base_seed=3)
+        monkeypatch.setattr(simgen, "_replication", fail_some)
+        methods = ("a*w*", "aw")
+        res = run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=5, methods=methods,
+                             base_seed=3)
         cell = res.cells[0]
-        assert cell.failures == 1
-        assert cell.failure_reasons == {"TrendFactorsError": (1, "forced failure")}
-        assert {r["failure_reasons"] for r in res.rows()} == {"TrendFactorsError x1: forced failure"}
+        assert cell.failures == 3
+        # classes in the order they first fail, each with its count and first message
+        assert list(cell.failure_reasons.items()) == [
+            ("TrendFactorsError", (2, "forced failure")), ("LinAlgError", (1, "singular"))]
+        assert {r["failure_reasons"] for r in res.rows()} == {
+            "TrendFactorsError x2: forced failure; LinAlgError x1: singular"}
+        # the records keep each failure in its replication: counts of -1, NaN
+        # metrics and the exception; the successes keep their counts
+        failed = np.array([False, True, True, True, False])
+        assert list(cell.errors) == [None, ("TrendFactorsError", "forced failure"),
+                                     ("LinAlgError", "singular"),
+                                     ("TrendFactorsError", "second message"), None]
+        assert cell.counts.shape == (5, len(methods), 2)
+        assert np.all(cell.counts[failed] == -1) and np.all(cell.K_hat[failed] == -1)
+        assert np.all(cell.counts[~failed] >= 0) and np.all(cell.K_hat[~failed] >= 0)
+        assert list(cell.metrics) == list(simgen.METRICS)
+        assert all(np.isnan(v[failed]).all() and np.isfinite(v[~failed]).all()
+                   for v in cell.metrics.values())
+        assert cell.seeds.tolist() == [derive_seed(3, 0, rep) for rep in range(5)]
+        rows = res.replication_rows()
+        assert [r["error"] for r in rows] == [
+            "", "TrendFactorsError: forced failure", "LinAlgError: singular",
+            "TrendFactorsError: second message", ""]
+        assert [r["a*w*_r1_hat"] for r in rows if r["error"]] == [-1] * 3
 
     def test_cell_where_every_replication_fails(self, monkeypatch):
         from trendfactors import simgen
