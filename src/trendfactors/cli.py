@@ -1,8 +1,8 @@
 """Command-line interface: decompose, forecast, simulate, benchmark.
 
-CSV panels are comma-separated with one time point per row.  Matrices are
-written with no header, 17 significant digits per cell (so a round trip is
-exact) and CRLF line ends; the forecast tables add a header row.  Input is
+CSV panels are comma-separated with one time point per row.  Output CSVs
+have CRLF line ends and every float cell ``%.17g`` (so a round trip is
+exact); matrices have no header, and every table adds a header row.  Input is
 UTF-8 text with an optional byte-order mark, LF or CRLF line ends and one
 optional header row: a first row with a non-empty cell that ``float``
 rejects, as wide as the data.  Blank lines are skipped, and parse errors
@@ -290,26 +290,55 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_SPEC_COLUMNS = ("example", "p", "n", "delta", "r1", "r2", "K")  # both tables' cell columns
+
+
+def _benchmark_rows(result) -> list[dict]:
+    """``benchmark.csv``'s records: one per cell x method x statistic."""
+    out = []
+    for cell in result.cells:
+        reasons = "; ".join(f"{name} x{count}: {message}"
+                            for name, (count, message) in cell.failure_reasons.items())
+        base = {**{k: getattr(cell.spec, k) for k in _SPEC_COLUMNS}, "reps": cell.reps,
+                "failures": cell.failures, "failure_reasons": reasons}
+        stats = [(m, key, v) for m in result.methods for key, v in cell.probs[m].items()]
+        stats += [(result.methods[0], f"{name}_{q}", v)
+                  for name, qs in cell.metric_quartiles.items()
+                  for q, v in zip(("q25", "median", "q75"), qs)]
+        out += [{**base, "method": m, "statistic": key, "value": v} for m, key, v in stats]
+    return out
+
+
+def _replication_rows(result) -> list[dict]:
+    """``replications.csv``'s records: one per cell x replication; the error is
+    ``"class: message"``, or ``""`` for a success."""
+    names = [f"{m}_{c}_hat" for m in result.methods for c in ("r1", "r2")]
+    return [{"cell": ci, **{k: getattr(cell.spec, k) for k in _SPEC_COLUMNS},
+             "rep": rep, "seed": seed,
+             **dict(zip(names, cell.counts[rep].ravel().tolist())),
+             "K_hat": int(cell.K_hat[rep]),
+             **{name: float(v[rep]) for name, v in cell.metrics.items()},
+             "error": ": ".join(cell.errors[rep] or ())}
+            for ci, cell in enumerate(result.cells)
+            for rep, seed in enumerate(cell.seeds.tolist())]
+
+
 def _format_benchmark_table(result) -> str:
     """Aligned text table: one block per (example, delta, p), columns by n."""
-    from collections import defaultdict
-
-    groups: dict = defaultdict(dict)
+    groups: dict = {}
     for cell in result.cells:
         s = cell.spec
-        groups[(s.example, s.delta, s.p)][s.n] = cell
+        groups.setdefault((s.example, s.delta, s.p), {})[s.n] = cell
     methods = result.methods
-    label = {"r1": "P(r1_hat={r1})", "r2": "P(r2_hat={r2})", "total": "P(total=r)"}
+    method_note = methods[0] + "".join(f"({m})" for m in methods[1:2])
     lines = []
     for (example, delta, p), by_n in sorted(groups.items()):
         ns = sorted(by_n)
-        any_cell = by_n[ns[0]]
-        head = f"example {example}  p={p}" + (f"  delta={delta:g}" if example == 2 else "")
-        lines.append(head)
-        method_note = methods[0] + "".join(f"({m})" for m in methods[1:2])
+        spec = by_n[ns[0]].spec
+        lines.append(f"example {example}  p={p}" + (f"  delta={delta:g}" if example == 2 else ""))
         lines.append(f"  statistic [{method_note}]" + "".join(f"{f'n={n}':>16}" for n in ns))
-        for key in ("r1", "r2", "total"):
-            name = label[key].format(r1=any_cell.spec.r1, r2=any_cell.spec.r2)
+        for key, name in (("r1", f"P(r1_hat={spec.r1})"), ("r2", f"P(r2_hat={spec.r2})"),
+                          ("total", "P(total=r)")):
             row = f"  {name:<22}"
             for n in ns:
                 v, *w = (by_n[n].probs[m][key] for m in methods[:2])
@@ -330,13 +359,9 @@ def cmd_benchmark(args) -> int:
         grid, reps=args.reps, methods=tuple(args.methods), base_seed=args.seed,
     )
     out = args.out_dir
-    rows = result.rows()
-    with open(out / "benchmark.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    records = result.replication_rows()
-    _write_table(out / "replications.csv", list(records[0]), (r.values() for r in records))
+    for name, records in (("benchmark.csv", _benchmark_rows(result)),
+                          ("replications.csv", _replication_rows(result))):
+        _write_table(out / name, list(records[0]), (r.values() for r in records))
     table = _format_benchmark_table(result)
     (out / "benchmark.txt").write_text(table + "\n")
     print(table)

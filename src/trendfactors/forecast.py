@@ -155,7 +155,11 @@ def _gt_forecast(dec, h_max: int) -> np.ndarray:
 
 def forecast_y(dec, h: int) -> np.ndarray:
     """The ``h``-step-ahead forecast vector of the observed panel, from the
-    gt forecast of the :class:`~trendfactors.pipeline.Decomposition` ``dec``."""
+    gt forecast of the :class:`~trendfactors.pipeline.Decomposition` ``dec``.
+
+    ``forecast_y(dec, 1)`` can differ in the last bit from row 0 of a longer
+    gt path, such as :func:`evaluate_forecasts`' full-sample forecasts: for
+    one row BLAS takes its matrix-vector route.  Compare with a tolerance."""
     return _gt_forecast(dec, h)[h - 1]
 
 

@@ -45,7 +45,6 @@ __all__ = [
 
 VARIANTS = ("a*w*", "aw", "a*w", "aw*")
 METRICS = ("Dbar_A1", "Dbar_A2", "rmse_trend", "Dbar_A2U1", "rmse_stationary")
-_SPEC_COLUMNS = ("example", "p", "n", "delta", "r1", "r2", "K")  # in benchmark.csv's order
 
 
 @dataclass(frozen=True)
@@ -342,39 +341,10 @@ class CellResult:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Empirical probabilities and metric distributions over a grid."""
+    """The grid's cells in grid order, one :class:`CellResult` each, and the methods."""
 
     cells: list
     methods: tuple
-    base_seed: int
-
-    def rows(self) -> list[dict]:
-        """One flat record per cell x method x statistic (for CSV export)."""
-        out = []
-        for cell in self.cells:
-            reasons = "; ".join(f"{name} x{count}: {message}"
-                                for name, (count, message) in cell.failure_reasons.items())
-            base = {**{k: getattr(cell.spec, k) for k in _SPEC_COLUMNS}, "reps": cell.reps,
-                    "failures": cell.failures, "failure_reasons": reasons}
-            stats = [(m, key, v) for m in self.methods for key, v in cell.probs[m].items()]
-            stats += [(self.methods[0], f"{name}_{q}", v)
-                      for name, qs in cell.metric_quartiles.items()
-                      for q, v in zip(("q25", "median", "q75"), qs)]
-            out += [{**base, "method": m, "statistic": key, "value": v} for m, key, v in stats]
-        return out
-
-    def replication_rows(self) -> list[dict]:
-        """One flat record per cell x replication (for CSV export); the error is
-        ``"class: message"``, or ``""`` for a success."""
-        names = [f"{m}_{c}_hat" for m in self.methods for c in ("r1", "r2")]
-        return [{"cell": ci, **{k: getattr(cell.spec, k) for k in _SPEC_COLUMNS},
-                 "rep": rep, "seed": seed,
-                 **dict(zip(names, cell.counts[rep].ravel().tolist())),
-                 "K_hat": int(cell.K_hat[rep]),
-                 **{name: float(v[rep]) for name, v in cell.metrics.items()},
-                 "error": ": ".join(cell.errors[rep] or ())}
-                for ci, cell in enumerate(self.cells)
-                for rep, seed in enumerate(cell.seeds.tolist())]
 
 
 def _replication(
@@ -459,4 +429,4 @@ def run_montecarlo(
             for name, value in values.items():
                 metrics[name][rep] = value
         cells.append(CellResult(spec, methods, seeds, counts, k_hat, metrics, errors))
-    return MonteCarloResult(cells=cells, methods=methods, base_seed=base_seed)
+    return MonteCarloResult(cells=cells, methods=methods)

@@ -11,6 +11,7 @@ import pytest
 
 from trendfactors.cli import (
     _config_from_args,
+    _is_number,
     _write_json,
     build_parser,
     main,
@@ -394,6 +395,26 @@ class TestCommands:
                          "--seed", "9", "--out-dir", str(out)]) == 0
             outs.append((out / "benchmark.csv").read_text())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("delta", ["0", "0.5"])
+    def test_benchmark_tables_share_one_float_format(self, delta, tmp_path):
+        # benchmark.csv and replications.csv come from one table writer: every
+        # float cell is its own %.17g text, and a cell's spec columns read the
+        # same in both tables
+        out = tmp_path / "bm"
+        assert main(["benchmark", "--example", "2", "--p", "8", "--n", "150", "--delta", delta,
+                     "--reps", "2", "--seed", "1", "--out-dir", str(out)]) == 0
+        with open(out / "benchmark.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        with open(out / "replications.csv", newline="") as fh:
+            reps = list(csv.DictReader(fh))
+        floats = [c for row in summary for c in row.values() if _is_number(c)]
+        assert any("." in c for c in floats)
+        assert all(c == format(float(c), ".17g") for c in floats)
+        spec = ("example", "p", "n", "delta", "r1", "r2", "K")
+        assert ({tuple(r[k] for k in spec) for r in summary}
+                == {tuple(r[k] for k in spec) for r in reps}
+                == {("2", "8", "150", delta, "2", "2", "0")})
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope.csv")]) == 1

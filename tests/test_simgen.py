@@ -13,6 +13,7 @@ from dense_paths import factor_paths, metric_Dbar, rmse_factors, trend_paths
 from scipy.signal import lfilter
 
 from trendfactors import simgen, stationary
+from trendfactors.cli import _benchmark_rows, _replication_rows
 from trendfactors.errors import ArgumentError, TrendFactorsError
 from trendfactors.pipeline import PipelineConfig, decompose
 from trendfactors.simgen import (
@@ -486,7 +487,7 @@ class TestRunMontecarlo:
 
     def test_rows_flat_export(self):
         res = run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=2, base_seed=3)
-        rows = res.rows()
+        rows = _benchmark_rows(res)
         assert any(r["statistic"] == "r1" for r in rows)
         assert all({"example", "p", "n", "method", "value"} <= set(r) for r in rows)
 
@@ -535,7 +536,7 @@ class TestRunMontecarlo:
         # classes in the order they first fail, each with its count and first message
         assert list(cell.failure_reasons.items()) == [
             ("TrendFactorsError", (2, "forced failure")), ("LinAlgError", (1, "singular"))]
-        assert {r["failure_reasons"] for r in res.rows()} == {
+        assert {r["failure_reasons"] for r in _benchmark_rows(res)} == {
             "TrendFactorsError x2: forced failure; LinAlgError x1: singular"}
         # the records keep each failure in its replication: counts of -1, NaN
         # metrics and the exception; the successes keep their counts
@@ -550,7 +551,7 @@ class TestRunMontecarlo:
         assert all(np.isnan(v[failed]).all() and np.isfinite(v[~failed]).all()
                    for v in cell.metrics.values())
         assert cell.seeds.tolist() == [derive_seed(3, 0, rep) for rep in range(5)]
-        rows = res.replication_rows()
+        rows = _replication_rows(res)
         assert [r["error"] for r in rows] == [
             "", "TrendFactorsError: forced failure", "LinAlgError: singular",
             "TrendFactorsError: second message", ""]
@@ -571,7 +572,7 @@ class TestRunMontecarlo:
         assert cell.probs.keys() == set(methods)
         assert all(np.isnan(v) for stats in cell.probs.values() for v in stats.values())
         assert cell.metric_quartiles == {}
-        rows = res.rows()
+        rows = _benchmark_rows(res)
         assert len(rows) == 3 * len(methods)
         assert [(r["method"], r["statistic"]) for r in rows] == [
             (m, s) for m in methods for s in ("r1", "r2", "total")]
