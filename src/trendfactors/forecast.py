@@ -15,7 +15,7 @@ RMSFE is ``sqrt(mean over origins of e**2)``, one value per series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -72,13 +72,15 @@ def _ar1_columns(x: np.ndarray) -> Var1Fit:
     return Var1Fit(np.diag(phi), intercept)
 
 
-def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
+def _var1_least_squares(f: np.ndarray, min_abs_t: float | None = None) -> Var1Fit:
     """Least-squares regression of ``f_t`` on ``(1, f_{t-1})`` by one thin SVD.
 
-    Returns the fit and the ``|t|`` statistic of each ``coef`` entry (``inf``
-    where the standard error is zero).  Singular values below ``lstsq``'s
-    default cutoff are treated as zero, so a rank-deficient design gets the
-    minimum-norm solution, and an ``f`` without columns an empty fit.
+    With ``min_abs_t`` given, each ``coef`` entry whose ``|t|`` statistic is
+    below it is set to zero (a zero standard error gives ``|t| = inf``);
+    without it no standard error is computed.  Singular values below
+    ``lstsq``'s default cutoff are treated as zero, so a rank-deficient
+    design gets the minimum-norm solution, and an ``f`` without columns an
+    empty fit.
     """
     design = np.ones((f.shape[0] - 1, f.shape[1] + 1))
     design[:, 1:] = f[:-1]
@@ -89,6 +91,9 @@ def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
     cutoff = np.finfo(float).eps * max(design.shape) * sv.max(initial=0.0)
     np.divide(1.0, sv, out=inv_sv, where=sv > cutoff)
     beta = vt.T @ (inv_sv[:, None] * (u.T @ target))
+    fit = Var1Fit(coef=beta[1:].T, intercept=beta[0])
+    if min_abs_t is None:
+        return fit
     resid = target - design @ beta
     sigma2 = np.einsum("ij,ij->j", resid, resid) / max(design.shape[0] - design.shape[1], 1)
     # the diagonal of the pseudo-inverse of design' design
@@ -96,7 +101,7 @@ def _var1_least_squares(f: np.ndarray) -> tuple[Var1Fit, np.ndarray]:
     se = np.sqrt(np.outer(gram_inv_diag[1:], sigma2))
     # |b| / se is |b / se| exactly; a zero standard error gives inf
     tstat = np.divide(np.abs(beta[1:]), se, out=np.full_like(se, np.inf), where=se > 0).T
-    return Var1Fit(coef=beta[1:].T, intercept=beta[0]), tstat
+    return Var1Fit(coef=np.where(tstat < min_abs_t, 0.0, fit.coef), intercept=fit.intercept)
 
 
 def _var1_path(fit: Var1Fit, state: np.ndarray, h_max: int) -> np.ndarray:
@@ -143,7 +148,7 @@ def _gt_forecast(dec, h_max: int) -> np.ndarray:
     if r and n < r + 3:
         raise ArgumentError(f"gt's trend VAR(1) on differences needs r1_hat + 3 = {r + 3} "
                             f"rows, got {n} rows with r1_hat = {r}")
-    trend = _var1_least_squares(x1[1:] - x1[:-1])[0]
+    trend = _var1_least_squares(x1[1:] - x1[:-1])
     stat = _ar1_columns(z2)
     x1f = _integrate(x1[-1], _var1_path(trend, x1[-1] - x1[-2], h_max))
     z2f = _var1_path(stat, z2[-1], h_max)
@@ -259,8 +264,7 @@ def baseline_pca(panel, nfac: int, mode: str, h_max: int) -> np.ndarray:
     z = dc / dsd
     loadings = sym_eigen(z.T @ z / z.shape[0]).vectors[:, :nfac]
     factors = z @ loadings
-    fit, tstat = _var1_least_squares(factors)
-    fit = replace(fit, coef=np.where(tstat < 1.96, 0.0, fit.coef))
+    fit = _var1_least_squares(factors, min_abs_t=1.96)
     return _integrate(y[-1], _var1_path(fit, factors[-1], h_max) @ loadings.T * dsd + dmean)
 
 

@@ -19,6 +19,8 @@ distances from the principal-angle sines.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -402,6 +404,11 @@ def run_montecarlo(
     method variant is evaluated on the same draws.  Replications that raise a
     package error or a linear-algebra failure are recorded, with their
     exception, rather than aborting the grid; any other exception propagates.
+
+    Replications run on one thread pool (a worker per CPU in the affinity
+    mask) under the caller's ``np.errstate``, with records bit-identical to a
+    serial loop's; an escaping exception cancels those not yet started.  Pin
+    BLAS to one thread (``OPENBLAS_NUM_THREADS=1``); ``taskset -c 0`` is serial.
     """
     for name, value, low in (("reps", reps, 1), ("base_seed", base_seed, 0)):
         if not _is_int(value) or value < low:
@@ -411,22 +418,35 @@ def run_montecarlo(
         raise ArgumentError(f"methods must name at least one variant, each once; got {methods}")
     for name in methods:
         _parse_variant(name)
-    cells = []
-    for ci, spec in enumerate(grid):
-        mixing = draw_mixing(spec, derive_seed(base_seed, ci))
-        seeds = np.array([derive_seed(base_seed, ci, rep) for rep in range(reps)], np.uint64)
-        counts = np.full((reps, len(methods), 2), -1)
-        k_hat = np.full(reps, -1)
-        metrics = {name: np.full(reps, np.nan) for name in METRICS}
-        errors = np.full(reps, None, dtype=object)
-        for rep, seed in enumerate(seeds.tolist()):
+    grid, err = list(grid), np.geterr()
+
+    def replicate(spec, mixing, seed):
+        with np.errstate(**err):
             try:
                 panel, truth = draw_panel(spec, mixing, seed)
-                counts[rep], k_hat[rep], values = _replication(panel, truth, spec, config, methods)
+                return _replication(panel, truth, spec, config, methods), None
             except (TrendFactorsError, np.linalg.LinAlgError) as exc:
-                errors[rep] = (type(exc).__name__, str(exc))
-                continue
-            for name, value in values.items():
-                metrics[name][rep] = value
-        cells.append(CellResult(spec, methods, seeds, counts, k_hat, metrics, errors))
+                return None, (type(exc).__name__, str(exc))
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cells, slots = [], {}
+    pool = ThreadPoolExecutor(max(1, min(cpus or 1, reps * len(grid))))
+    try:
+        for ci, spec in enumerate(grid):
+            mixing = draw_mixing(spec, derive_seed(base_seed, ci))
+            seeds = np.array([derive_seed(base_seed, ci, rep) for rep in range(reps)], np.uint64)
+            cells.append(CellResult(spec, methods, seeds, np.full((reps, len(methods), 2), -1),
+                                    np.full(reps, -1), {m: np.full(reps, np.nan) for m in METRICS},
+                                    np.full(reps, None, dtype=object)))
+            slots.update({pool.submit(replicate, spec, mixing, seed): (cells[-1], rep)
+                          for rep, seed in enumerate(seeds.tolist())})
+        for task in as_completed(slots):
+            (cell, rep), (record, error) = slots[task], task.result()
+            cell.errors[rep] = error
+            if record is not None:
+                cell.counts[rep], cell.K_hat[rep], values = record
+                for name, value in values.items():
+                    cell.metrics[name][rep] = value
+    finally:
+        pool.shutdown(cancel_futures=True)
     return MonteCarloResult(cells=cells, methods=methods)

@@ -21,7 +21,7 @@ from trendfactors.cli import (
 from trendfactors.errors import CsvParseError, IllConditionedError
 from trendfactors.forecast import evaluate_forecasts
 from trendfactors.pipeline import PipelineConfig
-from trendfactors.simgen import DgpSpec, generate
+from trendfactors.simgen import DgpSpec, derive_seed, draw_mixing, draw_panel, generate
 
 
 def _reference_csv(matrix) -> bytes:
@@ -350,15 +350,17 @@ class TestCommands:
         # a forced failure is left out of both
         from trendfactors import simgen
 
-        real, calls = simgen._replication, []
+        real = simgen._replication
 
-        def fail_third(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:
+        def fail_cell0_rep2(panel, truth, spec, *args):
+            # keyed on the replication (cell 0 has n = 150, and rep 2's seed
+            # draws its panel), not on the call order, which threads do not fix
+            if spec.n == 150 and np.array_equal(panel.data, draw_panel(
+                    spec, draw_mixing(spec, derive_seed(1, 0)), derive_seed(1, 0, 2))[0].data):
                 raise IllConditionedError("forced failure")
-            return real(*args, **kwargs)
+            return real(panel, truth, spec, *args)
 
-        monkeypatch.setattr(simgen, "_replication", fail_third)
+        monkeypatch.setattr(simgen, "_replication", fail_cell0_rep2)
         out = tmp_path / "bm"
         assert main(["benchmark", "--example", "1", "--p", "5", "--n", "150", "300",
                      "--reps", "4", "--seed", "1", "--out-dir", str(out)]) == 0

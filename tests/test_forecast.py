@@ -29,7 +29,7 @@ def stationary_fits(z2):
 
 def trend_fit(x1):
     """The VAR(1) on first differences the gt forecast fits to the trend paths."""
-    return forecast._var1_least_squares(x1[1:] - x1[:-1])[0]
+    return forecast._var1_least_squares(x1[1:] - x1[:-1])
 
 
 def gt_levels(dec, x1f, z2f):

@@ -1,5 +1,9 @@
 """Generators, subspace metrics, and the Monte Carlo driver."""
 
+import _thread
+import os
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -30,6 +34,9 @@ from trendfactors.simgen import (
     run_montecarlo,
 )
 from trendfactors.whitenoise import _ljung_box
+
+# the CPUs this process may run on, as run_montecarlo counts its workers
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class TestDgpSpec:
@@ -517,20 +524,23 @@ class TestRunMontecarlo:
         from trendfactors import simgen
 
         real = simgen._replication
-        calls = []
-        forced = {2: TrendFactorsError("forced failure"), 3: np.linalg.LinAlgError("singular"),
-                  4: TrendFactorsError("second message")}
+        spec = DgpSpec(p=5, n=120, example=1)
+        mixing = draw_mixing(spec, derive_seed(3, 0))
+        # each forced failure is keyed on the panel its replication's seed
+        # draws, not on the call order, which the worker threads do not fix
+        forced = {draw_panel(spec, mixing, derive_seed(3, 0, rep))[0].data.tobytes(): exc
+                  for rep, exc in ((1, TrendFactorsError("forced failure")),
+                                   (2, np.linalg.LinAlgError("singular")),
+                                   (3, TrendFactorsError("second message")))}
 
-        def fail_some(*args, **kwargs):
-            calls.append(None)
-            if len(calls) in forced:
-                raise forced[len(calls)]
-            return real(*args, **kwargs)
+        def fail_some(panel, *args, **kwargs):
+            if panel.data.tobytes() in forced:
+                raise forced[panel.data.tobytes()]
+            return real(panel, *args, **kwargs)
 
         monkeypatch.setattr(simgen, "_replication", fail_some)
         methods = ("a*w*", "aw")
-        res = run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=5, methods=methods,
-                             base_seed=3)
+        res = run_montecarlo([spec], reps=5, methods=methods, base_seed=3)
         cell = res.cells[0]
         assert cell.failures == 3
         # classes in the order they first fail, each with its count and first message
@@ -602,6 +612,84 @@ class TestRunMontecarlo:
         monkeypatch.setattr(simgen, "_replication", broken)
         with pytest.raises(TypeError):
             run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=1)
+
+    @pytest.mark.blas_threads
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DgpSpec(p=6, n=200, example=1),
+            DgpSpec(p=50, n=2000, r1=4, r2=6, K=2, example=2),
+            DgpSpec(p=120, n=100, r1=4, r2=6, K=2, example=2),  # d >= n, truncated
+            DgpSpec(p=200, n=1000, r1=4, r2=6, K=2, example=2),  # r2_hat overshoots
+        ],
+        ids=["ex1-6-200", "ex2-50-2000", "ex2-120-100", "ex2-200-1000"],
+    )
+    def test_records_equal_serial_loop(self, spec):
+        # the worker threads must not move a bit of any record: the reference
+        # is the serial loop over the same derived seeds
+        reps, base, methods, config = 4, 5, ("a*w*", "aw"), PipelineConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cell = run_montecarlo([spec], reps, methods, base, config).cells[0]
+            mixing = draw_mixing(spec, derive_seed(base, 0))
+            serial = []
+            for rep in range(reps):
+                panel, truth = draw_panel(spec, mixing, derive_seed(base, 0, rep))
+                serial.append(_replication(panel, truth, spec, config, methods))
+        assert cell.seeds.tolist() == [derive_seed(base, 0, rep) for rep in range(reps)]
+        assert list(cell.errors) == [None] * reps
+        assert np.array_equal(cell.counts, [counts for counts, _, _ in serial])
+        assert cell.K_hat.tolist() == [k_hat for _, k_hat, _ in serial]
+        for name, values in cell.metrics.items():
+            assert np.array_equal(values, [m[name] for _, _, m in serial], equal_nan=True)
+
+    @pytest.mark.skipif(CPUS < 2, reason="one CPU in the affinity mask runs one worker")
+    def test_replications_run_on_several_threads(self, monkeypatch):
+        real, threads = simgen._replication, set()
+
+        def record_thread(*args, **kwargs):
+            threads.add(threading.get_ident())
+            time.sleep(0.05)  # releases the interpreter lock, so one worker cannot take every rep
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simgen, "_replication", record_thread)
+        cell = run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=4, base_seed=3).cells[0]
+        assert cell.failures == 0
+        assert len(threads) >= 2
+
+    @pytest.mark.parametrize("exc", [TypeError, KeyboardInterrupt])
+    def test_error_cancels_the_queue(self, exc, monkeypatch):
+        # a TypeError in the first replication, or an interrupt of the calling
+        # thread while it waits, ends the run without the other 199: only the
+        # replications already running finish.  The others first sleep, which
+        # frees the interpreter lock, so the count does not hang on its timing
+        real, calls, lock = simgen._replication, [], threading.Lock()
+
+        def first_fails(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first and exc is TypeError:
+                raise TypeError("bug")
+            if first:
+                _thread.interrupt_main()
+            else:
+                time.sleep(0.01)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simgen, "_replication", first_fails)
+        with pytest.raises(exc):
+            run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=200, base_seed=3)
+        assert 1 <= len(calls) <= 4 * min(CPUS, 200)
+
+    def test_callers_errstate_applies_in_the_workers(self, monkeypatch):
+        # as in the serial loop, the caller's np.errstate governs every replication
+        def divide_by_zero(*args, **kwargs):
+            return np.ones(1) / 0.0
+
+        monkeypatch.setattr(simgen, "_replication", divide_by_zero)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            run_montecarlo([DgpSpec(p=5, n=120, example=1)], reps=4, base_seed=3)
 
     @pytest.mark.blas_threads
     @pytest.mark.parametrize(
